@@ -42,16 +42,6 @@ if SCALE not in ("smoke", "default", "full"):
 #: their hardware actually has.
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
-#: Round-scheduler override for the engine benchmark cases.  Unset means
-#: the engine's ``auto`` resolution (and an unstamped history entry, so
-#: pre-scheduler history stays comparable); setting it forces the mode
-#: AND stamps it into BENCH history entries, segregating the numbers —
-#: the bench gate never compares across scheduler modes.
-SCHEDULER = os.environ.get("REPRO_BENCH_SCHEDULER") or None
-if SCHEDULER not in (None, "auto", "dense", "sparse"):
-    raise RuntimeError(f"unknown REPRO_BENCH_SCHEDULER={SCHEDULER!r}")
-
-
 def pick(smoke, default, full):
     """Choose a sweep by scale."""
     return {"smoke": smoke, "default": default, "full": full}[SCALE]

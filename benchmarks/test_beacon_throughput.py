@@ -50,7 +50,6 @@ from time import perf_counter
 from bench_common import (
     METRICS,
     SCALE,
-    SCHEDULER,
     WORKERS,
     machine_stamp,
     pick,
@@ -69,10 +68,6 @@ _BEACON_ROWS: dict = {}
 
 #: One BENCH_engine.json history entry per pytest session.
 _SESSION_STAMP = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-
-
-def _sched_extra() -> dict:
-    return {"scheduler": SCHEDULER} if SCHEDULER is not None else {}
 
 
 def _timed_epochs(case: str, beacon: RandomBeacon, epochs: int):
@@ -132,7 +127,6 @@ def _persist_beacon_rows() -> None:
         **machine_stamp(
             workers=WORKERS,
             data_plane=planned_data_plane(WORKERS, {}),
-            scheduler=SCHEDULER,
             suite="beacon",
         ),
         "cases": dict(_BEACON_ROWS),
@@ -180,7 +174,7 @@ def test_beacon_n9_pipeline_speedup():
     barrier rounds on top."""
     epochs = pick(3, 10, 16)
     kwargs = dict(
-        n=9, t=2, seed=7, workers=WORKERS, extra=_sched_extra()
+        n=9, t=2, seed=7, workers=WORKERS
     )
 
     with RandomBeacon(**kwargs) as beacon:
@@ -233,7 +227,7 @@ def test_beacon_n9_serial_sustained():
     rounds.  Recorded without a speedup floor; the numbers tell the
     story (and must never *regress* thanks to the bench gate)."""
     epochs = pick(8, 48, 64)
-    kwargs = dict(n=9, t=2, seed=7, workers=1, extra=_sched_extra())
+    kwargs = dict(n=9, t=2, seed=7, workers=1)
 
     with RandomBeacon(**kwargs) as beacon:
         seq_seconds, seq_chain, seq_messages = _timed_epochs(
@@ -267,7 +261,7 @@ def test_beacon_n256_scale():
     regime the row documents.  Chains must still be byte-identical."""
     n = pick(16, 256, 256)
     epochs = 2
-    kwargs = dict(n=n, seed=11, workers=1, extra=_sched_extra())
+    kwargs = dict(n=n, seed=11, workers=1)
 
     with RandomBeacon(**kwargs) as beacon:
         seq_seconds, seq_chain, seq_messages = _timed_epochs(
@@ -296,7 +290,6 @@ def test_beacon_n256_optimized_service():
     epochs = pick(3, 10, 10)
     kwargs = dict(
         n=n, t=n // 3, optimized=True, seed=13, workers=1,
-        extra=_sched_extra(),
     )
 
     with RandomBeacon(**kwargs) as beacon:
@@ -335,7 +328,7 @@ def test_beacon_committee_baseline_row():
 
     messages = bytes_sent = 0
     with RandomBeacon(
-        n=2 * f + 1, t=f, seed=17, session=True, extra=_sched_extra()
+        n=2 * f + 1, t=f, seed=17, session=True
     ) as beacon:
         for _ in range(epochs):
             beacon.next_beacon()

@@ -6,8 +6,6 @@ regressions that would make the figure sweeps impractical:
 
 * one honest ERB instance at N = 64 (~8k messages + ACKs);
 * one honest ERB instance at N = 256 over the modeled transport;
-* the batched fan-out fast path vs the per-wire legacy path (with a
-  result-equivalence assertion — see docs/PERFORMANCE.md);
 * one honest ERNG instance at N = 16 (~8k messages across 16 cores);
 * one honest ERNG instance at N = 64 on the round-envelope path
   (~516k logical messages), plus the envelope vs legacy comparison that
@@ -17,21 +15,20 @@ regressions that would make the figure sweeps impractical:
   parallel engine, and the sharded vs serial ERNG N = 64 comparison that
   records ``parallel_speedup_vs_serial`` (worker count set by
   ``REPRO_BENCH_WORKERS``, default 4);
-* the optimized ERNG at N = 4096 (the sparse scheduler's headline
+* the optimized ERNG at N = 4096 (the round scheduler's headline
   protocol case — the CI scaling smoke runs exactly this one);
 * the active-set round-loop microbench: a 24-member cluster chattering
-  inside an N = 4096 network, sparse vs dense scheduling on byte-equal
-  observables, recording ``round_loop_speedup_sparse`` (>= 3x asserted
-  outside smoke);
+  inside an N = 4096 network, idle nodes skipped vs everyone always due
+  (the same program with its ``SPARSE_AWARE`` promise withdrawn) on
+  byte-equal observables, recording ``round_loop_speedup_sparse``
+  (>= 3x asserted outside smoke);
 * pb-ERB at N = 16384 (full scale only): the sampled broadcast must
   complete with O(N log N) recorded link crossings;
 * FULL-crypto channel write/read round trip.
 
 History entries in ``BENCH_engine.json`` are stamped with the git rev,
-CPU count, worker count, engine data plane (shm vs pickle) and — when
-``REPRO_BENCH_SCHEDULER`` forces a round-scheduler mode — the scheduler,
-so numbers from different machines, data planes or scheduler modes stay
-comparable; set ``REPRO_BENCH_PROFILE_OUT=<dir>`` to drop ``pstats``
+CPU count, worker count and engine data plane (shm vs pickle), so
+numbers from different machines or data planes never get compared; set ``REPRO_BENCH_PROFILE_OUT=<dir>`` to drop ``pstats``
 profiles of the engine cases alongside the metrics sidecars.
 
 The engine cases persist rounds/sec and messages/sec into
@@ -51,7 +48,6 @@ from time import perf_counter
 import pytest
 from bench_common import (
     SCALE,
-    SCHEDULER,
     WORKERS,
     machine_stamp,
     maybe_profile,
@@ -80,15 +76,6 @@ BENCH_FILE = Path(__file__).parent.parent / "BENCH_engine.json"
 #: Engine timing rows accumulated by the tests in this module; every
 #: update re-persists the whole dict so partial runs still leave a file.
 _ENGINE_ROWS: dict = {}
-
-
-def _sched_extra(extra: dict = None) -> dict:
-    """Engine ``extra`` with the forced scheduler mode merged in (the
-    ``REPRO_BENCH_SCHEDULER`` knob); engine ``auto`` when unset."""
-    merged = dict(extra or {})
-    if SCHEDULER is not None:
-        merged["scheduler"] = SCHEDULER
-    return merged
 
 
 def _time_best(fn, repeats: int = 3):
@@ -127,26 +114,14 @@ def _persist_engine_rows() -> None:
         **machine_stamp(
             workers=WORKERS,
             data_plane=planned_data_plane(WORKERS, {}),
-            scheduler=SCHEDULER,
         ),
         "cases": dict(_ENGINE_ROWS),
     }
-    fanout = _ENGINE_ROWS.get("erb_n64_fanout")
-    legacy = _ENGINE_ROWS.get("erb_n64_legacy")
-    if fanout and legacy:
-        entry["fanout_speedup_vs_legacy"] = round(
-            fanout["messages_per_sec"] / legacy["messages_per_sec"], 3
-        )
     envelope = _ENGINE_ROWS.get("erng_n64_modeled")
     erng_legacy = _ENGINE_ROWS.get("erng_n64_legacy")
     if envelope and erng_legacy:
         entry["envelope_speedup_vs_legacy"] = round(
             envelope["messages_per_sec"] / erng_legacy["messages_per_sec"], 3
-        )
-    erng_fanout = _ENGINE_ROWS.get("erng_n64_fanout")
-    if envelope and erng_fanout:
-        entry["envelope_speedup_vs_fanout"] = round(
-            envelope["messages_per_sec"] / erng_fanout["messages_per_sec"], 3
         )
     parallel = _ENGINE_ROWS.get("erng_n64_parallel")
     serial = _ENGINE_ROWS.get("erng_n64_serial") or envelope
@@ -165,7 +140,7 @@ def _persist_engine_rows() -> None:
     loop_dense = _ENGINE_ROWS.get("round_loop_n4096_dense")
     if loop_sparse and loop_dense and loop_sparse["seconds"] > 0:
         # Same messages either way, so the wall-time ratio IS the
-        # round-loop speedup (the sparse scheduler's headline number).
+        # round-loop speedup (what skipping idle nodes is worth).
         entry["round_loop_speedup_sparse"] = round(
             loop_dense["seconds"] / loop_sparse["seconds"], 3
         )
@@ -202,7 +177,7 @@ def test_engine_erb_n256_modeled():
 
     def run():
         result = run_erb(
-            SimulationConfig(n=n, seed=22, extra=_sched_extra()),
+            SimulationConfig(n=n, seed=22),
             initiator=0, message=b"perf-256",
         )
         assert result.rounds_executed == 2
@@ -211,46 +186,6 @@ def test_engine_erb_n256_modeled():
     seconds, result = _time_best(run)
     assert result.traffic.messages_sent == 2 * n * (n - 1)
     _record_engine_case(f"erb_n{n}_modeled", n, seconds, result)
-
-
-def test_engine_fanout_vs_legacy_n64():
-    """Batched fan-out fast path vs per-wire legacy path on the same
-    seeded honest run: identical observables, recorded side by side in
-    BENCH_engine.json (the PR's before/after perf trajectory)."""
-
-    def fanout():
-        return run_erb(
-            SimulationConfig(n=64, seed=20, extra=_sched_extra()),
-            initiator=0, message=b"perf",
-        )
-
-    def legacy():
-        return run_erb(
-            SimulationConfig(
-                n=64, seed=20,
-                extra=_sched_extra({"disable_fanout_fast_path": True}),
-            ),
-            initiator=0,
-            message=b"perf",
-        )
-
-    fast_seconds, fast = _time_best(fanout)
-    legacy_seconds, slow = _time_best(legacy)
-
-    # The mandatory equivalence: the fast path may only change wall time.
-    assert fast.outputs == slow.outputs
-    assert fast.halted == slow.halted
-    assert fast.decided_rounds == slow.decided_rounds
-    assert dict(fast.traffic.bytes_by_round) == dict(slow.traffic.bytes_by_round)
-    assert fast.traffic.messages_sent == slow.traffic.messages_sent == 8064
-    assert fast.traffic.bytes_sent == slow.traffic.bytes_sent
-
-    _record_engine_case("erb_n64_fanout", 64, fast_seconds, fast)
-    _record_engine_case("erb_n64_legacy", 64, legacy_seconds, slow)
-    if SCALE != "smoke":
-        # Regression guard, deliberately loose: the fast path must not be
-        # meaningfully slower than per-wire (it is ~1.7x faster unloaded).
-        assert fast_seconds <= legacy_seconds * 1.5
 
 
 def test_engine_erng_n16(benchmark):
@@ -270,7 +205,7 @@ def test_engine_erng_n64_modeled():
     not sweep practically."""
 
     def run():
-        result = run_erng(SimulationConfig(n=64, seed=21, extra=_sched_extra()))
+        result = run_erng(SimulationConfig(n=64, seed=21))
         assert len(set(result.outputs.values())) == 1
         assert result.rounds_executed == 2
         return result
@@ -292,22 +227,11 @@ def test_engine_erng_envelope_vs_legacy():
     the BENCH_engine.json history (the PR's acceptance number)."""
 
     def envelope():
-        return run_erng(SimulationConfig(n=64, seed=21, extra=_sched_extra()))
-
-    def fanout():
-        return run_erng(SimulationConfig(
-            n=64, seed=21,
-            extra=_sched_extra({"disable_envelope_fast_path": True}),
-        ))
+        return run_erng(SimulationConfig(n=64, seed=21))
 
     def legacy():
         return run_erng(SimulationConfig(
-            n=64,
-            seed=21,
-            extra=_sched_extra({
-                "disable_envelope_fast_path": True,
-                "disable_fanout_fast_path": True,
-            }),
+            n=64, seed=21, extra={"disable_envelope_fast_path": True}
         ))
 
     repeats = 1 if SCALE == "smoke" else 3
@@ -327,9 +251,6 @@ def test_engine_erng_envelope_vs_legacy():
     _record_engine_case("erng_n64_modeled", 64, env_seconds, env)
     _record_engine_case("erng_n64_legacy", 64, legacy_seconds, slow)
     if SCALE != "smoke":
-        fanout_seconds, mid = _time_best(fanout, repeats=repeats)
-        assert mid.outputs == env.outputs
-        _record_engine_case("erng_n64_fanout", 64, fanout_seconds, mid)
         # The acceptance bar for the envelope layer: >= 3x over per-wire.
         assert env_seconds * 3 <= legacy_seconds, (
             f"envelope path only {legacy_seconds / env_seconds:.2f}x faster"
@@ -346,7 +267,7 @@ def test_engine_erb_n1024():
     def run():
         result = run_erb(
             SimulationConfig(
-                n=n, seed=24, workers=WORKERS, extra=_sched_extra()
+                n=n, seed=24, workers=WORKERS
             ),
             initiator=0,
             message=b"perf-1024",
@@ -356,7 +277,7 @@ def test_engine_erb_n1024():
 
     def serial():
         result = run_erb(
-            SimulationConfig(n=n, seed=24, extra=_sched_extra()),
+            SimulationConfig(n=n, seed=24),
             initiator=0, message=b"perf-1024",
         )
         assert result.rounds_executed == 2
@@ -397,7 +318,7 @@ def test_engine_erb_n8192_feasibility():
     def run():
         result = run_erb(
             SimulationConfig(
-                n=n, seed=26, workers=WORKERS, extra=_sched_extra()
+                n=n, seed=26, workers=WORKERS
             ),
             initiator=0,
             message=b"perf-8192",
@@ -424,11 +345,11 @@ def test_engine_erng_n64_parallel_vs_serial():
 
     def parallel():
         return run_erng(SimulationConfig(
-            n=64, seed=21, workers=WORKERS, extra=_sched_extra()
+            n=64, seed=21, workers=WORKERS
         ))
 
     def serial():
-        return run_erng(SimulationConfig(n=64, seed=21, extra=_sched_extra()))
+        return run_erng(SimulationConfig(n=64, seed=21))
 
     repeats = 1 if SCALE == "smoke" else 3
     with maybe_profile("erng_n64_parallel"):
@@ -465,14 +386,14 @@ def test_engine_erng_n64_parallel_vs_serial():
 
 def test_engine_erng_opt_n4096():
     """The optimized ERNG at N = 4096 — four times the paper's maximum —
-    on the serial path with the sparse active-set scheduler (auto).  The
+    on the serial path, whose scheduler skips the idle nodes.  The
     CI scaling smoke runs exactly this case: it must stay feasible at
     smoke scale, which is why N is not scaled down."""
     n = 4096
 
     def run():
         result = run_optimized_erng(
-            SimulationConfig(n=n, t=n // 3, seed=30, extra=_sched_extra()),
+            SimulationConfig(n=n, t=n // 3, seed=30),
             cluster=ClusterConfig(),
         )
         assert len(set(result.outputs.values())) == 1
@@ -523,28 +444,38 @@ class _ClusterChatterProgram(EnclaveProgram):
         return rnd + 1 if self.chatty else max(rnd + 1, self.rounds)
 
 
+class _AlwaysDueChatterProgram(_ClusterChatterProgram):
+    """The dense reference: same program, promise withdrawn, so the
+    scheduler keeps every node due every round."""
+
+    SPARSE_AWARE = False
+
+
 def test_engine_round_loop_n4096_sparse_vs_dense():
-    """The sparse scheduler's headline number: a 24-member cluster
+    """The round scheduler's headline number: a 24-member cluster
     chatters for R rounds inside N = 4096 nodes.  Message work is
     identical either way, so the wall-time ratio isolates the round
-    loop; sparse must be >= 3x dense outside smoke (it skips ~99% of
-    the per-round node visits).  Observables must be byte-equal."""
+    loop; skipping must be >= 3x the always-due reference outside smoke
+    (it skips ~99% of the per-round node visits).  Observables must be
+    byte-equal."""
     n = 4096
     rounds = pick(16, 128, 128)
     members = tuple(range(0, n, n // 24))
 
-    def run(scheduler):
-        config = SimulationConfig(
-            n=n, seed=33, extra={"scheduler": scheduler}
-        )
+    def run(program):
         network = SynchronousNetwork(
-            config, lambda i: _ClusterChatterProgram(i, members, rounds)
+            SimulationConfig(n=n, seed=33),
+            lambda i: program(i, members, rounds),
         )
         return network.run(max_rounds=rounds + 1)
 
     repeats = 1 if SCALE == "smoke" else 3
-    sparse_seconds, sparse = _time_best(lambda: run("sparse"), repeats=repeats)
-    dense_seconds, dense = _time_best(lambda: run("dense"), repeats=repeats)
+    sparse_seconds, sparse = _time_best(
+        lambda: run(_ClusterChatterProgram), repeats=repeats
+    )
+    dense_seconds, dense = _time_best(
+        lambda: run(_AlwaysDueChatterProgram), repeats=repeats
+    )
 
     # The mandatory equivalence: scheduling may only change wall time.
     assert sparse.outputs == dense.outputs
@@ -577,7 +508,7 @@ def test_engine_pb_erb_n16384():
 
     def run():
         result = run_pb_erb(
-            SimulationConfig(n=n, t=n // 4, seed=40, extra=_sched_extra()),
+            SimulationConfig(n=n, t=n // 4, seed=40),
             initiator=0,
             message=b"pb-16384",
         )

@@ -91,13 +91,9 @@ def _stamp_for(args: argparse.Namespace) -> dict:
     the run shape would engage the parallel engine."""
     workers = getattr(args, "workers", None)
     extra = {"parallel_data_plane": getattr(args, "data_plane", "auto")}
-    # "auto" resolves per network (it depends on which programs are
-    # sparse-aware), so the stamp records the *requested* mode verbatim;
-    # comparability is equality, which is conservative either way.
     return machine_stamp(
         workers=workers,
         data_plane=planned_data_plane(workers, extra),
-        scheduler=getattr(args, "scheduler", "auto"),
     )
 
 
@@ -177,9 +173,6 @@ def _config_for(args: argparse.Namespace, **overrides) -> SimulationConfig:
     data_plane = getattr(args, "data_plane", "auto")
     if data_plane != "auto":
         extra["parallel_data_plane"] = data_plane
-    scheduler = getattr(args, "scheduler", "auto")
-    if scheduler != "auto":
-        extra["scheduler"] = scheduler
     if extra:
         params["extra"] = extra
     if getattr(args, "timing_out", None):
@@ -304,9 +297,6 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     data_plane = getattr(args, "data_plane", "auto")
     if data_plane != "auto":
         extra["parallel_data_plane"] = data_plane
-    scheduler = getattr(args, "scheduler", "auto")
-    if scheduler != "auto":
-        extra["scheduler"] = scheduler
     # All epochs run on one persistent EngineSession, so the obs flags
     # scope over the whole service run: one trace, one timing collector
     # accumulating per-epoch start_run/end_run records, one metrics
@@ -687,14 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="coordinator/worker transport for --workers > 1: "
             "shared-memory rings, pickle pipes, or pick automatically "
             "(results are byte-identical either way)",
-        )
-        p.add_argument(
-            "--scheduler", choices=("auto", "dense", "sparse"),
-            default="auto",
-            help="round scheduling: visit every node each round (dense), "
-            "only active nodes (sparse; requires sparse-aware programs), "
-            "or pick automatically (results are byte-identical either "
-            "way)",
         )
         p.add_argument(
             "--profile-out", default=None, metavar="PATH",

@@ -18,17 +18,21 @@ round as three phases coordinated over per-shard duplex channels
               closing the phase with one ``done`` frame;
 ``transmit``  the coordinator merges the streamed intents back into
               exact serial emission order (every record is keyed) and
-              does *all* traffic accounting while building the plan;
+              does *all* traffic accounting while building the plan
+              (the serial envelope path's own charging methods);
 ``deliver``   the plan is pickled once and written into every shard's
               ring; workers dispatch the members addressed to their
               owned receivers, streaming next-round intents, and ship
               ACK aggregates / voluntary halts in the ``done`` frame;
 ``ack_wave``  the coordinator credits the pending multicast handles
-              (reusing the serial ``_ack_wave_envelope`` verbatim on
-              traced runs; on untraced runs the workers pre-aggregate);
+              (the serial ``_ack_wave_envelope`` on traced runs, its
+              ``_settle_ack_wave`` on worker-aggregated untraced ones);
 ``halt_check``/``end``  run on the coordinator's node mirror / in the
               workers respectively, with divergence halts shipped down
-              so every replica observes the same liveness.
+              so every replica observes the same liveness; the serial
+              path's ``_close_round`` closes the round on the mirror.
+              Which owned nodes a worker visits is decided by the serial
+              engine's :class:`~repro.net.activeset.ActiveSet`.
 
 The v1 protocol ran the same phases over per-shard single-worker
 ``ProcessPoolExecutor``s — every phase paid two pickled pipe crossings
@@ -76,8 +80,8 @@ import traceback
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.config import CHANNEL_OVERHEAD_BYTES
-from repro.common.types import MessageType, ProtocolMessage
+from repro.common.types import ProtocolMessage
+from repro.net.activeset import ActiveSet
 from repro.net.shm import (
     _NOTHING,
     _wait_spin,
@@ -88,18 +92,15 @@ from repro.net.shm import (
     shared_memory_unavailable_reason,
 )
 from repro.net.simulator import (
-    MulticastHandle,
     RunResult,
     SynchronousNetwork,
     _multicast_key,
     _SendIntent,
 )
-from repro.net.stats import RoundRecord
-from repro.obs.events import RoundSpan, WireEvent
+from repro.obs.events import WireEvent
 from repro.obs.metrics import PROFILER, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sgx.enclave import EnclaveState
-from repro.sgx.program import sparse_aware
 
 _LOG = logging.getLogger("repro.engine")
 
@@ -157,31 +158,16 @@ def planned_data_plane(
 
 
 class _WorkerState:
-    __slots__ = ("net", "shard", "nshards", "owned", "events", "traced",
-                 "timed", "bucket", "sparse", "aware", "always", "wake",
-                 "buckets", "delivered", "visit", "undone", "decided_count")
-
     net: SynchronousNetwork
     shard: int
     nshards: int
-    owned: List[int]
+    #: The round scheduler over this shard's owned nodes
+    #: (``node_id % nshards == shard``).
+    active: ActiveSet
     events: Optional[List[object]]
     traced: bool
     timed: bool
     bucket: str
-    # Sparse-scheduler shard view (mirrors SynchronousNetwork._sched_*,
-    # restricted to owned nodes): wake hints / buckets drive the begin
-    # visit list, ``delivered`` re-wakes receivers for round end, and the
-    # undone set + decided counter replace the per-round O(owned) scans.
-    sparse: bool
-    aware: set
-    always: List[int]
-    wake: Dict[int, int]
-    buckets: Dict[int, List[int]]
-    delivered: set
-    visit: List[int]
-    undone: set
-    decided_count: int
 
 
 # A packed send intent, as shipped from workers to the coordinator:
@@ -203,19 +189,14 @@ def _pack_intent(
     that ran the emitting hook).  ``tmb`` is a timing-bucket dict the
     digest / sizing costs accrue into when the run is timed."""
     message = intent.message.with_round(rnd)
-    if tmb is None:
-        digest = net._ack_digest(_multicast_key(message))
-        targets: Optional[Tuple[int, ...]] = intent.targets
-        size = net.transport.message_size(message) if targets else 0
-    else:
-        t0 = perf_counter()
-        digest = net._ack_digest(_multicast_key(message))
-        t1 = perf_counter()
-        targets = intent.targets
-        size = net.transport.message_size(message) if targets else 0
-        t2 = perf_counter()
+    t0 = perf_counter() if tmb is not None else 0.0
+    digest = net._ack_digest(_multicast_key(message))
+    t1 = perf_counter() if tmb is not None else 0.0
+    targets: Optional[Tuple[int, ...]] = intent.targets
+    size = net.transport.message_size(message) if targets else 0
+    if tmb is not None:
         tmb["digest"] = tmb.get("digest", 0.0) + (t1 - t0)
-        tmb["serialize"] = tmb.get("serialize", 0.0) + (t2 - t1)
+        tmb["serialize"] = tmb.get("serialize", 0.0) + (perf_counter() - t1)
     if targets and targets is net._neighbour_cache.get(intent.sender):
         targets = None
     return (
@@ -242,12 +223,19 @@ def _worker_init(shard: int, nshards: int) -> None:
     st.net = net
     st.shard = shard
     st.nshards = nshards
-    st.owned = [i for i in range(net.config.n) if i % nshards == shard]
-    st.traced = net.tracer.enabled
+    st.bucket = "other"
+    _worker_observers(st, net.tracer.enabled, net._timing is not None)
+    _worker_own_shard(st)
+    _STATE = st
+
+
+def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
+    """Apply the worker-side observability policy to the replica."""
+    net = st.net
+    st.traced = traced
     # The worker replica's hooks are timed from the phase handlers, not
     # by the engine; buckets ship back per phase as plain dicts.
-    st.timed = net._timing is not None
-    st.bucket = "other"
+    st.timed = timed
     net._timing = None
     if PROFILER.enabled:
         # The fork copied the coordinator's profiling registry wholesale;
@@ -256,7 +244,7 @@ def _worker_init(shard: int, nshards: int) -> None:
         # exactly this shard's post-fork counts, so coordinator + worker
         # registries add to what a serial run would have observed.
         PROFILER.registry = MetricsRegistry()
-    if st.traced:
+    if traced:
         # Replace the inherited tracer (whose sinks may hold duplicated
         # file handles) with a memory sink; events ship back per phase.
         tracer = Tracer.memory()
@@ -265,43 +253,22 @@ def _worker_init(shard: int, nshards: int) -> None:
     else:
         net.tracer = NULL_TRACER
         st.events = None
-    # The coordinator owns all queue state; worker replicas start clean.
+
+
+def _worker_own_shard(st: "_WorkerState") -> None:
+    """Start a run on this shard, after ``on_setup`` ran on the replica
+    (before the fork, or in :func:`_worker_recycle`)."""
+    net = st.net
+    # The coordinator owns all queue state (it ran the same on_setup and
+    # keeps the staged intents); worker replicas start each run clean.
     net._outbox_now.clear()
     net._outbox_next.clear()
     net._ack_queue.clear()
     net._ack_queue_fast.clear()
     net._ack_digest_by_id.clear()
-    # Sparse scheduling: rebuild the engine's wake bookkeeping restricted
-    # to owned nodes.  Wake hints are pure functions of enclave state,
-    # which is sharded wholesale, so every shard's view evolves exactly
-    # like the matching slice of the serial engine's.
-    _rebuild_sparse_view(st)
-    _STATE = st
-
-
-def _rebuild_sparse_view(st: "_WorkerState") -> None:
-    """(Re)build the shard's sparse-scheduler view from the replica's
-    current programs — at fork time and again on every session recycle
-    (the recycled programs may differ in SPARSE_AWARE)."""
-    net = st.net
-    st.sparse = net._sparse
-    if st.sparse:
-        st.aware = {
-            i for i in st.owned if sparse_aware(net.nodes[i].program)
-        }
-        st.always = [i for i in st.owned if i not in st.aware]
-        st.wake = {i: 1 for i in st.aware}
-        st.buckets = {1: sorted(st.aware)} if st.aware else {}
-        st.delivered = set()
-        st.visit = []
-        st.undone = set()
-        st.decided_count = 0
-        for i in st.owned:
-            node = net.nodes[i]
-            if node.program.has_output:
-                st.decided_count += 1
-            elif node.alive:
-                st.undone.add(i)
+    st.active = ActiveSet(
+        net.nodes, range(st.shard, net.config.n, st.nshards)
+    )
 
 
 def _worker_recycle(channel, payload: tuple) -> None:
@@ -313,41 +280,19 @@ def _worker_recycle(channel, payload: tuple) -> None:
 begin_session_run` + ``_setup`` did on its side — same relaunch, same
     re-seeding, same cache invalidation, then ``on_setup`` for every
     alive node (fork inheritance would have copied exactly that state) —
-    followed by the worker-side specialisations of ``_worker_init``:
-    queues stay coordinator-owned, the tracer is a local memory sink,
-    timing buckets ship per phase, and the sparse shard view is rebuilt
-    from the new programs.
+    with the worker-side specialisations of ``_worker_init`` around it.
     """
     st = _STATE
     net = st.net
     seed, factory, traced, timed = payload
     net.begin_session_run(factory, seed=seed)
     # _resolve_run_paths restored config's tracer/timing; re-apply the
-    # worker policy (the inherited config tracer may hold duplicated
-    # file handles, and worker walls are charged per phase, not here).
-    st.traced = traced
-    st.timed = timed
-    net._timing = None
-    if traced:
-        tracer = Tracer.memory()
-        net.tracer = tracer
-        st.events = tracer.events
-    else:
-        net.tracer = NULL_TRACER
-        st.events = None
-    if PROFILER.enabled:
-        PROFILER.registry = MetricsRegistry()
+    # worker policy before any hook can emit.
+    _worker_observers(st, traced, timed)
     for node in net.nodes.values():
         if node.alive:
             node.program.on_setup(node.context)
-    # The coordinator owns all queue state (it ran the same on_setup and
-    # keeps the staged intents); worker replicas start each run clean.
-    net._outbox_now.clear()
-    net._outbox_next.clear()
-    net._ack_queue.clear()
-    net._ack_queue_fast.clear()
-    net._ack_digest_by_id.clear()
-    _rebuild_sparse_view(st)
+    _worker_own_shard(st)
     channel.send(("r", st.shard))
 
 
@@ -371,87 +316,96 @@ def _flush_staged(channel, staged: List[tuple], timed: bool) -> float:
     return 0.0
 
 
-def _worker_begin(channel, rnd: int) -> None:
-    """Phase 1: on_round_begin for owned live nodes, in node order.
+def _phase_timing(
+    st: "_WorkerState", tmb: Optional[dict], handler_s: float,
+    send_s: float, t_start: float,
+) -> Optional[tuple]:
+    """A phase's timing payload, ``(busy_seconds, buckets)``: hook time
+    under ``handler``, streaming time under the data plane's bucket.
+    ``None`` on untimed runs."""
+    if tmb is None:
+        return None
+    tmb["handler"] = tmb.get("handler", 0.0) + handler_s
+    tmb[st.bucket] = tmb.get(st.bucket, 0.0) + send_s
+    return perf_counter() - t_start, tmb
 
-    Staged intents stream home in keyed chunks as nodes produce them;
-    the closing ``done`` frame carries voluntary halts, traced event
-    batches and the shard's timing payload — ``(busy_seconds, buckets)``
-    when the run is timed, else ``None``.
+
+def _run_hooks(
+    channel, visit_ids: List[int], hook: str, outbox: list, stamp_rnd: int,
+    tmb: Optional[dict],
+) -> tuple:
+    """Run one round hook (``on_round_begin`` / ``on_round_end``) for the
+    visited live nodes, in node order.
+
+    Intents the hooks stage land in ``outbox``; they are stamped for
+    round ``stamp_rnd`` and stream home in keyed chunks as nodes produce
+    them.  Returns ``(halted, batches, handler_s, send_s)``: voluntary
+    halts, traced event batches per node, and the hook / streaming
+    seconds (0.0 on untimed runs).
     """
     st = _STATE
     net = st.net
     timed = st.timed
-    t_start = perf_counter() if timed else 0.0
-    tmb: Optional[dict] = {} if timed else None
-    handler_s = 0.0
-    send_s = 0.0
-    net.current_round = rnd
-    outbox = net._outbox_now
     events = st.events
+    handler_s = send_s = 0.0
     halted: List[int] = []
     staged: List[tuple] = []
     batches: List[tuple] = []
-    counts = None
-    if st.sparse:
-        t0 = perf_counter() if timed else 0.0
-        woken = st.buckets.pop(rnd, None)
-        if woken:
-            wake = st.wake
-            sched = sorted({i for i in woken if wake.get(i) == rnd})
-        else:
-            sched = []
-        if not st.always:
-            visit_ids = sched
-        elif not sched:
-            visit_ids = st.always
-        else:
-            visit_ids = sorted(st.always + sched)
-        st.visit = visit_ids
-        counts = (len(visit_ids), len(st.owned) - len(visit_ids))
-        if timed:
-            tmb["scheduler"] = tmb.get("scheduler", 0.0) + (
-                perf_counter() - t0
-            )
-    else:
-        visit_ids = st.owned
-    net._in_round_begin = True
     for node_id in visit_ids:
         node = net.nodes[node_id]
         if not node.alive:
             continue
         obase = len(outbox)
         ebase = len(events) if events is not None else 0
+        t0 = perf_counter() if timed else 0.0
+        getattr(node.program, hook)(node.context)
         if timed:
-            t0 = perf_counter()
-            node.program.on_round_begin(node.context)
             handler_s += perf_counter() - t0
-        else:
-            node.program.on_round_begin(node.context)
         if node.enclave.halted:
             halted.append(node_id)
         for idx in range(obase, len(outbox)):
             staged.append(
                 ((node_id, idx - obase),
-                 _pack_intent(outbox[idx], rnd, net, tmb))
+                 _pack_intent(outbox[idx], stamp_rnd, net, tmb))
             )
         if len(staged) >= _FLUSH_INTENTS:
             send_s += _flush_staged(channel, staged, timed)
             staged = []
         if events is not None and len(events) > ebase:
             batches.append((node_id, events[ebase:]))
-    net._in_round_begin = False
     outbox.clear()
     if events is not None:
         events.clear()
-    _check_no_stray_acks(net, "on_round_begin")
+    _check_no_stray_acks(net, hook)
     if staged:
         send_s += _flush_staged(channel, staged, timed)
-    timing = None
+    return halted, batches, handler_s, send_s
+
+
+def _worker_begin(channel, rnd: int) -> None:
+    """Phase 1: on_round_begin for the owned nodes due this round.
+
+    The closing ``done`` frame carries voluntary halts, traced event
+    batches, the visit counts and the shard's timing payload —
+    ``(busy_seconds, buckets)`` when the run is timed, else ``None``.
+    """
+    st = _STATE
+    net = st.net
+    timed = st.timed
+    t_start = perf_counter() if timed else 0.0
+    tmb: Optional[dict] = {} if timed else None
+    net.current_round = rnd
+    active = st.active
+    visit_ids = active.begin(rnd)
+    counts = (len(visit_ids), len(active.owned) - len(visit_ids))
     if timed:
-        tmb["handler"] = tmb.get("handler", 0.0) + handler_s
-        tmb[st.bucket] = tmb.get(st.bucket, 0.0) + send_s
-        timing = (perf_counter() - t_start, tmb)
+        tmb["scheduler"] = perf_counter() - t_start
+    net._in_round_begin = True
+    halted, batches, handler_s, send_s = _run_hooks(
+        channel, visit_ids, "on_round_begin", net._outbox_now, rnd, tmb
+    )
+    net._in_round_begin = False
+    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
     channel.send(("d", (halted, batches, counts, timing)))
 
 
@@ -491,7 +445,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
     batches: List[tuple] = []
     raw_acks: List[tuple] = []
     halted_state = EnclaveState.HALTED
-    delivered = st.delivered if st.sparse else None
+    delivered = st.active.delivered
     next_rnd = rnd + 1
     for i, (sender, targets, message) in enumerate(plan):
         for j, receiver in enumerate(targets):
@@ -505,8 +459,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
             abase = len(ackq)
             obase = len(outbox)
             ebase = len(events) if traced else 0
-            if delivered is not None:
-                delivered.add(receiver)
+            delivered.add(receiver)
             if timed:
                 t0 = perf_counter()
                 node.program.on_message(node.context, sender, message)
@@ -549,11 +502,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
         events.clear()
     if staged:
         send_s += _flush_staged(channel, staged, timed)
-    timing = None
-    if timed:
-        tmb["handler"] = tmb.get("handler", 0.0) + handler_s
-        tmb[st.bucket] = tmb.get(st.bucket, 0.0) + send_s
-        timing = (perf_counter() - t_start, tmb)
+    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
     channel.send((
         "d",
         (halted, omitted, link_counts, credits, total, raw_acks, batches,
@@ -571,128 +520,27 @@ def _worker_end(
     timed = st.timed
     t_start = perf_counter() if timed else 0.0
     tmb: Optional[dict] = {} if timed else None
-    handler_s = 0.0
-    send_s = 0.0
     for node_id in halted_now:
-        enclave = net.nodes[node_id].enclave
-        if not enclave.halted:
-            enclave.halt(rnd)
-            net.evict_departed_node(node_id)
-    outbox = net._outbox_next
-    events = st.events
-    traced = st.traced
-    halted: List[int] = []
-    staged: List[tuple] = []
-    batches: List[tuple] = []
-    counts = None
-    if st.sparse:
-        t0 = perf_counter() if timed else 0.0
-        delivered = st.delivered
-        if delivered:
-            delivered.update(st.visit)
-            end_visit = sorted(delivered)
-        else:
-            end_visit = st.visit
-        counts = (len(end_visit), len(st.owned) - len(end_visit))
-        if timed:
-            tmb["scheduler"] = tmb.get("scheduler", 0.0) + (
-                perf_counter() - t0
-            )
-    else:
-        end_visit = st.owned
-    next_rnd = rnd + 1
-    for node_id in end_visit:
-        node = net.nodes[node_id]
-        if not node.alive:
-            continue
-        obase = len(outbox)
-        ebase = len(events) if traced else 0
-        if timed:
-            t0 = perf_counter()
-            node.program.on_round_end(node.context)
-            handler_s += perf_counter() - t0
-        else:
-            node.program.on_round_end(node.context)
-        if node.enclave.halted:
-            halted.append(node_id)
-        for idx in range(obase, len(outbox)):
-            staged.append(
-                ((node_id, idx - obase),
-                 _pack_intent(outbox[idx], next_rnd, net, tmb))
-            )
-        if len(staged) >= _FLUSH_INTENTS:
-            send_s += _flush_staged(channel, staged, timed)
-            staged = []
-        if traced and len(events) > ebase:
-            batches.append((node_id, events[ebase:]))
-    outbox.clear()
-    if traced:
-        events.clear()
-    _check_no_stray_acks(net, "on_round_end")
-    net.clock.advance(seconds)
-    if st.sparse:
-        t0 = perf_counter() if timed else 0.0
-        wake = st.wake
-        buckets = st.buckets
-        undone = st.undone
-        aware = st.aware
-        nodes = net.nodes
-        for node_id in end_visit:
-            node = nodes[node_id]
-            if node_id in undone and (
-                node.program.has_output or not node.alive
-            ):
-                undone.discard(node_id)
-                if node.program.has_output:
-                    st.decided_count += 1
-            if not node.alive:
-                wake.pop(node_id, None)
-                continue
-            if node_id in aware:
-                hint = node.program.sparse_wake_round(rnd)
-                if hint is None:
-                    wake.pop(node_id, None)
-                else:
-                    if hint <= rnd:
-                        hint = rnd + 1
-                    if wake.get(node_id) != hint:
-                        wake[node_id] = hint
-                        buckets.setdefault(hint, []).append(node_id)
-        nshards = st.nshards
-        shard = st.shard
-        for node_id in halted_now:
-            if node_id % nshards != shard:
-                continue
-            wake.pop(node_id, None)
-            if node_id in undone:
-                undone.discard(node_id)
-                if nodes[node_id].program.has_output:
-                    st.decided_count += 1
-        st.delivered.clear()
-        st.visit = []
-        decided = st.decided_count
-        all_done = not undone
-        if timed:
-            tmb["scheduler"] = tmb.get("scheduler", 0.0) + (
-                perf_counter() - t0
-            )
-    else:
-        decided = 0
-        all_done = True
-        for node_id in st.owned:
-            node = net.nodes[node_id]
-            if node.program.has_output:
-                decided += 1
-            elif node.alive:
-                all_done = False
-    if staged:
-        send_s += _flush_staged(channel, staged, timed)
-    timing = None
+        net._halt_node(node_id, rnd)
+    active = st.active
+    t0 = perf_counter() if timed else 0.0
+    end_visit = active.end()
+    counts = (len(end_visit), len(active.owned) - len(end_visit))
     if timed:
-        tmb["handler"] = tmb.get("handler", 0.0) + handler_s
-        tmb[st.bucket] = tmb.get(st.bucket, 0.0) + send_s
-        timing = (perf_counter() - t_start, tmb)
-    channel.send(("d", (halted, batches, decided, all_done, counts, timing)))
+        tmb["scheduler"] = perf_counter() - t0
+    halted, batches, handler_s, send_s = _run_hooks(
+        channel, end_visit, "on_round_end", net._outbox_next, rnd + 1, tmb
+    )
+    net.clock.advance(seconds)
+    t0 = perf_counter() if timed else 0.0
+    active.after_end(rnd, end_visit, halted_now)
+    if timed:
+        tmb["scheduler"] += perf_counter() - t0
+    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
+    channel.send((
+        "d",
+        (halted, batches, active.decided, active.all_done, counts, timing),
+    ))
 
 
 def _worker_finish(channel) -> None:
@@ -711,7 +559,8 @@ def _worker_finish(channel) -> None:
     events = st.events
     traced = st.traced
     batches: List[tuple] = []
-    for node_id in st.owned:
+    owned = st.active.owned
+    for node_id in owned:
         node = net.nodes[node_id]
         if not node.alive:
             continue
@@ -725,7 +574,7 @@ def _worker_finish(channel) -> None:
         if traced and len(events) > ebase:
             batches.append((node_id, events[ebase:]))
     final = []
-    for node_id in st.owned:
+    for node_id in owned:
         node = net.nodes[node_id]
         program = node.program
         has_output = program.has_output
@@ -841,15 +690,20 @@ class _ShardCrew:
                 )
                 proc.start()
                 self.procs.append(proc)
-            for shard, channel in enumerate(self.channels):
-                msg = channel.recv(self.check_alive)
-                if msg[0] != "r":
-                    self.raise_worker_error(shard, msg)
+            self.await_ready()
         except BaseException:
             self.shutdown()
             raise
         finally:
             _FORK_NETWORK = None
+
+    def await_ready(self) -> None:
+        """Block until every shard reports its replica ready for a run
+        (after the fork, and after each session recycle)."""
+        for shard, channel in enumerate(self.channels):
+            msg = channel.recv(self.check_alive)
+            if msg[0] != "r":
+                self.raise_worker_error(shard, msg)
 
     def broadcast_frame(self, blob: bytes) -> None:
         for channel in self.channels:
@@ -921,12 +775,17 @@ class _Coordinator:
     # -- helpers -------------------------------------------------------
 
     def _apply_halts(self, node_ids: List[int], rnd: int) -> None:
-        net = self.net
         for node_id in node_ids:
-            enclave = net.nodes[node_id].enclave
-            if not enclave.halted:
-                enclave.halt(rnd)
-                net.evict_departed_node(node_id)
+            self.net._halt_node(node_id, rnd)
+
+    def _absorb_timing(self, shard: int, w_timing: tuple) -> None:
+        """Fold one worker phase's ``(busy_seconds, buckets)`` into the
+        round's per-shard totals."""
+        busy, buckets = w_timing
+        self.shard_busy[shard] += busy
+        sb = self.shard_buckets[shard]
+        for bucket, seconds in buckets.items():
+            sb[bucket] = sb.get(bucket, 0.0) + seconds
 
     def _emit_batches(self, batches: List[tuple]) -> None:
         """Splice per-node event batches back in serial (key) order."""
@@ -1059,11 +918,10 @@ class _Coordinator:
             # Coordinator buckets cover the coordinator's own wall only;
             # the workers' in-phase breakdowns accumulate here and
             # attach per shard (busy + idle) when the round closes.
-            shard_busy = [0.0] * nshards
-            shard_buckets: List[dict] = [{} for _ in range(nshards)]
+            self.shard_busy = [0.0] * nshards
+            self.shard_buckets: List[dict] = [{} for _ in range(nshards)]
             wave_wall = 0.0
-        omissions_before = traffic.omissions
-        rejections_before = traffic.rejections
+        before = (traffic.omissions, traffic.rejections)
         net._pending_handles.clear()
         net._ack_size_cache.clear()
 
@@ -1088,15 +946,10 @@ class _Coordinator:
                 enumerate(responses):
             self._apply_halts(halted, rnd)
             begin_events.extend(batches)
-            if w_counts is not None:
-                sched_counters["begin_visited"] += w_counts[0]
-                sched_counters["begin_skipped"] += w_counts[1]
+            sched_counters["begin_visited"] += w_counts[0]
+            sched_counters["begin_skipped"] += w_counts[1]
             if w_timing is not None:
-                busy, buckets = w_timing
-                shard_busy[shard] += busy
-                sb = shard_buckets[shard]
-                for bucket, seconds in buckets.items():
-                    sb[bucket] = sb.get(bucket, 0.0) + seconds
+                self._absorb_timing(shard, w_timing)
         if traced:
             self._emit_batches(begin_events)
         begin_staged.sort(key=lambda kv: kv[0])
@@ -1111,7 +964,6 @@ class _Coordinator:
         if traced:
             tracer.phase(rnd, "transmit", count=len(outbox))
         t0 = perf_counter() if tm is not None else 0.0
-        handles = net._pending_handles
         plan: List[tuple] = []
         per_sender: Dict[int, List[tuple]] = {}
         logical_count = 0
@@ -1123,73 +975,25 @@ class _Coordinator:
             resolved = (
                 net.neighbour_tuple(sender) if targets is None else targets
             )
-            if expect_acks:
-                handles[(sender, digest)] = MulticastHandle(
-                    sender=sender,
-                    rnd=rnd,
-                    key=digest,
-                    expect_acks=expect_acks,
-                    threshold=threshold,
-                    targets=len(resolved),
-                )
+            net._track_multicast(
+                rnd, sender, digest, expect_acks, threshold, len(resolved)
+            )
             if not resolved:
                 continue
             logical_count += len(resolved)
             plan.append((sender, targets, resolved, message, size, digest))
-            per_sender.setdefault(sender, []).append((resolved, size))
-            traffic.record_send_bulk(
-                message.type,
-                size * len(resolved),
-                rnd,
-                len(resolved),
-                physical=False,
-            )
-            if traced:
-                mtype = message.type.value
-                for receiver in resolved:
-                    tracer.emit(WireEvent(
-                        rnd=rnd,
-                        sender=sender,
-                        receiver=receiver,
-                        size=size,
-                        action="send",
-                        mtype=mtype,
-                        charged=True,
-                    ))
+            per_sender.setdefault(sender, []).append((resolved, message, size))
+            net._charge_multicast(rnd, sender, resolved, message, size)
 
         # Physical ledger: one envelope per (sender, receiver) link, the
-        # same coalescing arithmetic as the serial path.  No channel
-        # seal/open here — on MODELED/NONE those only bump internal
-        # counters nothing on the eligible domain observes.
-        overhead = CHANNEL_OVERHEAD_BYTES
+        # serial path's coalescing.  No channel seal/open here — on
+        # MODELED/NONE those only bump internal counters nothing on the
+        # eligible domain observes.
         for sender, entries in per_sender.items():
-            first_targets = entries[0][0]
-            if all(
-                e[0] is first_targets or e[0] == first_targets
-                for e in entries
-            ):
-                env_size = (
-                    sum(e[1] for e in entries) - overhead * (len(entries) - 1)
+            for receivers, members, env_size in net._coalesce_links(entries):
+                net._charge_envelopes(
+                    rnd, sender, receivers, len(members), env_size
                 )
-                traffic.record_envelopes(
-                    len(first_targets), env_size * len(first_targets)
-                )
-                if traced:
-                    count = len(entries)
-                    for receiver in first_targets:
-                        tracer.envelope(rnd, sender, receiver, count, env_size)
-            else:
-                buckets: Dict[int, int] = {}
-                sizes: Dict[int, int] = {}
-                for targets, size in entries:
-                    for receiver in targets:
-                        buckets[receiver] = buckets.get(receiver, 0) + 1
-                        sizes[receiver] = sizes.get(receiver, 0) + size
-                for receiver, count in buckets.items():
-                    env_size = sizes[receiver] - overhead * (count - 1)
-                    traffic.record_envelope(count, env_size)
-                    if traced:
-                        tracer.envelope(rnd, sender, receiver, count, env_size)
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
 
@@ -1222,11 +1026,7 @@ class _Coordinator:
             self._apply_halts(halted, rnd)
             omitted.extend(w_omitted)
             if w_timing is not None:
-                busy, buckets = w_timing
-                shard_busy[shard] += busy
-                sb = shard_buckets[shard]
-                for bucket, seconds in buckets.items():
-                    sb[bucket] = sb.get(bucket, 0.0) + seconds
+                self._absorb_timing(shard, w_timing)
             if traced:
                 raw_acks.extend(w_raw)
                 for key, events in batches:
@@ -1273,24 +1073,18 @@ class _Coordinator:
             if queue:
                 net._ack_wave_envelope(queue, rnd)
         elif ack_total or credits:
-            self._ack_wave_aggregated(link_counts, credits, ack_total, rnd)
+            # Untraced: the workers pre-aggregated the wave.
+            net._settle_ack_wave(
+                rnd, net._ack_wire_size(rnd), link_counts, credits,
+                ack_total, seal=False,
+            )
         if tm is not None:
             tm.add("ack_wave", perf_counter() - t0)
 
-        # Phases 5 and 6.  The live scan is O(n) and only feeds the
-        # traced RoundSpan / debug log, so sparse runs skip it.
+        # Phases 5 and 6: the halt check runs on the mirror, the end
+        # hooks in the workers, the round's close on the mirror again.
         halted_now = net._phase_halt_check(rnd)
-        debug = _LOG.isEnabledFor(logging.DEBUG)
-        live = 0
-        if traced or debug:
-            live = sum(1 for node in nodes.values() if node.alive)
-        if traced:
-            tracer.phase(rnd, "end", count=live)
-        seconds = net.config.round_seconds
-        round_bytes = traffic.round_bytes(rnd)
-        bandwidth = net.config.bandwidth_bytes_per_s
-        if bandwidth:
-            seconds = max(seconds, round_bytes / bandwidth)
+        live, seconds = net._open_phase_end(rnd)
         end_staged: List[tuple] = []
         end_events: List[tuple] = []
         decided = 0
@@ -1307,48 +1101,21 @@ class _Coordinator:
             end_events.extend(batches)
             decided += w_decided
             all_done = all_done and w_done
-            if w_counts is not None:
-                sched_counters["end_visited"] += w_counts[0]
-                sched_counters["end_skipped"] += w_counts[1]
+            sched_counters["end_visited"] += w_counts[0]
+            sched_counters["end_skipped"] += w_counts[1]
             if w_timing is not None:
-                busy, buckets = w_timing
-                shard_busy[shard] += busy
-                sb = shard_buckets[shard]
-                for bucket, seconds_ in buckets.items():
-                    sb[bucket] = sb.get(bucket, 0.0) + seconds_
+                self._absorb_timing(shard, w_timing)
         if traced:
             self._emit_batches(end_events)
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
-        net.clock.advance(seconds)
-        net.stats.rounds.append(
-            RoundRecord(rnd=rnd, bytes=round_bytes, seconds=seconds)
+        # Halts and liveness are mirrored into the coordinator, so the
+        # per-round observation hook sees the same network view the
+        # serial engine hands it.
+        net._close_round(
+            rnd, seconds, halted_now, live, decided, before,
+            engine_note=f" [parallel x{nshards} {self.crew.data_plane}]",
         )
-        if traced or debug:
-            omissions = traffic.omissions - omissions_before
-            rejections = traffic.rejections - rejections_before
-            if traced:
-                tracer.emit(RoundSpan(
-                    rnd=rnd,
-                    bytes=round_bytes,
-                    seconds=seconds,
-                    omissions=omissions,
-                    rejections=rejections,
-                    live=live,
-                    decided=decided,
-                    halted=halted_now,
-                ))
-            _LOG.debug(
-                "round %d: bytes=%d seconds=%.3f omissions=%d rejections=%d "
-                "live=%d decided=%d halted=%s [parallel x%d %s]",
-                rnd, round_bytes, seconds, omissions, rejections,
-                live, decided, halted_now, nshards, self.crew.data_plane,
-            )
-        if net._round_hook is not None:
-            # Halts and liveness are mirrored into the coordinator, so the
-            # per-round observation hook sees the same network view the
-            # serial engine's _phase_end would hand it.
-            net._round_hook(net, rnd, halted_now)
         t0 = perf_counter() if tm is not None else 0.0
         deliver_staged.sort(key=lambda kv: kv[0])
         end_staged.sort(key=lambda kv: kv[0])
@@ -1356,50 +1123,13 @@ class _Coordinator:
         self.pending.extend(record for _key, record in end_staged)
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
-            for shard in range(nshards):
-                busy = shard_busy[shard]
+            for shard, busy in enumerate(self.shard_busy):
                 tm.record_shard(
                     shard, busy, max(0.0, wave_wall - busy),
-                    shard_buckets[shard],
+                    self.shard_buckets[shard],
                 )
             net._finish_round_timing(tm, rnd)
         return all_done
-
-    def _ack_wave_aggregated(
-        self,
-        link_counts: Dict[tuple, int],
-        credits: Dict[tuple, int],
-        total: int,
-        rnd: int,
-    ) -> None:
-        """Untraced ACK wave from worker-aggregated counters — the same
-        arithmetic as ``_ack_wave_envelope``, minus per-ACK iteration."""
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        ack_size = net.transport.message_size(ProtocolMessage(
-            type=MessageType.ACK,
-            initiator=0,
-            seq=0,
-            payload=b"\x00" * 8,
-            rnd=rnd,
-            instance="",
-        ))
-        if total:
-            traffic.record_send_bulk(
-                MessageType.ACK, ack_size * total, rnd, total, physical=False
-            )
-        overhead = CHANNEL_OVERHEAD_BYTES
-        for (_acker, _dest), count in link_counts.items():
-            traffic.record_envelope(count, ack_size * count - overhead * (count - 1))
-        handles = net._pending_handles
-        for (dest, digest), count in credits.items():
-            if not nodes[dest].alive:
-                traffic.record_omissions(count)
-                continue
-            handle = handles.get((dest, digest))
-            if handle is not None:
-                handle.acks += count
 
     # -- protocol end --------------------------------------------------
 
@@ -1431,9 +1161,7 @@ class _Coordinator:
             # exact stream a serial run would.
             enclave.rdrand = rdrand
             if not alive:
-                if not enclave.halted:  # halts during on_protocol_end
-                    enclave.halt(halted_round)
-                    net.evict_departed_node(node_id)
+                net._halt_node(node_id, halted_round)  # on_protocol_end halts
                 halted.append(node_id)
             if has_output:
                 outputs[node_id] = output
@@ -1492,10 +1220,7 @@ def run_parallel(
             network._session_crew = None
         else:
             crew.broadcast_frame(blob)
-            for shard, channel in enumerate(crew.channels):
-                msg = channel.recv(crew.check_alive)
-                if msg[0] != "r":
-                    crew.raise_worker_error(shard, msg)
+            crew.await_ready()
     if crew is None:
         try:
             crew = _ShardCrew(network, nshards, data_plane)

@@ -26,14 +26,19 @@ single-producer / single-consumer ring buffers over
   ``extra["parallel_data_plane"]``.
 
 Publication protocol: the writer copies the header and payload into the
-data region first and only then stores the new 8-byte-aligned write
-cursor; the reader never looks past the cursor.  On the platforms this
-engine runs on (CPython's single ``memcpy`` per aligned slice store,
-total store order on x86-64, release/acquire-free but in-order cursor
-stores on AArch64 Linux) a torn or reordered cursor read cannot expose
-unwritten payload bytes.  Cursors grow monotonically and wrap modulo
-the capacity; a header of ``0xFFFFFFFF`` is a wrap marker (skip to the
-region start).
+data region first and only then stores the new write cursor; the reader
+never looks past the cursor.  That only holds if a cursor load can never
+see half of a store.  The two cursors are therefore native, 8-byte
+aligned ``uint64`` slots of the 64-byte ring header, read and written
+through ``memoryview.cast("Q")`` — one aligned machine load or store
+each, which x86-64 and AArch64 perform atomically.  (``struct`` packs
+integers a byte at a time: a concurrent reader saw cursors that were
+half old, half new, and walked into unwritten frames —
+``tests/test_shm_cursors.py`` hammers exactly that.)  Stores stay in
+program order on both platforms' Linux builds, so a whole cursor value
+never exposes unwritten payload bytes.  Cursors grow monotonically and
+wrap modulo the capacity; a header of ``0xFFFFFFFF`` is a wrap marker
+(skip to the region start).
 
 Waiting is a bounded spin, then ``os.sched_yield()``, then short sleeps
 — the escalation matters on hosts with fewer cores than processes,
@@ -59,7 +64,6 @@ DATA_PLANE_SHM = "shm"
 DATA_PLANE_PICKLE = "pickle"
 
 _HEADER = struct.Struct("<I")
-_CURSOR = struct.Struct("<Q")
 _WRAP_MARKER = 0xFFFFFFFF
 _CONT_FLAG = 0x80000000
 _LEN_MASK = 0x7FFFFFFF
@@ -70,9 +74,10 @@ _LEN_MASK = 0x7FFFFFFF
 #: beyond the capacity still work via chunking.
 DEFAULT_CAPACITY = 4 * 1024 * 1024
 
-#: Byte offsets of the two cursors in the 64-byte ring header.
+#: Slots of the two cursors in the 64-byte ring header, viewed as eight
+#: native ``uint64`` (see the module docstring for why not ``struct``).
 _WRITE_CURSOR = 0
-_READ_CURSOR = 8
+_READ_CURSOR = 1
 _HEADER_BYTES = 64
 
 _NOTHING = object()
@@ -129,8 +134,8 @@ class ShmRing:
     close.
     """
 
-    __slots__ = ("_shm", "_buf", "_data", "capacity", "_owner", "name",
-                 "_pending")
+    __slots__ = ("_shm", "_buf", "_cursors", "_data", "capacity", "_owner",
+                 "name", "_pending")
 
     def __init__(
         self,
@@ -149,17 +154,18 @@ class ShmRing:
             self._shm = _shared_memory.SharedMemory(name=name)
         self.name = self._shm.name
         self._buf = self._shm.buf
+        self._cursors = self._buf[:_HEADER_BYTES].cast("Q")
         self._data = self._buf[_HEADER_BYTES:_HEADER_BYTES + capacity]
         self.capacity = capacity
         self._owner = create
         self._pending: Optional[int] = None
 
     # -- cursors -------------------------------------------------------
-    def _load(self, offset: int) -> int:
-        return _CURSOR.unpack_from(self._buf, offset)[0]
+    def _load(self, slot: int) -> int:
+        return self._cursors[slot]
 
-    def _store(self, offset: int, value: int) -> None:
-        _CURSOR.pack_into(self._buf, offset, value)
+    def _store(self, slot: int, value: int) -> None:
+        self._cursors[slot] = value
 
     # -- writer side ---------------------------------------------------
     def _reserve(self, nbytes: int, write: int) -> int:
@@ -293,6 +299,7 @@ class ShmRing:
     def close(self) -> None:
         self._pending = None  # type: ignore[attr-defined]
         try:
+            self._cursors.release()
             self._data.release()
         except (BufferError, AttributeError):  # pragma: no cover
             pass

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -72,6 +72,7 @@ from repro.common.types import MessageType, NodeId, ProtocolMessage, Round
 from repro.common.serialization import encode
 from repro.crypto.dh import MODP_768, MODP_2048
 from repro.crypto.hashing import hash_bytes
+from repro.net.activeset import ActiveSet
 from repro.net.stats import RoundRecord, RunStats, TrafficStats
 from repro.net.topology import Topology
 from repro.obs.events import RoundSpan, TimingEvent, WireEvent
@@ -84,7 +85,7 @@ from repro.net.transport import (
 )
 from repro.sgx.attestation import AttestationAuthority
 from repro.sgx.enclave import Enclave, EnclaveState
-from repro.sgx.program import EnclaveProgram, sparse_aware
+from repro.sgx.program import EnclaveProgram
 from repro.sgx.trusted_time import SimulationClock
 
 #: Value accepted when a protocol times out without deciding (the paper's ⊥).
@@ -112,6 +113,12 @@ class MulticastHandle:
     def diverged(self) -> bool:
         return self.expect_acks and self.acks < self.threshold
 
+    @property
+    def halts_sender(self) -> bool:
+        """Halt-on-divergence (P4): too few ACKs came back for a multicast
+        that had enough targets to reach the threshold at all."""
+        return self.diverged and self.targets >= self.threshold
+
 
 @dataclass
 class _SendIntent:
@@ -120,7 +127,6 @@ class _SendIntent:
     message: ProtocolMessage
     expect_acks: bool
     threshold: int
-    handle: Optional[MulticastHandle] = None
 
 
 def _multicast_key(message: ProtocolMessage) -> tuple:
@@ -134,12 +140,117 @@ def _multicast_key(message: ProtocolMessage) -> tuple:
     )
 
 
+def _ack_message(digest: bytes, rnd: Round) -> ProtocolMessage:
+    """The wire form of one ACK: it carries only ``H(val)``, matching the
+    ~80 B ACKs of Section 6.1.  Every ACK of a round has the same header
+    and an 8-byte payload, so any digest sizes the whole wave."""
+    return ProtocolMessage(
+        type=MessageType.ACK,
+        initiator=0,
+        seq=0,
+        payload=digest,
+        rnd=rnd,
+        instance="",
+    )
+
+
 #: Cap on each network's ACK-digest cache.  The cache is a true LRU
 #: (:class:`collections.OrderedDict`): every hit refreshes its entry, and
 #: at the cap the least-recently-used entry is evicted — so the multicast
 #: identities hot in the current round can never be displaced by a long
 #: tail of stale ones.
 _DIGEST_CACHE_LIMIT = 4096
+
+
+class RoundHost:
+    """What :class:`EnclaveContext` stands on: the staging queues and the
+    ACK-digest cache of whatever drives the rounds — the simulator below,
+    or one :class:`repro.net.wire.WireNode` over TCP.
+
+    A host also provides ``config``, ``current_round``, ``tracer``,
+    ``nodes`` (node id -> :class:`Node`), ``neighbour_tuple(node)``,
+    ``_queue_ack(acker, dest, original)`` and
+    ``evict_departed_node(node)``; those depend on how it delivers.
+    """
+
+    config: SimulationConfig
+
+    def _init_round_state(self) -> None:
+        # Emission queues: _outbox_now transmits in the current round,
+        # _outbox_next at the start of the next one (Wait semantics).
+        self._outbox_now: List[_SendIntent] = []
+        self._outbox_next: List[_SendIntent] = []
+        self._in_round_begin = False
+        # This round's ACK-expecting multicasts, by (sender, H(val)).
+        self._pending_handles: Dict[Tuple[NodeId, bytes], MulticastHandle] = {}
+        # H(val) per multicast identity, for this host only.
+        self._digest_cache: Dict[tuple, bytes] = {}
+
+    def _queue_multicast(
+        self,
+        sender: NodeId,
+        message: ProtocolMessage,
+        targets: Optional[Iterable[NodeId]],
+        expect_acks: bool,
+        threshold: Optional[int],
+    ) -> None:
+        if targets is None:
+            target_tuple = self.neighbour_tuple(sender)
+        else:
+            target_tuple = tuple(t for t in targets if t != sender)
+        intent = _SendIntent(
+            sender=sender,
+            targets=target_tuple,
+            message=message,
+            expect_acks=expect_acks,
+            threshold=(
+                threshold if threshold is not None else self.config.ack_threshold
+            ),
+        )
+        if self._in_round_begin:
+            self._outbox_now.append(intent)
+        else:
+            self._outbox_next.append(intent)
+
+    def _track_multicast(
+        self,
+        rnd: Round,
+        sender: NodeId,
+        digest: bytes,
+        expect_acks: bool,
+        threshold: int,
+        targets: int,
+    ) -> None:
+        """Open the handle the round's ACKs for this multicast credit and
+        the halt check (P4) reads; multicasts that expect none need none."""
+        if expect_acks:
+            self._pending_handles[(sender, digest)] = MulticastHandle(
+                sender=sender,
+                rnd=rnd,
+                key=digest,
+                expect_acks=True,
+                threshold=threshold,
+                targets=targets,
+            )
+
+    def _halt_node(self, node_id: NodeId, rnd: Optional[Round]) -> None:
+        """Halt(st) for one hosted node — the enclave leaves the network
+        (P4) — plus the cache hygiene a departure needs.  Idempotent."""
+        enclave = self.nodes[node_id].enclave
+        if not enclave.halted:
+            enclave.halt(rnd)
+            self.evict_departed_node(node_id)
+
+    def _ack_digest(self, key: tuple) -> bytes:
+        """The paper's ``H(val)`` carried inside an ACK, truncated to 8
+        bytes (``key`` is the acknowledged multicast's
+        :func:`_multicast_key`) — memoised: within one round every
+        receiver ACKs the same few multicast values."""
+        digest = self._digest_cache.get(key)
+        if digest is None:
+            digest = hash_bytes(encode(key), domain="ack")[:8]
+            self._digest_cache[key] = digest
+        return digest
 
 
 class EnclaveContext:
@@ -151,7 +262,7 @@ class EnclaveContext:
     next round.  ``acknowledge`` is always immediate (same round trip).
     """
 
-    def __init__(self, network: "SynchronousNetwork", node_id: NodeId) -> None:
+    def __init__(self, network: RoundHost, node_id: NodeId) -> None:
         self._network = network
         self.node_id = node_id
 
@@ -221,8 +332,7 @@ class EnclaveContext:
 
     def halt(self) -> None:
         """Voluntary Halt(st) — the enclave leaves the network (P4)."""
-        self._network.nodes[self.node_id].enclave.halt(self.round)
-        self._network.evict_departed_node(self.node_id)
+        self._network._halt_node(self.node_id, self.round)
 
 
 @dataclass
@@ -273,7 +383,7 @@ class RunResult:
         }
 
 
-class SynchronousNetwork:
+class SynchronousNetwork(RoundHost):
     """The simulator: builds the network, runs one protocol to completion."""
 
     def __init__(
@@ -330,10 +440,10 @@ class SynchronousNetwork:
 
         self.stats = RunStats()
         self.current_round: Round = 0
-        # Emission queues: _outbox_now transmits in the current round,
-        # _outbox_next at the start of the next one (Wait semantics).
-        self._outbox_now: List[_SendIntent] = []
-        self._outbox_next: List[_SendIntent] = []
+        self._init_round_state()
+        # A network outlives its protocol instances, so its digest memo is
+        # bounded — see _ack_digest.  OrderedDict: the policy is LRU.
+        self._digest_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
         self._ack_queue: List[Tuple[NodeId, NodeId, ProtocolMessage]] = []
         # Envelope-path ACK queue: (acker, dest, digest) triples — the
         # digest is all an ACK carries, so the envelope path never builds
@@ -347,16 +457,10 @@ class SynchronousNetwork:
         # churn/halt events) — see neighbour_tuple().
         self._neighbour_cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self._future_wires: Dict[Round, List[WireMessage]] = {}
-        self._pending_handles: Dict[Tuple[NodeId, tuple], MulticastHandle] = {}
         # Per-round wire-size cache for ACKs (keys embed the round number,
         # so entries die with the round — cleared at every round start and
         # on instance swap).
         self._ack_size_cache: Dict[tuple, int] = {}
-        # Per-network ACK digest cache (H(val) per multicast identity);
-        # networks must not share it — see _ack_digest.  OrderedDict: the
-        # eviction policy is LRU.
-        self._digest_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
-        self._in_round_begin = False
         # Nodes with OS behaviours, ascending (static for the network's
         # lifetime): phase-2 injection drains and phase-6 behaviour ticks
         # iterate this instead of scanning all N nodes.
@@ -370,10 +474,9 @@ class SynchronousNetwork:
         """(Re)resolve every per-run engine decision from live state.
 
         Called once by ``__init__`` and again by every
-        :meth:`begin_session_run`: the fast-path eligibility flags depend
-        on the installed programs' measurements, the scheduler mode on
-        their SPARSE_AWARE opt-ins, and the dispatch table on their bound
-        methods — all of which a session recycle may change.
+        :meth:`begin_session_run`: the envelope-path eligibility depends
+        on the installed programs' measurements and the dispatch table on
+        their bound methods — both of which a session recycle may change.
         """
         config = self.config
         # The observability hub.  config.tracer wins; the legacy
@@ -394,34 +497,28 @@ class SynchronousNetwork:
         # this in a local and checks `is not None` per instrumentation
         # point; None (the default) adds a handful of predicted branches.
         self._timing = config.timing
-        # The fan-out fast path applies when a run can never diverge from
-        # the per-wire path: no OS behaviours anywhere (no drops, delays,
-        # injections or future wires), tracer disabled (no per-wire
-        # events), and homogeneous program measurements (so channel reads
-        # cannot reject).  Adversarial and traced runs automatically fall
-        # back to the per-wire path.  ``extra["disable_fanout_fast_path"]``
-        # forces the legacy path (used by the equivalence tests).
-        measurements = {node.enclave.measurement for node in self.nodes.values()}
-        honest = all(node.behavior is None for node in self.nodes.values())
-        self._fanout_fast_path = (
-            not self.tracer.enabled
-            and honest
-            and len(measurements) <= 1
-            and not config.extra.get("disable_fanout_fast_path", False)
-        )
+        self._honest = not self._behavior_nodes
+        self._homogeneous = len(
+            {node.enclave.measurement for node in self.nodes.values()}
+        ) <= 1
         # The round-envelope path coalesces every (sender, receiver, round)
-        # triple into one link crossing.  It requires the same honesty /
-        # homogeneity conditions as the fan-out path, but tolerates a
-        # tracer for MODELED/NONE runs (it replays the per-wire event
-        # stream exactly, plus envelope events).  Traced FULL runs fall
-        # back: their per-wire events carry real per-message sealed sizes,
-        # which only per-message sealing produces.
+        # triple into one link crossing.  It applies when a run can never
+        # diverge from the per-wire path: no OS behaviours anywhere (no
+        # drops, delays, injections or future wires) and homogeneous
+        # program measurements (so channel reads cannot reject).  It
+        # tolerates a tracer for MODELED/NONE runs (it replays the
+        # per-wire event stream exactly, plus envelope events); traced
+        # FULL runs fall back: their per-wire events carry real
+        # per-message sealed sizes, which only per-message sealing
+        # produces.  ``extra["disable_envelope_fast_path"]`` forces the
+        # per-wire path (the reference the equivalence tests compare
+        # against).
         envelope_disabled = bool(
             config.extra.get("disable_envelope_fast_path", False)
         )
         self._envelope_fast_path = (
-            honest
-            and len(measurements) <= 1
+            self._honest
+            and self._homogeneous
             and not (
                 self.tracer.enabled
                 and config.channel_security is ChannelSecurity.FULL
@@ -444,46 +541,19 @@ class SynchronousNetwork:
         # trails for invariant checking; the hook must treat the network
         # as read-only.
         self._round_hook = config.extra.get("round_hook")
-        # Active-set sparse scheduling (``extra["scheduler"]``): visit
-        # only nodes that can act this round instead of all N.  ``auto``
-        # (the default) goes sparse exactly when every per-round hook is
-        # covered by the contract — i.e. at least one program opted in
-        # via SPARSE_AWARE; non-aware programs stay on the always-visited
-        # list either way, so mixed populations remain correct.
-        requested = config.extra.get("scheduler", "auto")
-        if requested not in ("dense", "sparse", "auto"):
-            raise ConfigurationError(
-                f"extra['scheduler'] must be 'dense', 'sparse' or 'auto', "
-                f"got {requested!r}"
-            )
-        if requested == "auto":
-            self._sparse = any(
-                sparse_aware(node.program) for node in self.nodes.values()
-            )
-        else:
-            self._sparse = requested == "sparse"
-        #: The resolved scheduling mode ("dense" or "sparse") — stamped
-        #: into bench entries so the gate never compares across modes.
-        self.scheduler = "sparse" if self._sparse else "dense"
-        #: Cumulative hook-visit accounting (sparse runs only; dense
-        #: visits everyone and skips nobody).  Lives outside RunStats so
-        #: the sparse==dense equivalence suite can byte-compare results.
+        self._warned_parallel_fallback = False
+        #: Cumulative hook-visit accounting: node-rounds whose begin / end
+        #: hook the scheduler visited or skipped (see
+        #: :mod:`repro.net.activeset`).  Lives outside RunStats so the
+        #: equivalence suites can byte-compare results.
         self.sched_counters: Dict[str, int] = {
             "begin_visited": 0,
             "begin_skipped": 0,
             "end_visited": 0,
             "end_skipped": 0,
         }
-        # Sparse bookkeeping (rebuilt by _setup for every run): the
-        # always-visited list, per-node wake hints, round buckets, the
-        # delivered-this-round set and the monotone not-yet-done set.
-        self._sched_aware: set = set()
-        self._sched_always: List[NodeId] = []
-        self._sched_wake: Dict[NodeId, Round] = {}
-        self._sched_buckets: Dict[Round, List[NodeId]] = {}
-        self._sched_delivered: set = set()
-        self._sched_visit: List[NodeId] = []
-        self._undone: set = set()
+        # The round scheduler, rebuilt by _setup for every run.
+        self._active: Optional[ActiveSet] = None
         # Envelope-path dispatch table, cached across rounds (halts are
         # read live off the enclave; only replace_programs invalidates).
         self._dispatch_cache: Optional[List[tuple]] = None
@@ -541,59 +611,27 @@ class SynchronousNetwork:
             for key in stale:
                 del cache[key]
 
-    def _queue_multicast(
-        self,
-        sender: NodeId,
-        message: ProtocolMessage,
-        targets: Optional[Iterable[NodeId]],
-        expect_acks: bool,
-        threshold: Optional[int],
-    ) -> None:
-        if targets is None:
-            target_tuple = self.neighbour_tuple(sender)
-        else:
-            target_tuple = tuple(t for t in targets if t != sender)
-        intent = _SendIntent(
-            sender=sender,
-            targets=target_tuple,
-            message=message,
-            expect_acks=expect_acks,
-            threshold=(
-                threshold if threshold is not None else self.config.ack_threshold
-            ),
-        )
-        if self._in_round_begin:
-            self._outbox_now.append(intent)
-        else:
-            self._outbox_next.append(intent)
-
     def _ack_digest(self, key: tuple) -> bytes:
-        """The paper's ``H(val)`` carried inside an ACK, truncated to 8 bytes.
+        """The host's digest memo behind a bounded LRU.
 
-        Cached per multicast identity — within one round every receiver
-        ACKs the same few multicast values.  The cache is per-network
-        (digests are pure functions of the key, but a shared cache would
-        let one network's churn evict another's hot entries) and a
-        bounded LRU: hits refresh recency, and at the cap the single
-        least-recently-used entry is evicted, so current-round identities
-        always survive arbitrarily long runs.
+        The cache is per-network (digests are pure functions of the key,
+        but a shared cache would let one network's churn evict another's
+        hot entries) and a bounded LRU: hits refresh recency, and at the
+        cap the single least-recently-used entry is evicted, so
+        current-round identities always survive arbitrarily long runs.
         """
         cache = self._digest_cache
         digest = cache.get(key)
-        if digest is None:
-            if len(cache) >= _DIGEST_CACHE_LIMIT:
-                cache.popitem(last=False)
-            digest = hash_bytes(encode(key), domain="ack")[:8]
-            cache[key] = digest
-        else:
+        if digest is not None:
             cache.move_to_end(key)
-        return digest
+            return digest
+        if len(cache) >= _DIGEST_CACHE_LIMIT:
+            cache.popitem(last=False)
+        return super()._ack_digest(key)
 
     def _queue_ack(
         self, acker: NodeId, dest: NodeId, original: ProtocolMessage
     ) -> None:
-        # An ACK carries only H(val) — the truncated digest of the
-        # multicast identity — matching the ~80 B ACKs of Section 6.1.
         if self._envelope_fast_path:
             # The envelope ACK wave works on digests alone; the digest of
             # the delivered message object was cached during transmit
@@ -605,14 +643,7 @@ class SynchronousNetwork:
             self._ack_queue_fast.append((acker, dest, digest))
             return
         digest = self._ack_digest(_multicast_key(original))
-        ack = ProtocolMessage(
-            type=MessageType.ACK,
-            initiator=0,
-            seq=0,
-            payload=digest,
-            rnd=self.current_round,
-            instance="",
-        )
+        ack = _ack_message(digest, self.current_round)
         self._ack_queue.append((acker, dest, ack))
 
     # ------------------------------------------------------------------
@@ -643,6 +674,11 @@ class SynchronousNetwork:
                     "an instance swap cannot change the attested code"
                 )
             node.enclave.program = program
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Drop everything one run (or instance) stages or caches per
+        round, and rescope the traffic stats to the next one."""
         self._outbox_now.clear()
         self._outbox_next.clear()
         self._ack_queue.clear()
@@ -690,31 +726,23 @@ class SynchronousNetwork:
         built network with the same ``seed`` — session reuse can never
         change protocol outputs.
         """
-        if seed is not None:
-            self.config.seed = seed
+        if seed is not None and seed != self.config.seed:
+            # A copy, never a write-through: the caller's config object may
+            # go on to build other networks.
+            self.config = replace(
+                self.config, seed=seed, extra=dict(self.config.extra)
+            )
         self.master_rng = DeterministicRNG(("simulation", self.config.seed))
         for node_id in sorted(self.nodes):
             self.nodes[node_id].enclave.relaunch(
                 program_factory(node_id), self.master_rng
             )
         self.transport.refresh_measurements()
-        self._outbox_now.clear()
-        self._outbox_next.clear()
-        self._ack_queue.clear()
-        self._ack_queue_fast.clear()
-        self._ack_digest_by_id.clear()
-        self._future_wires.clear()
-        self._pending_handles.clear()
-        self._ack_size_cache.clear()
+        self._reset_run_state()
         # Unlike replace_programs (same execution, same multicast
         # identities) a fresh run must also drop the ACK digest LRU —
         # stale (instance, round)-keyed digests must not leak across.
         self._digest_cache.clear()
-        self.invalidate_neighbour_cache()
-        self._dispatch_cache = None
-        self.stats = RunStats()
-        self.current_round = 0
-        self._warned_parallel_fallback = False
         self._resolve_run_paths()
 
     # ------------------------------------------------------------------
@@ -737,24 +765,23 @@ class SynchronousNetwork:
             tm.start_run()
         try:
             self._setup()
-            if self._parallel_eligible():
-                t0 = perf_counter() if tm is not None else 0.0
-                from repro.net.parallel import run_parallel
-
-                if tm is not None:
-                    # First use pays the module import; make the timed
-                    # wall account for it instead of leaking coverage.
-                    tm.add("other", perf_counter() - t0)
-                    tm.set_engine("parallel")
-                result = run_parallel(self, max_rounds)
-                if result is not None:
-                    return result
-            elif self.config.workers > 1 \
-                    and not getattr(self, "_warned_parallel_fallback", False):
-                # workers>1 was requested but the run is not eligible:
-                # say why, once, instead of silently going serial.
+            if self._parallel_requested():
                 reason = self._parallel_fallback_reason()
-                if reason:
+                if reason is None:
+                    t0 = perf_counter() if tm is not None else 0.0
+                    from repro.net.parallel import run_parallel
+
+                    if tm is not None:
+                        # First use pays the module import; make the timed
+                        # wall account for it instead of leaking coverage.
+                        tm.add("other", perf_counter() - t0)
+                        tm.set_engine("parallel")
+                    result = run_parallel(self, max_rounds)
+                    if result is not None:
+                        return result
+                elif not self._warned_parallel_fallback:
+                    # workers>1 was requested but the run cannot shard:
+                    # say why, once, instead of silently going serial.
                     self._warned_parallel_fallback = True
                     _LOG.warning(
                         "parallel engine disabled for this run (%s); "
@@ -764,13 +791,11 @@ class SynchronousNetwork:
             envelope = self._envelope_fast_path
             if tm is not None:
                 tm.set_engine("envelope" if envelope else "serial")
+            run_round = self._run_round_envelope if envelope else self._run_round
             for rnd in range(1, max_rounds + 1):
                 self.current_round = rnd
-                if envelope:
-                    self._run_round_envelope(rnd)
-                else:
-                    self._run_round(rnd)
-                if self._everyone_done():
+                run_round(rnd)
+                if self._active.all_done:
                     break
             self._finish()
             return self._result()
@@ -778,41 +803,40 @@ class SynchronousNetwork:
             if tm is not None:
                 tm.end_run()
 
+    def _parallel_requested(self) -> bool:
+        """Whether the caller asked for the sharded engine at all: more
+        than one worker over more than one node, and not opted out (an
+        intentional choice, so it needs no fallback warning)."""
+        config = self.config
+        return (
+            config.workers > 1
+            and config.n > 1
+            and not config.extra.get("disable_parallel_engine", False)
+        )
+
     def _parallel_eligible(self) -> bool:
-        """Whether this run may use the sharded multi-process engine.
+        """Whether this run executes on the sharded multi-process engine:
+        requested, and nothing forces it back to the serial one."""
+        return (
+            self._parallel_requested()
+            and self._parallel_fallback_reason() is None
+        )
+
+    def _parallel_fallback_reason(self) -> Optional[str]:
+        """Why a run that asked for workers must execute serially, or
+        ``None`` when it may shard.
 
         The parallel path inherits every activation condition of the
         round-envelope path (honest — so ROD/byzantine schedules that act
         on individual wires fall back automatically — homogeneous
         measurements, not explicitly disabled) and additionally requires
-        a non-FULL transport: FULL seals draw per-link enclave RNG whose
-        stream order a sharded run cannot reproduce byte-identically.
+        a non-FULL transport.  Fork / shared memory unavailability is
+        reported by :func:`run_parallel` itself, which can observe the
+        actual failure.
         """
-        return (
-            self.config.workers > 1
-            and self.config.n > 1
-            and self._envelope_fast_path
-            and self.transport.security is not ChannelSecurity.FULL
-            and not self.config.extra.get("disable_parallel_engine", False)
-        )
-
-    def _parallel_fallback_reason(self) -> Optional[str]:
-        """Why a ``workers > 1`` run executes serially, or ``None`` when
-        the fallback needs no warning (single node, or explicitly
-        disabled — an intentional choice, not a surprise).  Fork / shared
-        memory unavailability is reported by :func:`run_parallel` itself,
-        which can observe the actual failure."""
-        config = self.config
-        if config.n <= 1:
-            return None
-        if config.extra.get("disable_parallel_engine", False):
-            return None
-        if not all(node.behavior is None for node in self.nodes.values()):
+        if not self._honest:
             return "adversarial OS behaviours require per-wire processing"
-        measurements = {
-            node.enclave.measurement for node in self.nodes.values()
-        }
-        if len(measurements) > 1:
+        if not self._homogeneous:
             return "heterogeneous program measurements"
         if self.transport.security is ChannelSecurity.FULL:
             return (
@@ -821,7 +845,7 @@ class SynchronousNetwork:
             )
         if not self._envelope_fast_path:
             return "envelope fast path disabled via config extra"
-        return None  # pragma: no cover - eligible runs never ask
+        return None
 
     def _setup(self) -> None:
         self.current_round = 0
@@ -832,114 +856,10 @@ class SynchronousNetwork:
                 node.program.on_setup(node.context)
         if tm is not None:
             tm.add("handler", perf_counter() - t0)
-        if self._sparse:
-            t0 = perf_counter() if tm is not None else 0.0
-            self._sched_init()
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
-
-    # ------------------------------------------------------------------
-    # sparse scheduling bookkeeping
-    # ------------------------------------------------------------------
-    def _sched_init(self) -> None:
-        """(Re)build the sparse-scheduler state for one run.
-
-        Everyone starts woken for round 1 (programs act spontaneously in
-        their first round at the latest via setup-staged sends or
-        round-1 draws); from round 2 on, only hinted wake rounds and
-        deliveries put a SPARSE_AWARE node back on the visit list.
-        """
-        aware: set = set()
-        always: List[NodeId] = []
-        for node_id, node in self.nodes.items():
-            if sparse_aware(node.program):
-                aware.add(node_id)
-            else:
-                always.append(node_id)
-        self._sched_aware = aware
-        self._sched_always = always
-        self._sched_wake = {node_id: 1 for node_id in aware}
-        self._sched_buckets = {1: sorted(aware)} if aware else {}
-        self._sched_delivered = set()
-        self._sched_visit = []
-        self._undone = {
-            node_id for node_id, node in self.nodes.items()
-            if node.alive and not node.program.has_output
-        }
-
-    def _sched_begin(self, rnd: Round) -> List[NodeId]:
-        """Phase-1 visit list (ascending, matching dense iteration order):
-        the always-visited nodes merged with this round's woken set."""
-        woken = self._sched_buckets.pop(rnd, None)
-        if woken:
-            wake = self._sched_wake
-            # Stale bucket entries (hint later retracted or moved) and
-            # re-hint duplicates are filtered here, at pop time.
-            sched = sorted({i for i in woken if wake.get(i) == rnd})
-        else:
-            sched = []
-        always = self._sched_always
-        if not always:
-            visit = sched
-        elif not sched:
-            visit = always
-        else:
-            visit = sorted(always + sched)
-        self._sched_visit = visit
-        counters = self.sched_counters
-        counters["begin_visited"] += len(visit)
-        counters["begin_skipped"] += self.config.n - len(visit)
-        return visit
-
-    def _sched_end(self) -> List[NodeId]:
-        """Phase-6 visit list: phase-1's visits plus every node that had
-        a message dispatched to it this round (deliveries always re-wake
-        for the round-end hook, regardless of hints)."""
-        delivered = self._sched_delivered
-        visit = self._sched_visit
-        if delivered:
-            delivered.update(visit)
-            end_visit = sorted(delivered)
-        else:
-            end_visit = visit
-        counters = self.sched_counters
-        counters["end_visited"] += len(end_visit)
-        counters["end_skipped"] += self.config.n - len(end_visit)
-        return end_visit
-
-    def _sched_after_end(
-        self, rnd: Round, end_visit: List[NodeId], halted_now: List[NodeId]
-    ) -> None:
-        """Post-hook bookkeeping: re-query wake hints for every visited
-        aware node, and retire finished nodes from the not-done set."""
-        nodes = self.nodes
-        aware = self._sched_aware
-        wake = self._sched_wake
-        buckets = self._sched_buckets
-        undone = self._undone
-        for node_id in end_visit:
-            node = nodes[node_id]
-            if not node.alive:
-                wake.pop(node_id, None)
-                undone.discard(node_id)
-                continue
-            if node.program.has_output:
-                undone.discard(node_id)
-            if node_id not in aware:
-                continue
-            hint = node.program.sparse_wake_round(rnd)
-            if hint is None:
-                wake.pop(node_id, None)
-            else:
-                if hint <= rnd:
-                    hint = rnd + 1
-                if wake.get(node_id) != hint:
-                    wake[node_id] = hint
-                    buckets.setdefault(hint, []).append(node_id)
-        for node_id in halted_now:
-            wake.pop(node_id, None)
-            undone.discard(node_id)
-        self._sched_delivered.clear()
+        t0 = perf_counter() if tm is not None else 0.0
+        self._active = ActiveSet(self.nodes, self.nodes)
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
 
     def _finish(self) -> None:
         tm = self._timing
@@ -963,16 +883,6 @@ class SynchronousNetwork:
                 shards=list(record["shards"]),
             ))
 
-    def _everyone_done(self) -> bool:
-        if self._sparse:
-            # _sched_after_end retires nodes as they decide or halt, so
-            # the doneness check is O(1) instead of an O(N) scan.
-            return not self._undone
-        return all(
-            (not node.alive) or node.program.has_output
-            for node in self.nodes.values()
-        )
-
     def _result(self) -> RunResult:
         outputs: Dict[NodeId, object] = {}
         decided: Dict[NodeId, Optional[int]] = {}
@@ -991,48 +901,57 @@ class SynchronousNetwork:
         )
 
     # ------------------------------------------------------------------
+    def _phase_begin(self, rnd: Round) -> Tuple[int, int]:
+        """Phase 1: open the round and run ``on_round_begin`` for the
+        nodes due this round.  Returns the traffic ledger's (omissions,
+        rejections) at round start, for the round summary."""
+        nodes = self.nodes
+        traffic = self.stats.traffic
+        tracer = self.tracer
+        tm = self._timing
+        if tm is not None:
+            tm.start_round(rnd)
+        before = (traffic.omissions, traffic.rejections)
+        self._pending_handles.clear()
+        self._ack_size_cache.clear()
+        self._ack_digest_by_id.clear()
+        # Staged multicasts from last round move to the live queue first
+        # so their relative order is stable.
+        self._outbox_now, self._outbox_next = self._outbox_next, []
+        if tracer.enabled:
+            tracer.phase(rnd, "begin", count=len(self._outbox_now))
+        t0 = perf_counter() if tm is not None else 0.0
+        visit = self._active.begin(rnd)
+        counters = self.sched_counters
+        counters["begin_visited"] += len(visit)
+        counters["begin_skipped"] += self.config.n - len(visit)
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        self._in_round_begin = True
+        for node_id in visit:
+            node = nodes[node_id]
+            if node.alive:
+                node.program.on_round_begin(node.context)
+        self._in_round_begin = False
+        if tm is not None:
+            tm.add("handler", perf_counter() - t0)
+        return before
+
     def _run_round(self, rnd: Round) -> None:
+        """One round, one wire per message: the general path (adversarial,
+        traced-FULL and heterogeneous runs) and the reference the
+        envelope path is tested against."""
         nodes = self.nodes
         traffic = self.stats.traffic
         transport = self.transport
         tracer = self.tracer
         traced = tracer.enabled
         tm = self._timing
-        if tm is not None:
-            tm.start_round(rnd)
-        fast = self._fanout_fast_path
         # With envelope accounting, per-wire sends are logical-only; the
         # physical ledger gets one coalesced crossing per link below.
         physical = not self._envelope_accounting
-        omissions_before = traffic.omissions
-        rejections_before = traffic.rejections
-        self._pending_handles.clear()
-        self._ack_size_cache.clear()
-
-        # Phase 1: round begin.  Staged multicasts from last round move to
-        # the live queue first so their relative order is stable.
-        self._outbox_now, self._outbox_next = self._outbox_next, []
-        if traced:
-            tracer.phase(rnd, "begin", count=len(self._outbox_now))
-        self._in_round_begin = True
-        if self._sparse:
-            t0 = perf_counter() if tm is not None else 0.0
-            begin_visit = self._sched_begin(rnd)
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
-            t0 = perf_counter() if tm is not None else 0.0
-            for node_id in begin_visit:
-                node = nodes[node_id]
-                if node.alive:
-                    node.program.on_round_begin(node.context)
-        else:
-            t0 = perf_counter() if tm is not None else 0.0
-            for node in nodes.values():
-                if node.alive:
-                    node.program.on_round_begin(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        self._in_round_begin = False
+        before = self._phase_begin(rnd)
 
         # Phase 2: transmit.
         if traced:
@@ -1044,52 +963,27 @@ class SynchronousNetwork:
             if not sender_node.alive:
                 continue
             message = intent.message.with_round(rnd)
-            if tm is None:
-                digest = self._ack_digest(_multicast_key(message))
-            else:
-                t0 = perf_counter()
-                digest = self._ack_digest(_multicast_key(message))
+            t0 = perf_counter() if tm is not None else 0.0
+            digest = self._ack_digest(_multicast_key(message))
+            if tm is not None:
                 digest_s += perf_counter() - t0
-            handle = MulticastHandle(
-                sender=intent.sender,
-                rnd=rnd,
-                key=digest,
-                expect_acks=intent.expect_acks,
-                threshold=intent.threshold,
-                targets=len(intent.targets),
+            self._track_multicast(
+                rnd, intent.sender, digest, intent.expect_acks,
+                intent.threshold, len(intent.targets),
             )
-            if intent.expect_acks:
-                self._pending_handles[(intent.sender, digest)] = handle
             if not intent.targets:
                 # Nothing to size or write (n == 1, or an explicitly empty
                 # target list); the handle above still tracks the call.
                 continue
-            if tm is None:
-                size_hint = transport.message_size(message)
-                wires = transport.write_fanout(
-                    intent.sender, intent.targets, message, size_hint
-                )
-            else:
-                t0 = perf_counter()
-                size_hint = transport.message_size(message)
-                t1 = perf_counter()
-                wires = transport.write_fanout(
-                    intent.sender, intent.targets, message, size_hint
-                )
+            t0 = perf_counter() if tm is not None else 0.0
+            size_hint = transport.message_size(message)
+            t1 = perf_counter() if tm is not None else 0.0
+            wires = transport.write_fanout(
+                intent.sender, intent.targets, message, size_hint
+            )
+            if tm is not None:
                 serialize_s += t1 - t0
                 seal_s += perf_counter() - t1
-            if not wires:
-                continue
-            if fast:
-                # Honest fast path: charge the whole fan-out in one call.
-                total = (
-                    size_hint * len(wires)
-                    if transport.uniform_fanout_size
-                    else sum(wire.size for wire in wires)
-                )
-                traffic.record_send_bulk(message.type, total, rnd, len(wires))
-                transmissions.extend(wires)
-                continue
             behavior = sender_node.behavior
             if behavior is None:
                 for wire in wires:
@@ -1111,34 +1005,33 @@ class SynchronousNetwork:
             tm.add("seal", seal_s)
 
         # Injected (replayed / forged) wires and previously delayed wires
-        # (only OS behaviours produce either, so the fast path has none).
-        if not fast:
-            for behavior_id in self._behavior_nodes:
-                node = nodes[behavior_id]
-                behavior = node.behavior
-                if not node.alive:
-                    continue
-                for delay, out in behavior.drain_injections(rnd):
-                    if delay <= 0:
-                        traffic.record_send(
-                            out.mtype, out.size, rnd, physical=physical
+        # (only OS behaviours produce either).
+        for behavior_id in self._behavior_nodes:
+            node = nodes[behavior_id]
+            behavior = node.behavior
+            if not node.alive:
+                continue
+            for delay, out in behavior.drain_injections(rnd):
+                if delay <= 0:
+                    traffic.record_send(
+                        out.mtype, out.size, rnd, physical=physical
+                    )
+                    if traced:
+                        tracer.wire(
+                            rnd, out, "replay", actor=node.node_id, charged=True
                         )
-                        if traced:
-                            tracer.wire(
-                                rnd, out, "replay", actor=node.node_id, charged=True
-                            )
-                        transmissions.append(out)
-                    else:
-                        if traced:
-                            tracer.wire(rnd, out, "replay", actor=node.node_id)
-                        self._future_wires.setdefault(rnd + delay, []).append(out)
-            for out in self._future_wires.pop(rnd, ()):  # delayed arrivals
-                traffic.record_send(
-                    out.mtype, out.size, rnd, physical=physical
-                )
-                if traced:
-                    tracer.wire(rnd, out, "flush", charged=True)
-                transmissions.append(out)
+                    transmissions.append(out)
+                else:
+                    if traced:
+                        tracer.wire(rnd, out, "replay", actor=node.node_id)
+                    self._future_wires.setdefault(rnd + delay, []).append(out)
+        for out in self._future_wires.pop(rnd, ()):  # delayed arrivals
+            traffic.record_send(
+                out.mtype, out.size, rnd, physical=physical
+            )
+            if traced:
+                tracer.wire(rnd, out, "flush", charged=True)
+            transmissions.append(out)
 
         if not physical and transmissions:
             self._record_physical_links(transmissions, rnd, "transmit")
@@ -1146,79 +1039,56 @@ class SynchronousNetwork:
         # Phase 3: deliver protocol messages.
         if traced:
             tracer.phase(rnd, "deliver", count=len(transmissions))
-        if fast:
-            self._deliver_fast(transmissions, rnd)
-        else:
-            self._deliver(transmissions, rnd, is_ack_wave=False)
+        self._deliver(transmissions, rnd)
 
-        # Phase 4: ack wave (same round trip).
+        # Phase 4: ack wave (same round trip).  The ACK write loop is
+        # charged to ack_wave; the delivery call below attributes its own
+        # open / handler time internally.
         if traced:
             tracer.phase(rnd, "ack_wave", count=len(self._ack_queue))
         ack_queue, self._ack_queue = self._ack_queue, []
-        if fast and transport.security is not ChannelSecurity.FULL:
-            # Identical ACKs aggregate: every (dest, digest) pair credits
-            # its pending handle in one Counter bump instead of a wire
-            # write/read and handle lookup per ACK.  (FULL seals each ACK
-            # for real — per-wire sizes and enclave RNG draws must match
-            # the legacy path — so it keeps the wire loop below.)
-            t0 = perf_counter() if tm is not None else 0.0
-            self._ack_wave_fast(ack_queue, rnd)
-            if tm is not None:
-                tm.add("ack_wave", perf_counter() - t0)
-        else:
-            # The ACK write loop is charged to ack_wave; the delivery call
-            # below attributes its own open / handler time internally.
-            t0 = perf_counter() if tm is not None else 0.0
-            ack_wires: List[WireMessage] = []
-            for acker, dest, ack in ack_queue:
-                acker_node = nodes[acker]
-                if not acker_node.alive:
-                    continue
-                cache_key = (
-                    ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload
+        t0 = perf_counter() if tm is not None else 0.0
+        ack_wires: List[WireMessage] = []
+        for acker, dest, ack in ack_queue:
+            acker_node = nodes[acker]
+            if not acker_node.alive:
+                continue
+            cache_key = (
+                ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload
+            )
+            size_hint = self._ack_size_cache.get(cache_key)
+            if size_hint is None:
+                size_hint = transport.message_size(ack)
+                self._ack_size_cache[cache_key] = size_hint
+            wire = transport.write(acker, dest, ack, size_hint)
+            behavior = acker_node.behavior
+            if behavior is None:
+                traffic.record_send(
+                    wire.mtype, wire.size, rnd, physical=physical
                 )
-                size_hint = self._ack_size_cache.get(cache_key)
-                if size_hint is None:
-                    size_hint = transport.message_size(ack)
-                    self._ack_size_cache[cache_key] = size_hint
-                wire = transport.write(acker, dest, ack, size_hint)
-                behavior = acker_node.behavior
-                if behavior is None:
-                    traffic.record_send(
-                        wire.mtype, wire.size, rnd, physical=physical
-                    )
-                    if traced:
-                        tracer.wire(rnd, wire, "send", charged=True)
-                    ack_wires.append(wire)
-                    continue
-                self._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
-            if not physical and ack_wires:
-                self._record_physical_links(ack_wires, rnd, "ack")
-            if tm is not None:
-                tm.add("ack_wave", perf_counter() - t0)
-            if fast:
-                self._deliver_fast(ack_wires, rnd)
-            else:
-                self._deliver(ack_wires, rnd, is_ack_wave=True)
-
-        # Phases 5 and 6 are shared with the envelope path.
-        halted_now = self._phase_halt_check(rnd)
-        self._phase_end(rnd, halted_now, omissions_before, rejections_before)
+                if traced:
+                    tracer.wire(rnd, wire, "send", charged=True)
+                ack_wires.append(wire)
+                continue
+            self._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
+        if not physical and ack_wires:
+            self._record_physical_links(ack_wires, rnd, "ack")
         if tm is not None:
-            self._finish_round_timing(tm, rnd)
+            tm.add("ack_wave", perf_counter() - t0)
+        self._deliver(ack_wires, rnd)
+
+        self._phase_end(rnd, self._phase_halt_check(rnd), before)
 
     def _phase_halt_check(self, rnd: Round) -> List[NodeId]:
         """Phase 5: halt-on-divergence check (P4)."""
-        nodes = self.nodes
         tracer = self.tracer
         traced = tracer.enabled
         if traced:
             tracer.phase(rnd, "halt_check", count=len(self._pending_handles))
         halted_now: List[NodeId] = []
         for (sender, _key), handle in self._pending_handles.items():
-            if handle.diverged and handle.targets >= handle.threshold:
-                nodes[sender].enclave.halt(rnd)
-                self.evict_departed_node(sender)
+            if handle.halts_sender:
+                self._halt_node(sender, rnd)
                 if sender not in halted_now:
                     halted_now.append(sender)
                 if traced:
@@ -1230,74 +1100,89 @@ class SynchronousNetwork:
         return halted_now
 
     def _phase_end(
-        self,
-        rnd: Round,
-        halted_now: List[NodeId],
-        omissions_before: int,
-        rejections_before: int,
+        self, rnd: Round, halted_now: List[NodeId], before: Tuple[int, int]
     ) -> None:
-        """Phase 6: round end hooks, clock advance, round summary."""
+        """Phase 6: round end hooks for the nodes due, then the round's
+        close (clock advance, round summary)."""
         nodes = self.nodes
-        traffic = self.stats.traffic
-        tracer = self.tracer
-        traced = tracer.enabled
-        debug = _LOG.isEnabledFor(logging.DEBUG)
-        live = 0
-        if traced or debug:
-            live = sum(1 for node in nodes.values() if node.alive)
-        if traced:
-            tracer.phase(rnd, "end", count=live)
+        active = self._active
+        live, seconds = self._open_phase_end(rnd)
         tm = self._timing
-        if self._sparse:
-            t0 = perf_counter() if tm is not None else 0.0
-            end_visit = self._sched_end()
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
-            t0 = perf_counter() if tm is not None else 0.0
-            for node_id in end_visit:
-                node = nodes[node_id]
-                if node.alive:
-                    node.program.on_round_end(node.context)
-            # Behaviours tick every round regardless of program activity
-            # (delay queues and injection schedules advance on rounds,
-            # not on deliveries); they never interact with program end
-            # hooks, so running them after the sparse loop matches the
-            # dense interleaving observationally.
-            for behavior_id in self._behavior_nodes:
-                nodes[behavior_id].behavior.on_round_end(rnd)
-            if tm is not None:
-                tm.add("handler", perf_counter() - t0)
-            t0 = perf_counter() if tm is not None else 0.0
-            self._sched_after_end(rnd, end_visit, halted_now)
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
-        else:
-            t0 = perf_counter() if tm is not None else 0.0
-            for node in nodes.values():
-                if node.alive:
-                    node.program.on_round_end(node.context)
-                if node.behavior is not None:
-                    node.behavior.on_round_end(rnd)
-            if tm is not None:
-                tm.add("handler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        end_visit = active.end()
+        counters = self.sched_counters
+        counters["end_visited"] += len(end_visit)
+        counters["end_skipped"] += self.config.n - len(end_visit)
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        for node_id in end_visit:
+            node = nodes[node_id]
+            if node.alive:
+                node.program.on_round_end(node.context)
+        # Behaviours tick every round regardless of program activity
+        # (delay queues and injection schedules advance on rounds, not on
+        # deliveries); they never interact with program end hooks.
+        for behavior_id in self._behavior_nodes:
+            nodes[behavior_id].behavior.on_round_end(rnd)
+        if tm is not None:
+            tm.add("handler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        active.after_end(rnd, end_visit, halted_now)
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
+        self._close_round(
+            rnd, seconds, halted_now, live, active.decided, before
+        )
+        if tm is not None:
+            self._finish_round_timing(tm, rnd)
 
-        # Advance simulated time under the shared-link bandwidth model.
+    def _open_phase_end(self, rnd: Round) -> Tuple[int, float]:
+        """Open phase 6; returns what its close needs and the hooks cannot
+        change: the live-node count the round summary reports (an O(N)
+        scan, so only when someone looks: traced or DEBUG-logged runs —
+        0 otherwise) and the round's simulated duration under the
+        shared-link bandwidth model, ``max(2*delta, bytes / bandwidth)``."""
+        tracer = self.tracer
+        live = 0
+        if tracer.enabled or _LOG.isEnabledFor(logging.DEBUG):
+            live = sum(1 for node in self.nodes.values() if node.alive)
+        if tracer.enabled:
+            tracer.phase(rnd, "end", count=live)
         seconds = self.config.round_seconds
-        round_bytes = traffic.round_bytes(rnd)
         bandwidth = self.config.bandwidth_bytes_per_s
         if bandwidth:
-            seconds = max(seconds, round_bytes / bandwidth)
+            seconds = max(
+                seconds, self.stats.traffic.round_bytes(rnd) / bandwidth
+            )
+        return live, seconds
+
+    def _close_round(
+        self,
+        rnd: Round,
+        seconds: float,
+        halted_now: List[NodeId],
+        live: int,
+        decided: int,
+        before: Tuple[int, int],
+        engine_note: str = "",
+    ) -> None:
+        """The tail of phase 6, once every end hook has run: advance the
+        trusted clock, record the round, summarise it (trace span, DEBUG
+        line) and call the observation hook.  ``live`` / ``decided`` are
+        node counts the caller already holds."""
+        traffic = self.stats.traffic
+        tracer = self.tracer
+        round_bytes = traffic.round_bytes(rnd)
         self.clock.advance(seconds)
         self.stats.rounds.append(
             RoundRecord(rnd=rnd, bytes=round_bytes, seconds=seconds)
         )
-        if traced or debug:
-            decided = sum(
-                1 for node in nodes.values() if node.program.has_output
-            )
-            omissions = traffic.omissions - omissions_before
-            rejections = traffic.rejections - rejections_before
-            if traced:
+        debug = _LOG.isEnabledFor(logging.DEBUG)
+        if tracer.enabled or debug:
+            omissions = traffic.omissions - before[0]
+            rejections = traffic.rejections - before[1]
+            if tracer.enabled:
                 tracer.emit(
                     RoundSpan(
                         rnd=rnd,
@@ -1312,9 +1197,9 @@ class SynchronousNetwork:
                 )
             _LOG.debug(
                 "round %d: bytes=%d seconds=%.3f omissions=%d rejections=%d "
-                "live=%d decided=%d halted=%s",
+                "live=%d decided=%d halted=%s%s",
                 rnd, round_bytes, seconds, omissions, rejections,
-                live, decided, halted_now,
+                live, decided, halted_now, engine_note,
             )
         if self._round_hook is not None:
             self._round_hook(self, rnd, halted_now)
@@ -1385,8 +1270,87 @@ class SynchronousNetwork:
                 tracer.wire(rnd, wire, "drop_send", actor=sender)
 
     # ------------------------------------------------------------------
-    # the round-envelope fast path
+    # the round-envelope path, and the accounting it shares with the
+    # sharded coordinator (repro.net.parallel)
     # ------------------------------------------------------------------
+    def _charge_multicast(
+        self,
+        rnd: Round,
+        sender: NodeId,
+        targets: Tuple[NodeId, ...],
+        message: ProtocolMessage,
+        size: int,
+    ) -> None:
+        """Logical ledger (and per-wire trace events) for one multicast of
+        ``size`` bytes per target; the physical crossing is charged per
+        link by :meth:`_charge_envelopes`."""
+        self.stats.traffic.record_send_bulk(
+            message.type, size * len(targets), rnd, len(targets),
+            physical=False,
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            mtype = message.type.value
+            for receiver in targets:
+                tracer.emit(WireEvent(
+                    rnd=rnd,
+                    sender=sender,
+                    receiver=receiver,
+                    size=size,
+                    action="send",
+                    mtype=mtype,
+                    charged=True,
+                ))
+
+    @staticmethod
+    def _coalesce_links(entries: List[tuple]) -> List[tuple]:
+        """Group one sender's wave of ``(targets, message, size)``
+        multicasts into link envelopes: ``(receivers, members, size)``
+        triples, each receiver getting one envelope that carries
+        ``members`` and weighs ``size`` — the member bodies plus a single
+        channel overhead."""
+        overhead = CHANNEL_OVERHEAD_BYTES
+        first_targets = entries[0][0]
+        if all(e[0] is first_targets or e[0] == first_targets for e in entries):
+            # Common case: every multicast this sender staged goes to the
+            # same receiver set — one shared member list, and the same
+            # physical size on every link.
+            return [(
+                first_targets,
+                [e[1] for e in entries],
+                sum(e[2] for e in entries) - overhead * (len(entries) - 1),
+            )]
+        buckets: Dict[NodeId, List[ProtocolMessage]] = {}
+        sizes: Dict[NodeId, int] = {}
+        for targets, message, size in entries:
+            for receiver in targets:
+                buckets.setdefault(receiver, []).append(message)
+                sizes[receiver] = sizes.get(receiver, 0) + size
+        return [
+            ((receiver,), members,
+             sizes[receiver] - overhead * (len(members) - 1))
+            for receiver, members in buckets.items()
+        ]
+
+    def _charge_envelopes(
+        self,
+        rnd: Round,
+        sender: NodeId,
+        receivers: Tuple[NodeId, ...],
+        count: int,
+        size: int,
+        wave: str = "transmit",
+    ) -> None:
+        """Physical ledger (and envelope trace events): one crossing of
+        ``size`` bytes carrying ``count`` members on each link."""
+        self.stats.traffic.record_envelopes(
+            len(receivers), size * len(receivers)
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            for receiver in receivers:
+                tracer.envelope(rnd, sender, receiver, count, size, wave=wave)
+
     def _run_round_envelope(self, rnd: Round) -> None:
         """One round with per-link traffic coalescing.
 
@@ -1405,37 +1369,7 @@ class SynchronousNetwork:
         traced = tracer.enabled
         full = transport.security is ChannelSecurity.FULL
         tm = self._timing
-        if tm is not None:
-            tm.start_round(rnd)
-        omissions_before = traffic.omissions
-        rejections_before = traffic.rejections
-        self._pending_handles.clear()
-        self._ack_size_cache.clear()
-        self._ack_digest_by_id.clear()
-
-        # Phase 1: round begin (identical to the per-wire path).
-        self._outbox_now, self._outbox_next = self._outbox_next, []
-        if traced:
-            tracer.phase(rnd, "begin", count=len(self._outbox_now))
-        self._in_round_begin = True
-        if self._sparse:
-            t0 = perf_counter() if tm is not None else 0.0
-            begin_visit = self._sched_begin(rnd)
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
-            t0 = perf_counter() if tm is not None else 0.0
-            for node_id in begin_visit:
-                node = nodes[node_id]
-                if node.alive:
-                    node.program.on_round_begin(node.context)
-        else:
-            t0 = perf_counter() if tm is not None else 0.0
-            for node in nodes.values():
-                if node.alive:
-                    node.program.on_round_begin(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        self._in_round_begin = False
+        before = self._phase_begin(rnd)
 
         # Phase 2: transmit.  First build the delivery plan — one entry
         # per multicast, in emission order, so dispatch below replays the
@@ -1465,63 +1399,34 @@ class SynchronousNetwork:
         if tm is not None:
             tm.add("batch_crypto", perf_counter() - t0)
         for (intent, message), digest in zip(staged, digests):
-            if intent.expect_acks:
-                self._pending_handles[(intent.sender, digest)] = MulticastHandle(
-                    sender=intent.sender,
-                    rnd=rnd,
-                    key=digest,
-                    expect_acks=intent.expect_acks,
-                    threshold=intent.threshold,
-                    targets=len(intent.targets),
-                )
+            self._track_multicast(
+                rnd, intent.sender, digest, intent.expect_acks,
+                intent.threshold, len(intent.targets),
+            )
             if not intent.targets:
                 continue
             digest_by_id[id(message)] = digest
             logical_count += len(intent.targets)
-            if full:
-                # FULL charges the real per-member sealed sizes, known
-                # only after sealing; bodies are encoded once per fan-out.
-                if tm is None:
-                    body = encode(message.to_tuple())
-                else:
-                    t0 = perf_counter()
-                    body = encode(message.to_tuple())
-                    serialize_s += perf_counter() - t0
-                plan.append((intent.sender, intent.targets, message, 0))
-                per_sender.setdefault(intent.sender, []).append(
-                    (intent.targets, message, body)
+            # FULL charges the real per-member sealed sizes, known only
+            # after sealing, and carries the body (encoded once per
+            # fan-out) where the modeled transports carry the size.
+            t0 = perf_counter() if tm is not None else 0.0
+            sized = (
+                encode(message.to_tuple()) if full
+                else transport.message_size(message)
+            )
+            if tm is not None:
+                serialize_s += perf_counter() - t0
+            plan.append(
+                (intent.sender, intent.targets, message, 0 if full else sized)
+            )
+            per_sender.setdefault(intent.sender, []).append(
+                (intent.targets, message, sized)
+            )
+            if not full:
+                self._charge_multicast(
+                    rnd, intent.sender, intent.targets, message, sized
                 )
-            else:
-                if tm is None:
-                    size_hint = transport.message_size(message)
-                else:
-                    t0 = perf_counter()
-                    size_hint = transport.message_size(message)
-                    serialize_s += perf_counter() - t0
-                plan.append((intent.sender, intent.targets, message, size_hint))
-                per_sender.setdefault(intent.sender, []).append(
-                    (intent.targets, message, size_hint)
-                )
-                traffic.record_send_bulk(
-                    message.type,
-                    size_hint * len(intent.targets),
-                    rnd,
-                    len(intent.targets),
-                    physical=False,
-                )
-                if traced:
-                    mtype = message.type.value
-                    sender = intent.sender
-                    for receiver in intent.targets:
-                        tracer.emit(WireEvent(
-                            rnd=rnd,
-                            sender=sender,
-                            receiver=receiver,
-                            size=size_hint,
-                            action="send",
-                            mtype=mtype,
-                            charged=True,
-                        ))
         self._outbox_now = []
         if tm is not None:
             tm.add("serialize", serialize_s)
@@ -1531,7 +1436,6 @@ class SynchronousNetwork:
         t0 = perf_counter() if tm is not None else 0.0
         batch_s = 0.0
         envelopes: List[Envelope] = []
-        overhead = CHANNEL_OVERHEAD_BYTES
         for sender, entries in per_sender.items():
             if full:
                 buckets: Dict[NodeId, List[tuple]] = {}
@@ -1552,56 +1456,19 @@ class SynchronousNetwork:
                     traffic.record_envelope(env.count, env.size)
                     envelopes.append(env)
                 continue
-            first_targets = entries[0][0]
-            if all(
-                e[0] is first_targets or e[0] == first_targets
-                for e in entries
-            ):
-                # Common case: every multicast this sender staged goes to
-                # the same receiver set — one shared member list, and the
-                # same physical size on every link (member bodies plus a
-                # single channel overhead).
-                members = [e[1] for e in entries]
-                env_size = (
-                    sum(e[2] for e in entries) - overhead * (len(entries) - 1)
-                )
-                # One vectorized seal pass for the whole wave: the same
-                # member list crosses every link, so the transport hoists
-                # the guard / measurement / row lookups out of the loop.
-                if tm is None:
-                    envelopes.extend(transport.seal_envelope_wave(
-                        sender, first_targets, members, size=env_size
-                    ))
-                else:
-                    t1 = perf_counter()
-                    envelopes.extend(transport.seal_envelope_wave(
-                        sender, first_targets, members, size=env_size
-                    ))
+            for receivers, members, env_size in self._coalesce_links(entries):
+                # One vectorized seal pass per member list: the transport
+                # hoists the guard / measurement / row lookups out of the
+                # per-link loop.
+                t1 = perf_counter() if tm is not None else 0.0
+                envelopes.extend(transport.seal_envelope_wave(
+                    sender, receivers, members, size=env_size
+                ))
+                if tm is not None:
                     batch_s += perf_counter() - t1
-                traffic.record_envelopes(
-                    len(first_targets), env_size * len(first_targets)
+                self._charge_envelopes(
+                    rnd, sender, receivers, len(members), env_size
                 )
-                if traced:
-                    count = len(members)
-                    for receiver in first_targets:
-                        tracer.envelope(rnd, sender, receiver, count, env_size)
-            else:
-                buckets = {}
-                sizes: Dict[NodeId, int] = {}
-                for targets, message, size_hint in entries:
-                    for receiver in targets:
-                        buckets.setdefault(receiver, []).append(message)
-                        sizes[receiver] = sizes.get(receiver, 0) + size_hint
-                for receiver, members in buckets.items():
-                    env_size = sizes[receiver] - overhead * (len(members) - 1)
-                    envelopes.append(transport.seal_envelope(
-                        sender, receiver, members, size=env_size
-                    ))
-                    traffic.record_envelope(len(members), env_size)
-                    if traced:
-                        tracer.envelope(
-                            rnd, sender, receiver, len(members), env_size
-                        )
         if tm is not None:
             tm.add("seal", perf_counter() - t0 - batch_s)
             tm.add("batch_crypto", batch_s)
@@ -1666,10 +1533,9 @@ class SynchronousNetwork:
                     on_message(context, sender, message)
         if tm is not None:
             tm.add("handler", perf_counter() - t0)
-        if self._sparse and inbound:
-            # Every receiver that had an envelope opened got at least one
-            # on_message dispatch — deliveries re-wake for phase 6.
-            self._sched_delivered.update(inbound)
+        # Every receiver that had an envelope opened got at least one
+        # on_message dispatch — deliveries re-wake for phase 6.
+        self._active.delivered.update(inbound)
 
         # Phase 4: ack wave (same round trip).
         queue = self._ack_queue_fast
@@ -1685,37 +1551,23 @@ class SynchronousNetwork:
             if tm is not None:
                 tm.add("ack_wave", perf_counter() - t0)
 
-        # Phases 5 and 6 are shared with the per-wire path.
-        halted_now = self._phase_halt_check(rnd)
-        self._phase_end(rnd, halted_now, omissions_before, rejections_before)
-        if tm is not None:
-            self._finish_round_timing(tm, rnd)
+        self._phase_end(rnd, self._phase_halt_check(rnd), before)
 
     def _ack_wave_envelope(
         self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
     ) -> None:
         """Envelope-path ACK wave for MODELED/NONE transports.
 
-        ACKs are digests, never ProtocolMessage objects: every ACK of a
-        round has the same header and an 8-byte payload, so one modeled
+        ACKs are digests, never ProtocolMessage objects, and one modeled
         size covers the whole wave.  Each link's ACKs cross as a single
         counted envelope; (dest, digest) pairs credit their pending
         handles in one addition each, exactly as the per-wire path's
         sequential deliveries would.
         """
         nodes = self.nodes
-        traffic = self.stats.traffic
-        transport = self.transport
         tracer = self.tracer
         traced = tracer.enabled
-        ack_size = transport.message_size(ProtocolMessage(
-            type=MessageType.ACK,
-            initiator=0,
-            seq=0,
-            payload=b"\x00" * 8,
-            rnd=rnd,
-            instance="",
-        ))
+        ack_size = self._ack_wire_size(rnd)
         link_counts: Counter = Counter()
         credits: Counter = Counter()
         total = 0
@@ -1735,21 +1587,9 @@ class SynchronousNetwork:
                     mtype=MessageType.ACK.value,
                     charged=True,
                 ))
-        if total:
-            traffic.record_send_bulk(
-                MessageType.ACK, ack_size * total, rnd, total, physical=False
-            )
-        overhead = CHANNEL_OVERHEAD_BYTES
-        for (acker, dest), count in link_counts.items():
-            env_size = ack_size * count - overhead * (count - 1)
-            env = transport.seal_envelope(
-                acker, dest, None, count=count, size=env_size
-            )
-            traffic.record_envelope(count, env_size)
-            if traced:
-                tracer.envelope(rnd, acker, dest, count, env_size, wave="ack")
-            if nodes[dest].alive:
-                transport.open_envelope(dest, env)
+        self._settle_ack_wave(
+            rnd, ack_size, link_counts, credits, total, seal=True
+        )
         if traced:
             # The per-wire path records an omit_dead event per ACK to a
             # halted destination, in queue order, after the sends.
@@ -1763,6 +1603,50 @@ class SynchronousNetwork:
                         action="omit_dead",
                         mtype=MessageType.ACK.value,
                     ))
+
+    def _ack_wire_size(self, rnd: Round) -> int:
+        """Modeled wire size of every ACK of round ``rnd``."""
+        return self.transport.message_size(_ack_message(b"\x00" * 8, rnd))
+
+    def _settle_ack_wave(
+        self,
+        rnd: Round,
+        ack_size: int,
+        link_counts: Dict[Tuple[NodeId, NodeId], int],
+        credits: Dict[Tuple[NodeId, bytes], int],
+        total: int,
+        *,
+        seal: bool,
+    ) -> None:
+        """Charge and credit one aggregated MODELED/NONE ACK wave of
+        ``total`` ACKs, ``ack_size`` bytes each: ``link_counts[(acker,
+        dest)]`` per link, ``credits[(dest, digest)]`` per acknowledged
+        multicast.  ACKs to a halted destination are omissions; ACKs for
+        unknown multicasts are ignored, as in :meth:`_deliver`.
+
+        ``seal`` moves each link's envelope through the transport so the
+        channel counters advance as per-ACK writes would; the sharded
+        coordinator passes False — its mirror carries no link state.
+        """
+        nodes = self.nodes
+        traffic = self.stats.traffic
+        transport = self.transport
+        if total:
+            traffic.record_send_bulk(
+                MessageType.ACK, ack_size * total, rnd, total, physical=False
+            )
+        overhead = CHANNEL_OVERHEAD_BYTES
+        for (acker, dest), count in link_counts.items():
+            env_size = ack_size * count - overhead * (count - 1)
+            if seal:
+                env = transport.seal_envelope(
+                    acker, dest, None, count=count, size=env_size
+                )
+                if nodes[dest].alive:
+                    transport.open_envelope(dest, env)
+            self._charge_envelopes(
+                rnd, acker, (dest,), count, env_size, wave="ack"
+            )
         handles = self._pending_handles
         for (dest, digest), count in credits.items():
             if not nodes[dest].alive:
@@ -1771,7 +1655,6 @@ class SynchronousNetwork:
             handle = handles.get((dest, digest))
             if handle is not None:
                 handle.acks += count
-            # ACKs for unknown multicasts are ignored, as in _deliver.
 
     def _ack_wave_envelope_full(
         self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
@@ -1797,14 +1680,7 @@ class SynchronousNetwork:
             for digest in digests:
                 body = body_cache.get(digest)
                 if body is None:
-                    body = encode(ProtocolMessage(
-                        type=MessageType.ACK,
-                        initiator=0,
-                        seq=0,
-                        payload=digest,
-                        rnd=rnd,
-                        instance="",
-                    ).to_tuple())
+                    body = encode(_ack_message(digest, rnd).to_tuple())
                     body_cache[digest] = body
                 bodies.append(body)
             env = transport.seal_envelope(
@@ -1821,128 +1697,17 @@ class SynchronousNetwork:
                 if handle is not None:
                     handle.acks += 1
 
-    def _ack_wave_fast(
-        self, ack_queue: List[Tuple[NodeId, NodeId, ProtocolMessage]], rnd: Round
-    ) -> None:
-        """Honest-path ACK wave: aggregate instead of per-wire round trips.
-
-        With no OS behaviours an ACK can never be dropped, delayed,
-        tampered or replayed, so writing each one through the transport
-        and reading it back is pure bookkeeping.  ACKs identical in
-        (dest, digest) collapse into one Counter entry that credits the
-        pending multicast handle in a single addition; traffic is charged
-        in bulk with the same per-ACK modeled size the per-wire path uses.
-        """
-        nodes = self.nodes
-        traffic = self.stats.traffic
-        transport = self.transport
-        size_cache = self._ack_size_cache
-        counts: Counter = Counter()
-        total_bytes = 0
-        total_count = 0
-        for acker, dest, ack in ack_queue:
-            if not nodes[acker].alive:
-                continue
-            cache_key = (ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload)
-            size = size_cache.get(cache_key)
-            if size is None:
-                size = transport.message_size(ack)
-                size_cache[cache_key] = size
-            total_bytes += size
-            total_count += 1
-            counts[(dest, ack.payload)] += 1
-        if total_count:
-            traffic.record_send_bulk(
-                MessageType.ACK, total_bytes, rnd, total_count
-            )
-        handles = self._pending_handles
-        for (dest, digest), count in counts.items():
-            dest_node = nodes.get(dest)
-            if dest_node is None or not dest_node.alive:
-                traffic.record_omissions(count)
-                continue
-            handle = handles.get((dest, digest))
-            if handle is not None:
-                handle.acks += count
-            # ACKs for unknown multicasts are ignored, as in _deliver.
-
-    def _deliver_fast(self, wires: List[WireMessage], rnd: Round) -> None:
-        """Honest-path delivery: no OS behaviours to consult, no tracing.
-
-        Channel verification still runs per wire — it is the semantics
-        being simulated — but the behaviour and tracer indirections of
-        :meth:`_deliver` are skipped entirely.
-        """
-        nodes = self.nodes
-        traffic = self.stats.traffic
-        read = self.transport.read
-        handles = self._pending_handles
-        delivered = self._sched_delivered if self._sparse else None
-        tm = self._timing
-        if tm is None:
-            for wire in wires:
-                receiver_node = nodes.get(wire.receiver)
-                if receiver_node is None or not receiver_node.alive:
-                    traffic.record_omission()
-                    continue
-                try:
-                    message = read(wire.receiver, wire)
-                except (IntegrityError, ReplayError, StaleRoundError,
-                        ProtocolError):
-                    traffic.record_rejection()
-                    continue
-                if message.type is MessageType.ACK:
-                    handle = handles.get((wire.receiver, message.payload))
-                    if handle is not None:
-                        handle.acks += 1
-                    continue
-                if delivered is not None:
-                    delivered.add(wire.receiver)
-                receiver_node.program.on_message(
-                    receiver_node.context, wire.sender, message
-                )
-            return
-        # Timed twin of the loop above: channel reads accrue to ``open``,
-        # program dispatch to ``handler``.
-        open_s = handler_s = 0.0
-        for wire in wires:
-            receiver_node = nodes.get(wire.receiver)
-            if receiver_node is None or not receiver_node.alive:
-                traffic.record_omission()
-                continue
-            t0 = perf_counter()
-            try:
-                message = read(wire.receiver, wire)
-            except (IntegrityError, ReplayError, StaleRoundError, ProtocolError):
-                open_s += perf_counter() - t0
-                traffic.record_rejection()
-                continue
-            open_s += perf_counter() - t0
-            if message.type is MessageType.ACK:
-                handle = handles.get((wire.receiver, message.payload))
-                if handle is not None:
-                    handle.acks += 1
-                continue
-            if delivered is not None:
-                delivered.add(wire.receiver)
-            t0 = perf_counter()
-            receiver_node.program.on_message(
-                receiver_node.context, wire.sender, message
-            )
-            handler_s += perf_counter() - t0
-        tm.add("open", open_s)
-        tm.add("handler", handler_s)
-
-    def _deliver(
-        self, wires: List[WireMessage], rnd: Round, is_ack_wave: bool
-    ) -> None:
+    def _deliver(self, wires: List[WireMessage], rnd: Round) -> None:
+        """Phase 3 (and the tail of phase 4) on the per-wire path: each
+        wire passes the receiver's OS behaviour, then the channel read,
+        then credits its handle (an ACK) or dispatches to the program."""
         nodes = self.nodes
         traffic = self.stats.traffic
         transport = self.transport
         tracer = self.tracer
         traced = tracer.enabled
         handles = self._pending_handles
-        delivered = self._sched_delivered if self._sparse else None
+        delivered = self._active.delivered
         tm = self._timing
         open_s = handler_s = 0.0
         for wire in wires:
@@ -1961,14 +1726,8 @@ class SynchronousNetwork:
             t0 = perf_counter() if tm is not None else 0.0
             try:
                 message = transport.read(wire.receiver, wire)
-            except (IntegrityError, ReplayError, StaleRoundError):
-                if tm is not None:
-                    open_s += perf_counter() - t0
-                traffic.record_rejection()
-                if traced:
-                    tracer.wire(rnd, wire, "reject")
-                continue
-            except ProtocolError:
+            except (IntegrityError, ReplayError, StaleRoundError,
+                    ProtocolError):
                 if tm is not None:
                     open_s += perf_counter() - t0
                 traffic.record_rejection()
@@ -1984,8 +1743,7 @@ class SynchronousNetwork:
                 # ACKs for unknown multicasts (replays, cross-round strays)
                 # are ignored — exactly the 'treat as omitted' rule.
                 continue
-            if delivered is not None:
-                delivered.add(wire.receiver)
+            delivered.add(wire.receiver)
             t0 = perf_counter() if tm is not None else 0.0
             receiver_node.program.on_message(
                 receiver_node.context, wire.sender, message

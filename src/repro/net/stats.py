@@ -76,7 +76,7 @@ class TrafficStats:
         """Charge ``count`` same-type messages totalling ``total_bytes``.
 
         One call is arithmetically identical to ``count`` calls of
-        :meth:`record_send` — the fan-out fast path uses it to record a
+        :meth:`record_send` — the envelope path uses it to record a
         whole multicast (or ACK wave) without per-wire Counter updates.
         """
         if count < 0 or total_bytes < 0:

@@ -42,11 +42,6 @@ class Transport:
 
     security: ChannelSecurity
 
-    #: True when every wire of one fan-out carries the same ``size`` (the
-    #: shared size hint).  FULL seals per receiver, so sizes may differ by
-    #: a few bytes with the per-channel counter encoding.
-    uniform_fanout_size = True
-
     def write(
         self,
         sender: NodeId,
@@ -160,7 +155,6 @@ class FullTransport(Transport):
     """Real blinded channels between every pair of enclaves."""
 
     security = ChannelSecurity.FULL
-    uniform_fanout_size = False
 
     def __init__(
         self, enclaves: Dict[NodeId, Enclave], group: DhGroup = MODP_2048

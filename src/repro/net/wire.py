@@ -11,10 +11,12 @@ epochs end-to-end over the wire.
 Design constraints, in order:
 
 1. **The protocol cores and the sealing stack are untouched.**  Programs
-   see the exact :class:`~repro.net.simulator.EnclaveContext` API
-   (:class:`WireContext` mirrors it method for method), messages are the
-   same :class:`~repro.common.types.ProtocolMessage` tuples in the same
-   deterministic serialization, and FULL-security links reuse
+   are handed a real :class:`~repro.net.simulator.EnclaveContext` (a
+   :class:`WireNode` is its :class:`~repro.net.simulator.RoundHost`, so
+   staging, ACK digests and the halt rule are the simulator's own),
+   messages are the same :class:`~repro.common.types.ProtocolMessage`
+   tuples in the same deterministic serialization, and FULL-security
+   links reuse
    :class:`~repro.channel.peer_channel.SecureChannel` envelopes —
    per-link AEAD counter sequences included.
 
@@ -79,7 +81,12 @@ from repro.core.erng import ErngProgram
 from repro.core.pb_erb import PbErbConfig, PbErbProgram
 from repro.crypto.dh import MODP_2048
 from repro.crypto.hashing import hash_bytes
-from repro.net.simulator import MulticastHandle, _multicast_key
+from repro.net.simulator import (
+    EnclaveContext,
+    Node,
+    RoundHost,
+    _multicast_key,
+)
 from repro.net.topology import Topology
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
@@ -107,6 +114,14 @@ K_ACK = 4     # (kind, run, rnd, digests)     aggregated ack digests
 K_EOA = 5     # (kind, run, rnd)              end of ack wave
 K_FIN = 6     # (kind, run, rnd, done)        post-round-end barrier
 K_BYE = 7     # (kind, run, rnd, reason)      graceful departure
+
+#: What each read asks the socket for.  asyncio's selector transport
+#: defaults to 256 KiB, which glibc serves with a fresh mmap (plus an
+#: mremap and a munmap once the bytes object shrinks to the few KiB that
+#: arrived) unless an earlier free happened to raise its dynamic mmap
+#: threshold past that size — round cost was bimodal, ±25 % between
+#: otherwise identical processes.  Round frames are a few KiB.
+_RECV_BYTES = 64 * 1024
 
 #: Default per-barrier timeout.  Loopback rounds complete in
 #: milliseconds; the default is generous so slow CI machines never
@@ -602,81 +617,6 @@ class _Peer:
 
 
 # ----------------------------------------------------------------------
-# the enclave-visible context (mirrors EnclaveContext)
-# ----------------------------------------------------------------------
-
-@dataclass
-class _SendIntent:
-    targets: Tuple[NodeId, ...]
-    message: ProtocolMessage
-    expect_acks: bool
-    threshold: int
-
-
-class WireContext:
-    """The :class:`~repro.net.simulator.EnclaveContext` API, backed by
-    the wire pump instead of the simulator.  Programs cannot tell the
-    difference — that is the seam that keeps the cores untouched."""
-
-    def __init__(self, node: "WireNode") -> None:
-        self._node = node
-        self.node_id = node.cfg.node_id
-
-    # ---- environment -------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self._node.cfg.n
-
-    @property
-    def t(self) -> int:
-        return self._node.cfg.t
-
-    @property
-    def config(self) -> SimulationConfig:
-        return self._node.sim_config
-
-    @property
-    def round(self) -> int:
-        return self._node.current_round
-
-    @property
-    def rdrand(self):
-        return self._node.enclave.rdrand
-
-    @property
-    def tracer(self):
-        return self._node.tracer
-
-    @property
-    def clock(self):
-        return self._node.enclave.clock
-
-    def neighbours(self) -> Tuple[NodeId, ...]:
-        return self._node.neighbour_tuple()
-
-    # ---- actions -----------------------------------------------------
-    def multicast(
-        self,
-        message: ProtocolMessage,
-        targets=None,
-        expect_acks: bool = True,
-        threshold: Optional[int] = None,
-    ) -> None:
-        self._node.queue_multicast(message, targets, expect_acks, threshold)
-
-    def send(
-        self, dest: NodeId, message: ProtocolMessage, expect_acks: bool = False
-    ) -> None:
-        self._node.queue_multicast(message, (dest,), expect_acks, None)
-
-    def acknowledge(self, dest: NodeId, original: ProtocolMessage) -> None:
-        self._node.queue_ack(dest, original)
-
-    def halt(self) -> None:
-        self._node.request_halt()
-
-
-# ----------------------------------------------------------------------
 # protocol plans
 # ----------------------------------------------------------------------
 
@@ -732,7 +672,7 @@ class _WireAbort(Exception):
 # the node daemon
 # ----------------------------------------------------------------------
 
-class WireNode:
+class WireNode(RoundHost):
     """One node's enclave programs served over TCP.
 
     Lifecycle: :meth:`start_server` (bind), :meth:`run_service`
@@ -748,8 +688,6 @@ class WireNode:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = WireStats()
         self.topology = Topology.full_mesh(cfg.n)
-        self.sim_config = cfg.simulation_config()
-        self.current_round = 0
         self.current_run = 0
         self._peers: Dict[NodeId, _Peer] = {
             pid: _Peer(pid) for pid in range(cfg.n) if pid != cfg.node_id
@@ -757,20 +695,10 @@ class WireNode:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stop = asyncio.Event()
         self._connected = asyncio.Event()
-        self._accept_tasks: List[asyncio.Task] = []
-        self._halt_requested = False
-        # per-round protocol state (mirrors the engine's queues)
-        self._outbox_now: List[_SendIntent] = []
-        self._outbox_next: List[_SendIntent] = []
-        self._in_round_begin = False
-        self._ack_out: List[Tuple[NodeId, bytes]] = []
-        self._pending_handles: Dict[bytes, MulticastHandle] = {}
-        self._digest_cache: Dict[tuple, bytes] = {}
         self._round_walls: List[float] = []
         self._round_bytes: List[int] = []
         self._bytes_this_round = 0
         self._departed: set = set()
-        self.context = WireContext(self)
         self._build_universe(cfg.seed)
 
     # ------------------------------------------------------------------
@@ -790,7 +718,9 @@ class WireNode:
         stack byte-identical to the simulator's.
         """
         cfg = self.cfg
-        self.sim_config = cfg.simulation_config(seed)
+        #: The simulator-side view of ``cfg`` (what programs read as
+        #: ``ctx.config``).
+        self.config = cfg.simulation_config(seed)
         master = DeterministicRNG(("simulation", seed))
         clock = SimulationClock()
         self._clock_source = clock
@@ -803,6 +733,11 @@ class WireNode:
                 node_id, factory(node_id), master, clock, authority
             )
         self.enclave = enclaves[cfg.node_id]
+        self.context = EnclaveContext(self, cfg.node_id)
+        #: The RoundHost view: this daemon hosts exactly one node.
+        self.nodes = {
+            cfg.node_id: Node(cfg.node_id, self.enclave, None, self.context)
+        }
         self._measurements = {
             node_id: enclave.measurement
             for node_id, enclave in enclaves.items()
@@ -825,65 +760,32 @@ class WireNode:
             for pid in self._peers:
                 self._send_counters[pid] = 0
                 self._recv_guards[pid] = ReplayGuard(0)
-        # fresh per-run protocol state
+        # fresh per-run protocol state (mirrors the engine's queues)
         self.current_round = 0
-        self._outbox_now = []
-        self._outbox_next = []
-        self._ack_out = []
-        self._pending_handles = {}
-        self._digest_cache = {}
-        self._halt_requested = False
+        self._init_round_state()
+        self._ack_out: List[Tuple[NodeId, bytes]] = []
 
     # ------------------------------------------------------------------
-    # EnclaveContext backend
+    # RoundHost: what EnclaveContext calls
     # ------------------------------------------------------------------
-    def neighbour_tuple(self) -> Tuple[NodeId, ...]:
-        base = tuple(self.topology.neighbours(self.cfg.node_id))
-        if not self._departed:
-            return base
-        return tuple(t for t in base if t not in self._departed)
-
-    def queue_multicast(
-        self, message, targets, expect_acks, threshold
-    ) -> None:
-        if targets is None:
-            target_tuple = self.neighbour_tuple()
-        else:
-            target_tuple = tuple(
-                t for t in targets if t != self.cfg.node_id
-            )
-        intent = _SendIntent(
-            targets=target_tuple,
-            message=message,
-            expect_acks=expect_acks,
-            threshold=(
-                threshold
-                if threshold is not None
-                else self.sim_config.ack_threshold
-            ),
+    def neighbour_tuple(self, node: NodeId) -> Tuple[NodeId, ...]:
+        return tuple(
+            t for t in self.topology.neighbours(node)
+            if t not in self._departed
         )
-        if self._in_round_begin:
-            self._outbox_now.append(intent)
-        else:
-            self._outbox_next.append(intent)
 
-    def queue_ack(self, dest: NodeId, original: ProtocolMessage) -> None:
-        self._ack_out.append((dest, self._ack_digest(original)))
+    def _queue_ack(
+        self, acker: NodeId, dest: NodeId, original: ProtocolMessage
+    ) -> None:
+        self._ack_out.append(
+            (dest, self._ack_digest(_multicast_key(original)))
+        )
 
-    def request_halt(self) -> None:
-        """Voluntary Halt(st): sticky ⊥ immediately (P4), BYE at
-        phase 5 — the same in-round timing as the simulator's
-        ``EnclaveContext.halt``."""
-        self.enclave.halt(self.current_round)
-        self._halt_requested = True
-
-    def _ack_digest(self, message: ProtocolMessage) -> bytes:
-        key = _multicast_key(message)
-        digest = self._digest_cache.get(key)
-        if digest is None:
-            digest = hash_bytes(encode(key), domain="ack")[:8]
-            self._digest_cache[key] = digest
-        return digest
+    def evict_departed_node(self, node: NodeId) -> None:
+        """A halted, ejected or departed node leaves the topology from
+        the next multicast on (the simulator's phase-5 eviction timing:
+        a BYE is only ever sent after the current round's data wave)."""
+        self._departed.add(node)
 
     # ------------------------------------------------------------------
     # link layer: framing, sealing
@@ -1016,6 +918,7 @@ class WireNode:
     ) -> None:
         peer.reader = reader
         peer.writer = writer
+        writer.transport.max_size = _RECV_BYTES
         peer.alive = True
         peer.reader_task = asyncio.ensure_future(self._reader_loop(peer))
 
@@ -1043,6 +946,7 @@ class WireNode:
         peer = self._peers[peer_id]
         peer.reader = reader
         peer.writer = writer
+        writer.transport.max_size = _RECV_BYTES
         self._send_hello_raw(writer, peer)
         hello, _ = await asyncio.wait_for(
             self._read_raw_frame(reader), timeout=self.cfg.connect_timeout_s
@@ -1127,11 +1031,7 @@ class WireNode:
         if kind == K_BYE:
             _, run, rnd, reason = frame
             peer.mark_dead(f"bye:{reason}")
-            # A BYE is the wire's evict_departed_node: the peer halted
-            # or shut down, so it leaves the topology from the next
-            # round on (the simulator's phase-5 eviction timing — a BYE
-            # is only ever sent after the current round's data wave).
-            self._departed.add(peer.node_id)
+            self.evict_departed_node(peer.node_id)
             return
         _, run, rnd = frame[0:3]
         box = peer.inbox(run, rnd)
@@ -1187,7 +1087,7 @@ class WireNode:
         if not peer.alive:
             return
         peer.mark_dead(reason)
-        self._departed.add(peer.node_id)
+        self.evict_departed_node(peer.node_id)
         self.stats.ejected.append(peer.node_id)
         _LOG.info(
             "node %d: ejected peer %d (%s)",
@@ -1240,16 +1140,11 @@ class WireNode:
             per_target: Dict[NodeId, List[ProtocolMessage]] = {}
             for intent in self._outbox_now:
                 message = intent.message.with_round(rnd)
-                digest = self._ack_digest(message)
-                if intent.expect_acks:
-                    self._pending_handles[digest] = MulticastHandle(
-                        sender=cfg.node_id,
-                        rnd=rnd,
-                        key=digest,
-                        expect_acks=True,
-                        threshold=intent.threshold,
-                        targets=len(intent.targets),
-                    )
+                digest = self._ack_digest(_multicast_key(message))
+                self._track_multicast(
+                    rnd, cfg.node_id, digest, intent.expect_acks,
+                    intent.threshold, len(intent.targets),
+                )
                 for target in intent.targets:
                     per_target.setdefault(target, []).append(message)
             self._outbox_now = []
@@ -1321,16 +1216,13 @@ class WireNode:
                 if not peer.alive and not box.eoa_seen:
                     continue    # died mid-ack-wave: its ACKs are omitted
                 for digest in box.acks:
-                    handle = handles.get(digest)
+                    handle = handles.get((cfg.node_id, digest))
                     if handle is not None:
                         handle.acks += 1
 
             # Phase 5: halt-on-divergence (P4) + voluntary halts.
-            if alive and not self.enclave.halted:
-                for handle in handles.values():
-                    if handle.diverged and handle.targets >= handle.threshold:
-                        self.enclave.halt(rnd)
-                        break
+            if alive and any(h.halts_sender for h in handles.values()):
+                self._halt_node(cfg.node_id, rnd)
             if alive and self.enclave.halted:
                 for peer in self._live_peers():
                     self._send_frame(peer, (K_BYE, run, rnd, "halted"))
@@ -1342,7 +1234,7 @@ class WireNode:
             # Phase 6: round end, clock advance, FIN barrier.
             if alive:
                 program.on_round_end(self.context)
-            self._clock_source.advance(self.sim_config.round_seconds)
+            self._clock_source.advance(self.config.round_seconds)
             done = bool(program.has_output) or self.enclave.halted
             for peer in self._live_peers():
                 self._send_frame(peer, (K_FIN, run, rnd, int(done)))
@@ -1577,27 +1469,30 @@ async def run_cluster_async(
     reports = await asyncio.gather(
         *(node.run_service() for node in nodes)
     )
-    by_node = {report.node_id: report for report in reports}
-    outputs = {
-        nid: r.output for nid, r in sorted(by_node.items())
-        if r.output is not None
-    }
-    decided = {
-        nid: r.decided_round for nid, r in sorted(by_node.items())
-        if r.output is not None
-    }
-    halted = sorted(
-        nid for nid, r in by_node.items() if r.halted or r.crashed
+    return _cluster_result(
+        {report.node_id: report for report in reports}, t0
     )
-    longest = max((r for r in reports), key=lambda r: r.rounds_executed)
-    records = longest.records
+
+
+def _cluster_result(
+    reports: Dict[NodeId, WireRunReport], t0: float
+) -> ClusterResult:
+    """Aggregate the per-node reports of one cluster run started at
+    ``t0``; the beacon chain is read off the node that ran longest."""
+    ordered = sorted(reports.items())
+    longest = max(reports.values(), key=lambda r: r.rounds_executed)
     return ClusterResult(
-        outputs=outputs,
-        decided_rounds=decided,
-        halted=halted,
-        rounds_executed=max(r.rounds_executed for r in reports),
-        reports=by_node,
-        records=records,
+        outputs={
+            nid: r.output for nid, r in ordered if r.output is not None
+        },
+        decided_rounds={
+            nid: r.decided_round for nid, r in ordered
+            if r.output is not None
+        },
+        halted=[nid for nid, r in ordered if r.halted or r.crashed],
+        rounds_executed=longest.rounds_executed,
+        reports=reports,
+        records=longest.records,
         wall_seconds=perf_counter() - t0,
     )
 
@@ -1683,24 +1578,4 @@ def run_cluster_processes(
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
-    outputs = {
-        nid: r.output for nid, r in sorted(reports.items())
-        if r.output is not None
-    }
-    decided = {
-        nid: r.decided_round for nid, r in sorted(reports.items())
-        if r.output is not None
-    }
-    halted = sorted(
-        nid for nid, r in reports.items() if r.halted or r.crashed
-    )
-    longest = max(reports.values(), key=lambda r: r.rounds_executed)
-    return ClusterResult(
-        outputs=outputs,
-        decided_rounds=decided,
-        halted=halted,
-        rounds_executed=max(r.rounds_executed for r in reports.values()),
-        reports=reports,
-        records=longest.records,
-        wall_seconds=perf_counter() - t0,
-    )
+    return _cluster_result(reports, t0)

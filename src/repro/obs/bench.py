@@ -41,13 +41,13 @@ def entries_comparable(newest: Dict, prior: Dict) -> bool:
     The engine data plane (``shm`` vs ``pickle``) is a comparability
     axis too: parallel throughput through shared-memory rings and
     through pickle pipes are different quantities, so a v2 entry never
-    regress-compares against a v1 stamp.  The round scheduler (``dense``
-    vs ``sparse``) is an axis for the same reason: a sparse round loop
-    skips idle nodes entirely, so its throughput is a different quantity
-    from a dense sweep's and the gate must never compare entries across
-    scheduler modes.  Unlike the machine-shape keys both fields may
-    legitimately be absent (entries predating them, serial runs) — two
-    entries without them remain comparable.
+    regress-compares against a v1 stamp.  Entries written while the
+    engine still had a ``dense`` and a ``sparse`` round scheduler carry a
+    ``scheduler`` stamp; it remains an axis so the gate never compares
+    those across modes (nothing emits it any more, and an entry without
+    one compares only with others without one).  Unlike the machine-shape
+    keys both fields may legitimately be absent (entries predating them,
+    serial runs) — two entries without them remain comparable.
 
     ``suite`` is the benchmark-family axis: the beacon sustained-load
     rows (``suite="beacon"``) measure epochs of a chained service, not

@@ -36,7 +36,6 @@ def git_revision() -> Optional[str]:
 def machine_stamp(
     workers: Optional[int] = None,
     data_plane: Optional[str] = None,
-    scheduler: Optional[str] = None,
     suite: Optional[str] = None,
     transport: Optional[str] = None,
 ) -> Dict:
@@ -44,9 +43,8 @@ def machine_stamp(
 
     Timestamp-only entries from different machines are incomparable;
     stamping the git rev, CPU count, worker count and — for parallel
-    runs — the engine data plane ("shm" or "pickle") and round scheduler
-    ("dense" or "sparse") makes a history line reproducible evidence
-    rather than an anecdote.  Real-network runs additionally stamp the
+    runs — the engine data plane ("shm" or "pickle") makes a history
+    line reproducible evidence rather than an anecdote.  Real-network runs additionally stamp the
     ``transport`` ("tcp"); simulated entries carry none.
     """
     stamp: Dict = {
@@ -57,8 +55,6 @@ def machine_stamp(
         stamp["workers"] = workers
     if data_plane is not None:
         stamp["data_plane"] = data_plane
-    if scheduler is not None:
-        stamp["scheduler"] = scheduler
     if suite is not None:
         stamp["suite"] = suite
     if transport is not None:
@@ -73,9 +69,10 @@ def stamps_comparable(a: Dict, b: Dict) -> bool:
     actually stamped) — the two parameters that change what a throughput
     number physically means.  Parallel entries additionally key on the
     engine data plane: a shared-memory number is no evidence about a
-    pickle-pipe number.  The round scheduler ("dense" vs "sparse") is an
-    axis for the same reason — a sparse round loop measures a different
-    quantity.  So is the benchmark ``suite``: beacon sustained-load rows
+    pickle-pipe number.  Entries written while the engine still had two
+    round schedulers carry a ``scheduler`` stamp ("dense" / "sparse");
+    it stays an axis so those never compare across modes, and nothing
+    emits it any more.  So is the benchmark ``suite``: beacon sustained-load rows
     measure service epochs, not raw engine sweeps.  And so is the
     ``transport``: a real-TCP wall clock (``transport="tcp"``) measures
     sockets and kernels, never comparable with a simulated number (which

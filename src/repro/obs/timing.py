@@ -26,9 +26,9 @@ engine's cost centres:
                coordination overhead
 ``merge``      parallel engine only: splicing staged intents / events
                back into serial order and replaying the transmit plan
-``scheduler``  sparse scheduling only: computing the per-round active
-               set, wake-hint bookkeeping and the incremental doneness
-               tracking (dense scheduling charges nothing here)
+``scheduler``  the round scheduler (:mod:`repro.net.activeset`):
+               computing the per-round visit lists, wake-hint
+               bookkeeping and the incremental doneness tracking
 ``other``      the round's measured residual (engine bookkeeping not
                covered by a named bucket)
 

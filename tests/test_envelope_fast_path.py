@@ -10,7 +10,8 @@ paths, on seeded honest and adversarial ERB *and* ERNG runs over all
 three channel fidelities — plus traced-run event identity, the dual
 physical ledger invariants, the transport seal/open semantics, and the
 satellite fixes that rode along (neighbour-tuple caching, skipping
-``message_size`` for empty fan-outs).
+``message_size`` for empty fan-outs, the per-round ACK-size cache and the
+per-network ACK-digest LRU).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.common.errors import ReplayError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import MessageType, ProtocolMessage
 from repro.core.erb import ErbProgram
-from repro.net.simulator import SynchronousNetwork
+from repro.net.simulator import _DIGEST_CACHE_LIMIT, SynchronousNetwork
 from repro.net.transport import ModeledTransport, PlainTransport
 from repro.obs.events import EnvelopeEvent
 from repro.obs.tracer import Tracer
@@ -67,7 +68,6 @@ def _legacy_config(config: SimulationConfig) -> SimulationConfig:
         extra={
             **config.extra,
             "disable_envelope_fast_path": True,
-            "disable_fanout_fast_path": True,
         },
     )
 
@@ -282,6 +282,20 @@ def _message(seq):
 
 
 @pytest.mark.parametrize("transport_cls", [ModeledTransport, PlainTransport])
+def test_write_fanout_matches_sequential_writes(transport_cls):
+    """The per-wire path's batched multicast write is exactly one
+    ``write`` per target, in order, on one continuing counter sequence."""
+    message = _message(1)
+    sequential = transport_cls(_enclaves(5, 7))
+    batched = transport_cls(_enclaves(5, 7))
+    targets = [1, 2, 3, 4]
+    size = sequential.message_size(message)
+    for _ in range(2):
+        expected = [sequential.write(0, r, message, size) for r in targets]
+        assert batched.write_fanout(0, targets, message, size) == expected
+
+
+@pytest.mark.parametrize("transport_cls", [ModeledTransport, PlainTransport])
 def test_seal_envelope_advances_counters_like_writes(transport_cls):
     sequential = transport_cls(_enclaves(4, 7))
     coalesced = transport_cls(_enclaves(4, 7))
@@ -408,8 +422,7 @@ def test_context_halt_invalidates_neighbour_cache():
 def test_empty_fanout_skips_message_size():
     """A multicast with no targets (n == 1, or an explicit empty list)
     must not compute a wire size on either engine path."""
-    for extra in ({}, {"disable_envelope_fast_path": True,
-                       "disable_fanout_fast_path": True}):
+    for extra in ({}, {"disable_envelope_fast_path": True}):
         config = SimulationConfig(n=2, seed=6, extra=dict(extra))
         # A no-op program: nothing is staged except the empty-target
         # multicast injected below.
@@ -426,3 +439,68 @@ def test_empty_fanout_skips_message_size():
         network.nodes[0].context.multicast(_message(1), targets=())
         network.run(1)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# satellites: ACK-size cache lifetime, per-network digest LRU
+# ---------------------------------------------------------------------------
+
+def test_ack_size_cache_does_not_grow_across_rounds():
+    """ACK size cache keys embed the round, so old entries are garbage;
+    the per-wire path (the only one that sizes ACKs one by one) clears
+    the cache at every round start."""
+    network = _build_network(SimulationConfig(
+        n=10, seed=4, extra={"disable_envelope_fast_path": True}
+    ))
+    network.run(6)
+    # After a multi-round run, only the final round's entries remain.
+    cache = network._ack_size_cache
+    assert cache and len(cache) <= network.config.n
+    assert all(key[3] == network.current_round for key in cache)
+
+
+def test_replace_programs_clears_ack_size_cache():
+    config = SimulationConfig(n=6, seed=4)
+    network = _build_network(config)
+    network.run(config.t + 2)
+    network._ack_size_cache[("stale", 0, 0, 1, b"x")] = 99
+    network.replace_programs(lambda node_id: ErbProgram(
+        node_id=node_id, initiator=1, n=config.n, t=config.t, seq=2,
+        message=b"next" if node_id == 1 else None,
+    ))
+    assert network._ack_size_cache == {}
+
+
+def test_digest_cache_is_per_network():
+    net_a = _build_network(SimulationConfig(n=6, seed=11))
+    net_b = _build_network(SimulationConfig(n=6, seed=11))
+    assert net_a._digest_cache is not net_b._digest_cache
+    net_a.run(3)
+    assert net_a._digest_cache  # populated by the run
+    assert net_b._digest_cache == {}  # untouched by the other network
+
+
+def test_digest_cache_evicts_least_recently_used():
+    network = _build_network(SimulationConfig(n=4, seed=12))
+    cache = network._digest_cache
+    for index in range(_DIGEST_CACHE_LIMIT):
+        network._ack_digest(("filler", index))
+    assert len(cache) == _DIGEST_CACHE_LIMIT
+    # A hit refreshes recency: touch the oldest entry, then overflow.
+    refreshed = network._ack_digest(("filler", 0))
+    digest = network._ack_digest(("fresh", 0))
+    assert len(digest) == 8
+    # Exactly one entry is evicted — the least recently used, which is
+    # ("filler", 1) now that ("filler", 0) was touched.
+    assert len(cache) == _DIGEST_CACHE_LIMIT
+    assert ("filler", 1) not in cache
+    assert ("filler", 0) in cache
+    assert ("fresh", 0) in cache
+    # Cached digests are stable across hits.
+    assert network._ack_digest(("filler", 0)) == refreshed
+    assert network._ack_digest(("fresh", 0)) == digest
+    # Eviction order is exactly insertion-refreshed LRU order: the next
+    # overflow removes ("filler", 2), the current least recently used.
+    network._ack_digest(("fresh", 1))
+    assert ("filler", 2) not in cache
+    assert ("filler", 3) in cache

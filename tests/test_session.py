@@ -106,6 +106,21 @@ class TestSerialSessionReuse:
         finally:
             session.close()
 
+    def test_reseeding_never_writes_through_to_the_callers_config(self):
+        """The session re-seeds its own copy: a second network built
+        from the caller's config object still gets the caller's seed."""
+        config = SimulationConfig(n=5, seed=3, random_bits=64)
+        factory = _ErngEpochFactory(5, 2, 64)
+        with EngineSession(config, factory) as session:
+            reseeded = session.run(4, seed=99)
+            assert session.config.seed == 99
+            session.config.extra["session-only"] = True
+        assert config.seed == 3
+        assert "session-only" not in config.extra
+        _assert_same_run(
+            reseeded, run_erng(SimulationConfig(n=5, seed=99, random_bits=64))
+        )
+
     def test_close_is_idempotent_and_final(self):
         factory = _ErngEpochFactory(5, 2, 64)
         session = EngineSession(

@@ -134,6 +134,11 @@ class SecureChannel:
         init_ab, init_ba = initial_counters
         self._send_counter = {a: init_ab, b: init_ba}
         self._guards = {a: ReplayGuard(init_ab), b: ReplayGuard(init_ba)}
+        # Per-sender constants of the FULL framing: the direction label the
+        # AEAD binds, and the last measurement seen with its encoding (an
+        # enclave's measurement changes only when a session relaunches it).
+        self._direction = {a: f"{a}->{b}".encode(), b: f"{b}->{a}".encode()}
+        self._measurement_enc: Dict[NodeId, Tuple[bytes, bytes]] = {}
 
     # ------------------------------------------------------------------
     # Init — attested key exchange (Fig. 4's Init + setup phase of Sec. 4.1)
@@ -205,6 +210,14 @@ class SecureChannel:
         self._send_counter[sender] += 1
         return self._send_counter[sender]
 
+    def _encoded_measurement(self, sender: NodeId, measurement: bytes) -> bytes:
+        cached = self._measurement_enc.get(sender)
+        if cached is None or cached[0] != measurement:
+            cached = self._measurement_enc[sender] = (
+                measurement, encode(measurement)
+            )
+        return cached[1]
+
     # ------------------------------------------------------------------
     # Write — executed inside the sending enclave
     # ------------------------------------------------------------------
@@ -232,11 +245,14 @@ class SecureChannel:
             if encoded_message is None:
                 plaintext = encode((counter, measurement, message.to_tuple()))
             else:
-                plaintext = compose_tuple(
-                    (encode(counter), encode(measurement), encoded_message)
-                )
-            direction = f"{sender}->{receiver}".encode()
-            sealed = self._aead.seal(plaintext, rng, associated_data=direction)
+                plaintext = compose_tuple((
+                    encode(counter),
+                    self._encoded_measurement(sender, measurement),
+                    encoded_message,
+                ))
+            sealed = self._aead.seal(
+                plaintext, rng, associated_data=self._direction[sender]
+            )
             if t0 is not None:
                 PROFILER.observe("channel.write_s", perf_counter() - t0)
             size = len(sealed) + _FRAMING_BYTES
@@ -279,8 +295,9 @@ class SecureChannel:
         if self.security is ChannelSecurity.FULL:
             assert self._aead is not None
             t0 = perf_counter() if PROFILER.enabled else None
-            direction = f"{sender}->{receiver}".encode()
-            plaintext = self._aead.open(wire.sealed, associated_data=direction)
+            plaintext = self._aead.open(
+                wire.sealed, associated_data=self._direction[sender]
+            )
             counter, measurement, raw = decode(plaintext)
             if t0 is not None:
                 PROFILER.observe("channel.read_s", perf_counter() - t0)
@@ -327,7 +344,7 @@ class SecureChannel:
         assert self._aead is not None
         receiver = self._peer_of(sender)
         t0 = perf_counter() if PROFILER.enabled else None
-        measurement_enc = encode(measurement)
+        measurement_enc = self._encoded_measurement(sender, measurement)
         pieces: List[bytes] = []
         member_sizes: List[int] = []
         for body in bodies:
@@ -336,8 +353,9 @@ class SecureChannel:
             pieces.append(piece)
             member_sizes.append(len(piece) + AEAD.OVERHEAD + _FRAMING_BYTES)
         plaintext = compose_tuple(pieces)
-        direction = f"{sender}->{receiver}".encode()
-        sealed = self._aead.seal(plaintext, rng, associated_data=direction)
+        sealed = self._aead.seal(
+            plaintext, rng, associated_data=self._direction[sender]
+        )
         if t0 is not None:
             PROFILER.observe("channel.write_s", perf_counter() - t0)
         return Envelope(
@@ -360,8 +378,9 @@ class SecureChannel:
         if envelope.receiver != receiver or envelope.sender != sender:
             raise IntegrityError("envelope routed to the wrong channel")
         t0 = perf_counter() if PROFILER.enabled else None
-        direction = f"{sender}->{receiver}".encode()
-        plaintext = self._aead.open(envelope.sealed, associated_data=direction)
+        plaintext = self._aead.open(
+            envelope.sealed, associated_data=self._direction[sender]
+        )
         triples = decode(plaintext)
         if t0 is not None:
             PROFILER.observe("channel.read_s", perf_counter() - t0)

@@ -17,9 +17,9 @@ the same group for the RBsig baseline (Algorithm 4), and
 :mod:`repro.crypto.kdf` an HKDF used to split a DH shared secret into the
 (encryption, MAC) key pair of the channel.
 
-Nothing here depends on third-party packages; only :mod:`hashlib` from the
-standard library is used, in keeping with the "build every substrate"
-reproduction rule.
+Nothing here depends on third-party packages; only :mod:`hashlib` and the
+constant-time :func:`hmac.compare_digest` from the standard library are
+used, in keeping with the "build every substrate" reproduction rule.
 """
 
 from repro.crypto.aead import AEAD, AeadKey

@@ -41,20 +41,24 @@ class AEAD:
 
     def __init__(self, key: AeadKey) -> None:
         self._key = key
+        self._mac = mac.Hmac(key.mac_key)
 
     def seal(
         self, plaintext: bytes, rng: DeterministicRNG, associated_data: bytes = b""
     ) -> bytes:
         """Encrypt and authenticate ``plaintext`` (binding ``associated_data``)."""
         ct = stream_cipher.ske_encrypt(self._key.enc_key, plaintext, rng)
-        tag = mac.mac_auth(self._key.mac_key, ct + associated_data)
-        return ct + tag
+        return ct + self._mac.auth(ct, associated_data)
 
     def open(self, sealed: bytes, associated_data: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`IntegrityError` on any tampering."""
+        # What arrives here came off an untrusted wire: anything that is
+        # not a byte string is a forgery like any other, not a TypeError.
+        if not isinstance(sealed, (bytes, bytearray, memoryview)):
+            raise IntegrityError("sealed message is not a byte string")
         if len(sealed) < self.OVERHEAD:
             raise IntegrityError("sealed message too short")
         ct, tag = sealed[: -mac.TAG_SIZE], sealed[-mac.TAG_SIZE :]
-        if not mac.mac_verify(self._key.mac_key, ct + associated_data, tag):
+        if not self._mac.verify(tag, ct, associated_data):
             raise IntegrityError("MAC verification failed")
         return stream_cipher.ske_decrypt(self._key.enc_key, ct)

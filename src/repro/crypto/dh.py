@@ -7,11 +7,18 @@ secret is split into the channel's (encryption, MAC) keys through HKDF.
 The smaller RFC 2409 768-bit Oakley group is also exported for tests that
 need many exchanges or signatures to stay fast; production-fidelity code
 paths default to the 2048-bit group.
+
+Every handshake raises the same generator to a fresh exponent, so each
+:class:`DhGroup` owns a :class:`FixedBaseTable` for ``g`` — built on the
+first :meth:`DhGroup.power`, never at import — and key generation costs a
+quarter of a ``pow()``.  The shared secret has a fresh base each time and
+keeps ``pow()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import CryptoError
 from repro.common.rng import DeterministicRNG
@@ -41,12 +48,71 @@ MODP_768_PRIME = int(
 )
 
 
+class FixedBaseTable:
+    """``base ** x mod p`` for one base and many exponents (BGMW).
+
+    Holds ``base ** (2 ** (w * i))`` for each ``w``-bit window ``i`` of the
+    widest exponent (410 entries, 105 KB, for a 2047-bit exponent at
+    ``w = 5``).  An exponentiation multiplies the entry of every window
+    whose digit is ``d`` into bucket ``d`` and folds the buckets as
+    ``prod(bucket[d] ** d)`` with a running product: ``windows + 2 ** (w + 1)``
+    modular multiplications and no squarings, where ``pow()`` squares once
+    per exponent bit.  Building it costs one ``pow()``'s worth of squarings.
+    """
+
+    WINDOW = 5
+
+    def __init__(self, base: int, modulus: int, exponent_bits: int) -> None:
+        self.modulus = modulus
+        entries = []
+        for _ in range(-(-exponent_bits // self.WINDOW)):
+            entries.append(base)
+            base = pow(base, 1 << self.WINDOW, modulus)
+        self._entries = tuple(entries)
+        #: exponents in ``[0, limit)`` are covered
+        self.limit = 1 << (self.WINDOW * len(entries))
+
+    def pow(self, exponent: int) -> int:
+        if not 0 <= exponent < self.limit:
+            raise CryptoError("exponent outside the fixed-base table")
+        modulus = self.modulus
+        mask = (1 << self.WINDOW) - 1
+        buckets = [1] * (mask + 1)
+        for entry in self._entries:
+            digit = exponent & mask
+            if digit:
+                buckets[digit] = buckets[digit] * entry % modulus
+            exponent >>= self.WINDOW
+        result = running = 1
+        for digit in range(mask, 0, -1):
+            running = running * buckets[digit] % modulus
+            result = result * running % modulus
+        return result
+
+
 @dataclass(frozen=True)
 class DhGroup:
     """A safe-prime group description ``(p, g)`` with subgroup order (p-1)/2."""
 
     prime: int
     generator: int
+
+    def fixed_base(self, base: int) -> FixedBaseTable:
+        """A table for ``base`` covering every exponent up to the subgroup
+        order; whoever raises ``base`` repeatedly builds and keeps one."""
+        return FixedBaseTable(
+            base % self.prime, self.prime, self.subgroup_order.bit_length()
+        )
+
+    # cached_property stores into __dict__, which a frozen dataclass allows;
+    # equality and hash still see only (prime, generator).
+    @cached_property
+    def _generator_table(self) -> FixedBaseTable:
+        return self.fixed_base(self.generator)
+
+    def power(self, exponent: int) -> int:
+        """``g ** exponent mod p`` through the group's own table."""
+        return self._generator_table.pow(exponent)
 
     @property
     def subgroup_order(self) -> int:
@@ -64,11 +130,6 @@ class DhGroup:
 
 MODP_2048 = DhGroup(prime=MODP_2048_PRIME, generator=2)
 MODP_768 = DhGroup(prime=MODP_768_PRIME, generator=2)
-
-
-def test_group() -> DhGroup:
-    """A smaller group for unit tests that perform many exponentiations."""
-    return MODP_768
 
 
 @dataclass(frozen=True)
@@ -96,7 +157,7 @@ class DiffieHellman:
         return DhKeyPair(
             group=self._group,
             private=x,
-            public=pow(self._group.generator, x, self._group.prime),
+            public=self._group.power(x),
         )
 
     def shared_secret(self, keypair: DhKeyPair, peer_public: int) -> bytes:

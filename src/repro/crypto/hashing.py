@@ -37,11 +37,14 @@ def hash_to_int(data: bytes, modulus: int, domain: str = "") -> int:
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     target_bits = modulus.bit_length() + 128
-    material = b""
-    counter = 0
-    while len(material) * 8 < target_bits:
-        material += hash_bytes(
-            counter.to_bytes(4, "big") + data, domain=domain or "hash-to-int"
-        )
-        counter += 1
-    return int.from_bytes(material, "big") % modulus
+    # hash_bytes(counter || data, domain) per block, with the domain prefix
+    # absorbed once.
+    label = (domain or "hash-to-int").encode("utf-8")
+    prefix = hashlib.sha256(b"repro-hash:" + label + b"\x00")
+    blocks = []
+    for counter in range(-(-target_bits // (8 * DIGEST_SIZE))):
+        block = prefix.copy()
+        block.update(counter.to_bytes(4, "big"))
+        block.update(data)
+        blocks.append(block.digest())
+    return int.from_bytes(b"".join(blocks), "big") % modulus

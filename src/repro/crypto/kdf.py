@@ -9,7 +9,7 @@ the standard way to get them without a second round trip.
 from __future__ import annotations
 
 from repro.crypto.hashing import DIGEST_SIZE
-from repro.crypto.mac import mac_auth
+from repro.crypto.mac import Hmac, mac_auth
 
 
 def hkdf_extract(salt: bytes, input_key_material: bytes) -> bytes:
@@ -23,11 +23,12 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     """HKDF-Expand: grow PRK into ``length`` output bytes labeled ``info``."""
     if length > 255 * DIGEST_SIZE:
         raise ValueError("HKDF output length too large")
+    mac = Hmac(prk)
     output = b""
     block = b""
     counter = 1
     while len(output) < length:
-        block = mac_auth(prk, block + info + bytes([counter]))
+        block = mac.auth(block, info, bytes([counter]))
         output += block
         counter += 1
     return output[:length]

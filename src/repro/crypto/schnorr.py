@@ -15,14 +15,20 @@ subgroup of order ``q = (p-1)/2`` of a safe-prime group:
 * sign:    ``k <- [1, q)``, ``r = g^k``, ``e = H(r || y || m) mod q``,
            ``s = k + x*e mod q``; signature is ``(e, s)``
 * verify:  ``r' = g^s * y^(-e) mod p``; accept iff ``H(r' || y || m) = e``
+
+``g^x`` and ``g^k`` go through the group's own fixed-base table
+(:meth:`repro.crypto.dh.DhGroup.power`).  A one-off verification keeps
+``pow()``; a verifier that checks many signatures under one key — the
+attestation authority — owns a table for ``y`` and passes it in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.rng import DeterministicRNG
-from repro.crypto.dh import MODP_768, DhGroup
+from repro.crypto.dh import MODP_768, DhGroup, FixedBaseTable
 from repro.crypto.hashing import hash_to_int
 
 #: Modeled wire size of one signature (e, s) in bytes, used by MODELED-mode
@@ -58,7 +64,7 @@ class SchnorrKeyPair:
         group = self.group
         q = group.subgroup_order
         k = rng.randint(1, q - 1)
-        r = pow(group.generator, k, group.prime)
+        r = group.power(k)
         e = _challenge(group, r, self.public, message)
         s = (k + self.private * e) % q
         return SchnorrSignature(e=e, s=s)
@@ -69,9 +75,7 @@ def schnorr_keygen(
 ) -> SchnorrKeyPair:
     """Sample a fresh signing key pair."""
     x = rng.randint(1, group.subgroup_order - 1)
-    return SchnorrKeyPair(
-        group=group, private=x, public=pow(group.generator, x, group.prime)
-    )
+    return SchnorrKeyPair(group=group, private=x, public=group.power(x))
 
 
 def _challenge(group: DhGroup, r: int, public: int, message: bytes) -> int:
@@ -83,15 +87,30 @@ def _challenge(group: DhGroup, r: int, public: int, message: bytes) -> int:
 
 
 def schnorr_verify(
-    group: DhGroup, public: int, message: bytes, signature: SchnorrSignature
+    group: DhGroup,
+    public: int,
+    message: bytes,
+    signature: SchnorrSignature,
+    public_table: Optional[FixedBaseTable] = None,
 ) -> bool:
-    """Verify a signature against the public key ``y``."""
+    """Verify a signature against the public key ``y``.
+
+    ``public_table`` is the caller's fixed-base table for ``y`` (from
+    ``group.fixed_base(public)``); with it both exponentiations are table
+    look-ups, without it both are ``pow()``.
+    """
     q = group.subgroup_order
     if not (0 <= signature.e < q and 0 <= signature.s < q):
         return False
     if not 2 <= public <= group.prime - 2:
         return False
     # r' = g^s * y^(-e) mod p
-    y_inv_e = pow(public, q - (signature.e % q), group.prime)
-    r_prime = (pow(group.generator, signature.s, group.prime) * y_inv_e) % group.prime
+    minus_e = q - (signature.e % q)
+    if public_table is None:
+        g_s = pow(group.generator, signature.s, group.prime)
+        y_inv_e = pow(public, minus_e, group.prime)
+    else:
+        g_s = group.power(signature.s)
+        y_inv_e = public_table.pow(minus_e)
+    r_prime = g_s * y_inv_e % group.prime
     return _challenge(group, r_prime, public, message) == signature.e

@@ -845,7 +845,11 @@ class WireNode(RoundHost):
         self, peer_id: NodeId, counter: int, count: int, body
     ) -> Tuple[ProtocolMessage, ...]:
         me = self.cfg.node_id
+        # The body came off a socket: whatever is not the shape this mode
+        # seals is a forgery, to be omitted like a failed MAC.
         if self.cfg.security == "full":
+            if not isinstance(body, bytes):
+                raise ProtocolError("malformed DATA body")
             channel = self._channels[peer_id]
             envelope = Envelope(
                 sender=peer_id,
@@ -856,13 +860,18 @@ class WireNode(RoundHost):
                 sealed=body,
             )
             return channel.read_envelope(me, envelope)
+        if not (isinstance(body, tuple) and len(body) == 2):
+            raise ProtocolError("malformed DATA body")
         measurement, raw_members = body
         if measurement != self._measurements[peer_id]:
             raise ProtocolError(
                 "message bound to a different program (H(pi) mismatch)"
             )
         self._recv_guards[peer_id].check_and_update(counter)
-        return tuple(ProtocolMessage.from_tuple(raw) for raw in raw_members)
+        try:
+            return tuple(ProtocolMessage.from_tuple(raw) for raw in raw_members)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed DATA member: {exc}") from None
 
     # ------------------------------------------------------------------
     # connection management
@@ -1036,6 +1045,10 @@ class WireNode(RoundHost):
         _, run, rnd = frame[0:3]
         box = peer.inbox(run, rnd)
         if kind == K_DATA:
+            if len(frame) != 6 or not (
+                isinstance(frame[3], int) and isinstance(frame[4], int)
+            ):
+                raise ProtocolError("malformed DATA frame")
             box.data.append(frame[3:])       # (counter, count, body)
         elif kind == K_EOD:
             box.eod_seen = True

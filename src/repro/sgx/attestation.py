@@ -14,10 +14,11 @@ over its own key with a valid measurement (enforcing P1 and P2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import AttestationError
 from repro.common.rng import DeterministicRNG
-from repro.crypto.dh import MODP_768, DhGroup
+from repro.crypto.dh import MODP_768, DhGroup, FixedBaseTable
 from repro.crypto.schnorr import (
     SchnorrKeyPair,
     SchnorrSignature,
@@ -50,6 +51,13 @@ class AttestationAuthority:
     @property
     def public_key(self) -> int:
         return self._keypair.public
+
+    @cached_property
+    def _public_table(self) -> FixedBaseTable:
+        """Every quote in the simulation is verified under this one key, so
+        the authority keeps a fixed-base table for it (built by the first
+        verification)."""
+        return self._group.fixed_base(self._keypair.public)
 
     def issue_quote(
         self, measurement: bytes, report_data: bytes, rng: DeterministicRNG
@@ -84,5 +92,6 @@ class AttestationAuthority:
             self._keypair.public,
             quote.signed_material(),
             quote.signature,
+            public_table=self._public_table,
         ):
             raise AttestationError("quote signature verification failed")

@@ -194,6 +194,91 @@ class TestDeadPeers:
 
 
 # ----------------------------------------------------------------------
+# hostile frames: a peer whose OS rewrites what its enclave sealed
+# ----------------------------------------------------------------------
+
+#: DATA bodies no mode seals: not bytes (FULL), not a (measurement,
+#: members) pair (MODELED), or a pair whose halves are junk.
+HOSTILE_BODIES = (7, None, "s", (), (b"m",), tuple(range(60)))
+
+
+def _run_with_hostile_sender(n, hostile, corrupt, **knobs):
+    """An ERB loopback cluster in which ``corrupt(node)`` has rewired node
+    ``hostile`` before the run; returns the nodes and their reports."""
+    from repro.net.wire import WireNode
+
+    async def main():
+        nodes = [
+            WireNode(cfg)
+            for cfg in cluster_configs(n, "erb", seed=7, message=b"x", **knobs)
+        ]
+        corrupt(nodes[hostile])
+        ports = {}
+        for node in nodes:
+            _, ports[node.cfg.node_id] = await node.start_server()
+        for node in nodes:
+            node.cfg.peers = {
+                pid: ("127.0.0.1", port) for pid, port in ports.items()
+                if pid != node.cfg.node_id
+            }
+        reports = await asyncio.wait_for(
+            asyncio.gather(*(node.run_service() for node in nodes)), 60
+        )
+        return nodes, reports
+
+    return asyncio.run(main())
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("security, n", [("modeled", 7), ("full", 4)])
+    def test_malformed_data_body_is_an_omission(self, security, n):
+        """Every DATA frame the last node sends carries a body of the
+        wrong shape.  Each receiver must count a rejection and carry on —
+        not die of a TypeError — so the sender, never ACKed, halts (P4)
+        and everyone else still decides."""
+        hostile = n - 1
+        bodies = iter(HOSTILE_BODIES * n)
+
+        def corrupt(node):
+            seal = node._seal_members
+
+            def seal_garbage(peer_id, members):
+                counter, count, _ = seal(peer_id, members)
+                return (counter, count, next(bodies))
+
+            node._seal_members = seal_garbage
+
+        nodes, reports = _run_with_hostile_sender(
+            n, hostile, corrupt, security=security
+        )
+        survivors = [i for i in range(n) if i != hostile]
+        for i in survivors:
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert nodes[i].stats.rejections >= 1
+            assert nodes[i].stats.omissions >= nodes[i].stats.rejections
+        assert reports[hostile].halted
+
+    def test_data_frame_of_the_wrong_arity_is_link_death(self):
+        """A DATA frame without its body cannot be attributed to a round
+        envelope at all: the link is dropped (protocol-error ejection),
+        as for any undecodable frame, and the survivors decide."""
+        from repro.net.wire import K_DATA
+
+        def corrupt(node):
+            send = node._send_frame
+
+            def send_short(peer, payload):
+                send(peer, payload[:-1] if payload[0] == K_DATA else payload)
+
+            node._send_frame = send_short
+
+        _, reports = _run_with_hostile_sender(5, 4, corrupt)
+        for i in range(4):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert reports[i].ejected_peers == [4]
+
+
+# ----------------------------------------------------------------------
 # clean shutdown
 # ----------------------------------------------------------------------
 

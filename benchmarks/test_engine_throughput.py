@@ -27,8 +27,8 @@ regressions that would make the figure sweeps impractical:
 * FULL-crypto channel write/read round trip.
 
 History entries in ``BENCH_engine.json`` are stamped with the git rev,
-CPU count, worker count and engine data plane (shm vs pickle), so
-numbers from different machines or data planes never get compared; set ``REPRO_BENCH_PROFILE_OUT=<dir>`` to drop ``pstats``
+CPU count, worker count and engine data plane, so numbers from
+different machines or planes (old pickle-pipe history) never get compared; set ``REPRO_BENCH_PROFILE_OUT=<dir>`` to drop ``pstats``
 profiles of the engine cases alongside the metrics sidecars.
 
 The engine cases persist rounds/sec and messages/sec into

@@ -90,10 +90,8 @@ def _stamp_for(args: argparse.Namespace) -> dict:
     """The machine stamp for this invocation, data plane included when
     the run shape would engage the parallel engine."""
     workers = getattr(args, "workers", None)
-    extra = {"parallel_data_plane": getattr(args, "data_plane", "auto")}
     return machine_stamp(
-        workers=workers,
-        data_plane=planned_data_plane(workers, extra),
+        workers=workers, data_plane=planned_data_plane(workers)
     )
 
 
@@ -169,12 +167,6 @@ def _config_for(args: argparse.Namespace, **overrides) -> SimulationConfig:
         tracer=_tracer_for(args),
         workers=getattr(args, "workers", 1),
     )
-    extra = {}
-    data_plane = getattr(args, "data_plane", "auto")
-    if data_plane != "auto":
-        extra["parallel_data_plane"] = data_plane
-    if extra:
-        params["extra"] = extra
     if getattr(args, "timing_out", None):
         params["timing"] = TimingCollector()
     if getattr(args, "metrics_out", None):
@@ -293,10 +285,6 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     timing = TimingCollector() if getattr(args, "timing_out", None) else None
     if getattr(args, "metrics_out", None):
         PROFILER.enable()
-    extra = {}
-    data_plane = getattr(args, "data_plane", "auto")
-    if data_plane != "auto":
-        extra["parallel_data_plane"] = data_plane
     # All epochs run on one persistent EngineSession, so the obs flags
     # scope over the whole service run: one trace, one timing collector
     # accumulating per-epoch start_run/end_run records, one metrics
@@ -310,7 +298,7 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     with RandomBeacon(
         n=args.n, t=args.t, seed=args.seed, optimized=args.optimized,
         session=True, workers=getattr(args, "workers", 1),
-        extra=extra, tracer=tracer, timing=timing,
+        tracer=tracer, timing=timing,
     ) as beacon:
         if args.pipeline:
             records = beacon.run_pipelined(args.epochs)
@@ -670,13 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=1, metavar="P",
             help="shard node execution across P worker processes "
             "(results are byte-identical to --workers 1)",
-        )
-        p.add_argument(
-            "--data-plane", choices=("auto", "shm", "pickle"),
-            default="auto",
-            help="coordinator/worker transport for --workers > 1: "
-            "shared-memory rings, pickle pipes, or pick automatically "
-            "(results are byte-identical either way)",
         )
         p.add_argument(
             "--profile-out", default=None, metavar="PATH",

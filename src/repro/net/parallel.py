@@ -1,49 +1,33 @@
-"""Sharded multi-process round engine (v2: streaming data plane).
+"""Sharded multi-process round engine: the round kernel's third back-end.
 
 A synchronous lockstep round is embarrassingly parallel across
-*receivers*: on the honest envelope path (the only domain where this
+*receivers*: on the honest envelope domain (the only one where this
 module engages, see ``SynchronousNetwork._parallel_eligible``) a node's
 round work — its ``on_round_begin`` / ``on_message`` / ``on_round_end``
 transitions, outbound message sizing and ACK digest computation — reads
 and writes only that node's enclave plus the network-level queues, never
 another node's state.  So the engine partitions the ``n`` nodes into
-``P`` shards (``node_id % P``), gives every shard its own *forked*
-worker process holding a full replica of the network, and runs each
-round as three phases coordinated over per-shard duplex channels
-(:mod:`repro.net.shm`: shared-memory rings, or a pipe fallback):
+``P`` shards (``node_id % P``) and gives every shard its own *forked*
+worker process holding a full replica of the network.
 
-``begin``     the coordinator broadcasts one command frame; workers run
-              ``on_round_begin`` for their owned nodes and *stream*
-              packed send-intents back in chunks as they are produced,
-              closing the phase with one ``done`` frame;
-``transmit``  the coordinator merges the streamed intents back into
-              exact serial emission order (every record is keyed) and
-              does *all* traffic accounting while building the plan
-              (the serial envelope path's own charging methods);
-``deliver``   the plan is pickled once and written into every shard's
-              ring; workers dispatch the members addressed to their
-              owned receivers, streaming next-round intents, and ship
-              ACK aggregates / voluntary halts in the ``done`` frame;
-``ack_wave``  the coordinator credits the pending multicast handles
-              (the serial ``_ack_wave_envelope`` on traced runs, its
-              ``_settle_ack_wave`` on worker-aggregated untraced ones);
-``halt_check``/``end``  run on the coordinator's node mirror / in the
-              workers respectively, with divergence halts shipped down
-              so every replica observes the same liveness; the serial
-              path's ``_close_round`` closes the round on the mirror.
-              Which owned nodes a worker visits is decided by the serial
-              engine's :class:`~repro.net.activeset.ActiveSet`.
+:meth:`repro.net.simulator.RoundHost._rounds` sequences the round on the
+coordinator's network (the *mirror*); :class:`_Coordinator` is its
+:class:`~repro.net.simulator.RoundBackend`.  Hooks run in the workers:
+each ``run_hooks`` call is one command frame down every shard's
+shared-memory ring (:mod:`repro.net.shm`), the workers' staged intents
+*streaming* back in keyed chunks while they are produced and a ``done``
+frame closing the exchange.  Messages move as one plan frame, pickled
+once and written into every ring; workers dispatch the members addressed
+to their owned receivers and ship ACK aggregates and voluntary halts
+home.  All traffic accounting, handle crediting, the halt check and the
+round's close happen on the mirror, through the serial envelope
+back-end's own methods, with divergence halts and the round's duration
+shipped down so every replica observes the same liveness and clock.
+Which owned nodes a worker visits is decided by its replica's
+:class:`~repro.net.activeset.ActiveSet`.
 
-The v1 protocol ran the same phases over per-shard single-worker
-``ProcessPoolExecutor``s — every phase paid two pickled pipe crossings
-per shard plus the executor's queue-management threads, which the phase
-observatory measured at ~96% of parallel wall clock
-(``parallel_speedup_vs_serial`` 0.598).  v2 keeps every payload and
-merge rule bit-for-bit but changes the carriage: command frames go down
-a shared-memory ring, responses stream up as the workers produce them,
-and the coordinator splices chunks incrementally instead of sleeping on
-futures.  While the coordinator *is* blocked, the wall where at least
-one shard was busy is charged to the ``overlap`` timing bucket (that is
+While the coordinator is blocked on a ring, the wall where at least one
+shard was busy is charged to the ``overlap`` timing bucket (that is
 parallelized compute, not coordination overhead); only the residual —
 true protocol latency — stays in ``barrier``.
 
@@ -54,20 +38,21 @@ position) with globally unique keys and merged in sorted key order,
 which provably reconstructs the serial engine's iteration order no
 matter how shard chunks interleave on the wire.  A parallel run
 therefore yields byte-identical ``RunResult`` snapshots,
-``TrafficStats`` ledgers and traced event streams versus
-``_run_round_envelope`` — enforced by ``tests/test_parallel_engine.py``
-and ``tests/test_parallel_v2.py`` on both data planes.
+``TrafficStats`` ledgers and traced event streams versus the serial
+envelope back-end — enforced by ``tests/test_parallel_engine.py`` and
+``tests/test_parallel_v2.py``.
 
 Bookkeeping that is *not* replicated: the coordinator performs no
 transmit-side ``seal_envelope``/``open_envelope`` calls (on MODELED/NONE
 transports these only advance internal channel counters, which nothing
 on the eligible domain can observe), and worker-side tracers are
-swapped for in-memory sinks whose events are shipped back each phase.
+swapped for in-memory sinks whose events are shipped back per exchange.
 
-If worker processes cannot be forked at all, :func:`run_parallel` logs
-why and returns ``None`` and the caller falls back to the serial
-engine; a worker dying *mid-run* raises, because shard state is already
-ahead of the coordinator's mirror.
+A host without usable shared memory never gets here (the run says why
+and executes serially); if worker processes cannot be forked after all,
+:func:`run_parallel` logs why and returns ``None`` and the caller falls
+back to the serial engine; a worker dying *mid-run* raises, because
+shard state is already ahead of the coordinator's mirror.
 """
 
 from __future__ import annotations
@@ -82,21 +67,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.types import ProtocolMessage
 from repro.net.activeset import ActiveSet
-from repro.net.shm import (
-    _NOTHING,
-    _wait_spin,
-    DATA_PLANE_PICKLE,
-    DATA_PLANE_SHM,
-    make_channels,
-    shared_memory_available,
-    shared_memory_unavailable_reason,
-)
-from repro.net.simulator import (
-    RunResult,
-    SynchronousNetwork,
-    _multicast_key,
-    _SendIntent,
-)
+from repro.net import shm
+from repro.net.shm import _NOTHING, _wait_spin, DATA_PLANE_SHM, ShmChannel
+from repro.net.simulator import RunResult, SynchronousNetwork, _SendIntent
 from repro.obs.events import WireEvent
 from repro.obs.metrics import PROFILER, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -121,56 +94,35 @@ _FORK_NETWORK: Optional[SynchronousNetwork] = None
 _STATE: Optional["_WorkerState"] = None
 
 
-def resolve_data_plane(extra: Optional[dict]) -> str:
-    """Pick the coordinator↔worker carriage for this run.
-
-    ``extra["parallel_data_plane"]`` may force ``"shm"`` or ``"pickle"``;
-    the default (``"auto"``) prefers shared memory and falls back to the
-    pipe plane — loudly — when the host cannot provide it.
-    """
-    requested = (extra or {}).get("parallel_data_plane", "auto")
-    if requested == DATA_PLANE_PICKLE:
-        return DATA_PLANE_PICKLE
-    if shared_memory_available():
-        return DATA_PLANE_SHM
-    _LOG.warning(
-        "parallel engine: shared-memory data plane unavailable (%s); "
-        "using pickle pipe fallback",
-        shared_memory_unavailable_reason(),
-    )
-    return DATA_PLANE_PICKLE
-
-
 def planned_data_plane(
     workers: Optional[int], extra: Optional[dict] = None
 ) -> Optional[str]:
-    """The data plane a run with this shape would use, or ``None`` when
-    the parallel engine is not in play (single worker, no fork).  Pure —
-    no warnings — so stamps and bench entries can call it freely."""
+    """The data plane a run with this shape would use — ``"shm"`` — or
+    ``None`` when the sharded engine is not in play: a single worker, no
+    fork start method, or no usable shared memory (such a run executes
+    serially).  Pure — no warnings — so stamps and bench entries can call
+    it freely; ``extra`` is accepted for callers that pass their config's
+    and selects nothing."""
     if not workers or workers <= 1:
         return None
     if "fork" not in multiprocessing.get_all_start_methods():
         return None  # pragma: no cover - POSIX containers always fork
-    requested = (extra or {}).get("parallel_data_plane", "auto")
-    if requested == DATA_PLANE_PICKLE:
-        return DATA_PLANE_PICKLE
-    return DATA_PLANE_SHM if shared_memory_available() else DATA_PLANE_PICKLE
+    return DATA_PLANE_SHM if shm.shared_memory_available() else None
 
 
 class _WorkerState:
+    #: The replica; its ``_active`` schedules this shard's owned nodes.
     net: SynchronousNetwork
     shard: int
     nshards: int
-    #: The round scheduler over this shard's owned nodes
-    #: (``node_id % nshards == shard``).
-    active: ActiveSet
+    #: ``node_id % nshards == shard``.
+    owned: range
     events: Optional[List[object]]
     traced: bool
     timed: bool
-    bucket: str
 
 
-# A packed send intent, as shipped from workers to the coordinator:
+# A staged send intent, as shipped from workers to the coordinator:
 # (sender, targets, message, size, digest, expect_acks, threshold).
 # ``targets`` is ``None`` when the intent goes to the sender's full
 # neighbour set — by far the common case — so a mesh multicast ships a
@@ -181,32 +133,27 @@ _PackedIntent = Tuple[int, Optional[Tuple[int, ...]], ProtocolMessage, int,
 
 
 def _pack_intent(
-    intent: _SendIntent, rnd: int, net: SynchronousNetwork,
-    tmb: Optional[dict] = None,
+    intent: _SendIntent, net: SynchronousNetwork, tmb: Optional[dict] = None,
 ) -> _PackedIntent:
-    """Stamp, size and digest one staged intent (the per-sender work the
-    serial transmit phase does inline, here parallelized into the worker
-    that ran the emitting hook).  ``tmb`` is a timing-bucket dict the
-    digest / sizing costs accrue into when the run is timed."""
-    message = intent.message.with_round(rnd)
-    t0 = perf_counter() if tmb is not None else 0.0
-    digest = net._ack_digest(_multicast_key(message))
-    t1 = perf_counter() if tmb is not None else 0.0
+    """Size one staged intent (work the serial transmit does inline, here
+    parallelized into the worker that ran the emitting hook) and pack it
+    for the ring.  ``tmb`` is a timing-bucket dict the sizing cost accrues
+    into when the run is timed."""
     targets: Optional[Tuple[int, ...]] = intent.targets
-    size = net.transport.message_size(message) if targets else 0
+    t0 = perf_counter() if tmb is not None else 0.0
+    size = net.transport.message_size(intent.message) if targets else 0
     if tmb is not None:
-        tmb["digest"] = tmb.get("digest", 0.0) + (t1 - t0)
-        tmb["serialize"] = tmb.get("serialize", 0.0) + (perf_counter() - t1)
+        tmb["serialize"] = tmb.get("serialize", 0.0) + (perf_counter() - t0)
     if targets and targets is net._neighbour_cache.get(intent.sender):
         targets = None
     return (
-        intent.sender, targets, message, size, digest,
+        intent.sender, targets, intent.message, size, intent.digest,
         intent.expect_acks, intent.threshold,
     )
 
 
 # ----------------------------------------------------------------------
-# worker-side phase handlers (run inside the forked shard processes)
+# worker-side handlers (run inside the forked shard processes)
 # ----------------------------------------------------------------------
 
 def _worker_init(shard: int, nshards: int) -> None:
@@ -223,9 +170,11 @@ def _worker_init(shard: int, nshards: int) -> None:
     st.net = net
     st.shard = shard
     st.nshards = nshards
-    st.bucket = "other"
+    st.owned = range(shard, net.config.n, nshards)
     _worker_observers(st, net.tracer.enabled, net._timing is not None)
-    _worker_own_shard(st)
+    # on_setup ran on the replica before the fork.
+    net._active = ActiveSet(net.nodes, st.owned)
+    _worker_own_queues(net)
     _STATE = st
 
 
@@ -233,8 +182,8 @@ def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
     """Apply the worker-side observability policy to the replica."""
     net = st.net
     st.traced = traced
-    # The worker replica's hooks are timed from the phase handlers, not
-    # by the engine; buckets ship back per phase as plain dicts.
+    # The worker replica's hooks are timed from the op handlers, not by
+    # the engine; buckets ship back per exchange as plain dicts.
     st.timed = timed
     net._timing = None
     if PROFILER.enabled:
@@ -246,7 +195,7 @@ def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
         PROFILER.registry = MetricsRegistry()
     if traced:
         # Replace the inherited tracer (whose sinks may hold duplicated
-        # file handles) with a memory sink; events ship back per phase.
+        # file handles) with a memory sink; events ship back per exchange.
         tracer = Tracer.memory()
         net.tracer = tracer
         st.events = tracer.events
@@ -255,20 +204,13 @@ def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
         st.events = None
 
 
-def _worker_own_shard(st: "_WorkerState") -> None:
-    """Start a run on this shard, after ``on_setup`` ran on the replica
-    (before the fork, or in :func:`_worker_recycle`)."""
-    net = st.net
-    # The coordinator owns all queue state (it ran the same on_setup and
-    # keeps the staged intents); worker replicas start each run clean.
+def _worker_own_queues(net: SynchronousNetwork) -> None:
+    """The coordinator owns all queue state (it ran the same on_setup and
+    keeps the staged intents); worker replicas start each run clean."""
     net._outbox_now.clear()
     net._outbox_next.clear()
     net._ack_queue.clear()
-    net._ack_queue_fast.clear()
     net._ack_digest_by_id.clear()
-    st.active = ActiveSet(
-        net.nodes, range(st.shard, net.config.n, st.nshards)
-    )
 
 
 def _worker_recycle(channel, payload: tuple) -> None:
@@ -289,15 +231,13 @@ begin_session_run` + ``_setup`` did on its side — same relaunch, same
     # _resolve_run_paths restored config's tracer/timing; re-apply the
     # worker policy before any hook can emit.
     _worker_observers(st, traced, timed)
-    for node in net.nodes.values():
-        if node.alive:
-            node.program.on_setup(node.context)
-    _worker_own_shard(st)
+    net._setup(st.owned)
+    _worker_own_queues(net)
     channel.send(("r", st.shard))
 
 
 def _check_no_stray_acks(net: SynchronousNetwork, hook: str) -> None:
-    if net._ack_queue_fast or net._ack_queue:
+    if net._ack_queue:
         raise RuntimeError(
             f"parallel engine: ctx.acknowledge during {hook} is not "
             "supported (ACKs must answer a delivered message); "
@@ -316,32 +256,30 @@ def _flush_staged(channel, staged: List[tuple], timed: bool) -> float:
     return 0.0
 
 
-def _phase_timing(
-    st: "_WorkerState", tmb: Optional[dict], handler_s: float,
-    send_s: float, t_start: float,
+def _handler_timing(
+    tmb: Optional[dict], handler_s: float, send_s: float, t_start: float,
 ) -> Optional[tuple]:
-    """A phase's timing payload, ``(busy_seconds, buckets)``: hook time
-    under ``handler``, streaming time under the data plane's bucket.
-    ``None`` on untimed runs."""
+    """A handler's timing payload, ``(busy_seconds, buckets)``: hook time
+    under ``handler``, streaming time under ``shm``.  ``None`` on untimed
+    runs."""
     if tmb is None:
         return None
     tmb["handler"] = tmb.get("handler", 0.0) + handler_s
-    tmb[st.bucket] = tmb.get(st.bucket, 0.0) + send_s
+    tmb["shm"] = tmb.get("shm", 0.0) + send_s
     return perf_counter() - t_start, tmb
 
 
 def _run_hooks(
-    channel, visit_ids: List[int], hook: str, outbox: list, stamp_rnd: int,
+    channel, visit_ids: List[int], hook: str, outbox: list,
     tmb: Optional[dict],
 ) -> tuple:
     """Run one round hook (``on_round_begin`` / ``on_round_end``) for the
     visited live nodes, in node order.
 
-    Intents the hooks stage land in ``outbox``; they are stamped for
-    round ``stamp_rnd`` and stream home in keyed chunks as nodes produce
-    them.  Returns ``(halted, batches, handler_s, send_s)``: voluntary
-    halts, traced event batches per node, and the hook / streaming
-    seconds (0.0 on untimed runs).
+    Intents the hooks stage land in ``outbox`` and stream home in keyed
+    chunks as nodes produce them.  Returns ``(halted, batches, handler_s,
+    send_s)``: voluntary halts, traced event batches per node, and the
+    hook / streaming seconds (0.0 on untimed runs).
     """
     st = _STATE
     net = st.net
@@ -365,8 +303,7 @@ def _run_hooks(
             halted.append(node_id)
         for idx in range(obase, len(outbox)):
             staged.append(
-                ((node_id, idx - obase),
-                 _pack_intent(outbox[idx], stamp_rnd, net, tmb))
+                ((node_id, idx - obase), _pack_intent(outbox[idx], net, tmb))
             )
         if len(staged) >= _FLUSH_INTENTS:
             send_s += _flush_staged(channel, staged, timed)
@@ -383,7 +320,7 @@ def _run_hooks(
 
 
 def _worker_begin(channel, rnd: int) -> None:
-    """Phase 1: on_round_begin for the owned nodes due this round.
+    """Op ``"b"``: on_round_begin for the owned nodes due this round.
 
     The closing ``done`` frame carries voluntary halts, traced event
     batches, the visit counts and the shard's timing payload —
@@ -395,22 +332,22 @@ def _worker_begin(channel, rnd: int) -> None:
     t_start = perf_counter() if timed else 0.0
     tmb: Optional[dict] = {} if timed else None
     net.current_round = rnd
-    active = st.active
+    active = net._active
     visit_ids = active.begin(rnd)
     counts = (len(visit_ids), len(active.owned) - len(visit_ids))
     if timed:
         tmb["scheduler"] = perf_counter() - t_start
     net._in_round_begin = True
     halted, batches, handler_s, send_s = _run_hooks(
-        channel, visit_ids, "on_round_begin", net._outbox_now, rnd, tmb
+        channel, visit_ids, "on_round_begin", net._outbox_now, tmb
     )
     net._in_round_begin = False
-    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
+    timing = _handler_timing(tmb, handler_s, send_s, t_start)
     channel.send(("d", (halted, batches, counts, timing)))
 
 
 def _worker_deliver(channel, rnd: int, packed: list) -> None:
-    """Phase 2: dispatch the plan's members to owned receivers.
+    """Op ``"v"``: dispatch the plan's members to owned receivers.
 
     Next-round intents stream home in keyed chunks; the ``done`` frame
     carries voluntary halts, per-(plan, target) omission keys for dead
@@ -436,7 +373,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
     shard = st.shard
     nodes = net.nodes
     outbox = net._outbox_next
-    ackq = net._ack_queue_fast
+    ackq = net._ack_queue
     events = st.events
     traced = st.traced
     halted: List[int] = []
@@ -445,8 +382,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
     batches: List[tuple] = []
     raw_acks: List[tuple] = []
     halted_state = EnclaveState.HALTED
-    delivered = st.active.delivered
-    next_rnd = rnd + 1
+    delivered = net._active.delivered
     for i, (sender, targets, message) in enumerate(plan):
         for j, receiver in enumerate(targets):
             if receiver % nshards != shard:
@@ -473,8 +409,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
                     raw_acks.append(((i, j, k - abase), ackq[k]))
             for idx in range(obase, len(outbox)):
                 staged.append(
-                    ((i, j, idx - obase),
-                     _pack_intent(outbox[idx], next_rnd, net, tmb))
+                    ((i, j, idx - obase), _pack_intent(outbox[idx], net, tmb))
                 )
             if len(staged) >= _FLUSH_INTENTS:
                 send_s += _flush_staged(channel, staged, timed)
@@ -502,7 +437,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
         events.clear()
     if staged:
         send_s += _flush_staged(channel, staged, timed)
-    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
+    timing = _handler_timing(tmb, handler_s, send_s, t_start)
     channel.send((
         "d",
         (halted, omitted, link_counts, credits, total, raw_acks, batches,
@@ -513,7 +448,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
 def _worker_end(
     channel, rnd: int, halted_now: List[int], seconds: float
 ) -> None:
-    """Phase 3: apply divergence halts, run on_round_end, advance the
+    """Op ``"e"``: apply divergence halts, run on_round_end, advance the
     shard's clock replica, and report decided / all-done state."""
     st = _STATE
     net = st.net
@@ -522,21 +457,21 @@ def _worker_end(
     tmb: Optional[dict] = {} if timed else None
     for node_id in halted_now:
         net._halt_node(node_id, rnd)
-    active = st.active
+    active = net._active
     t0 = perf_counter() if timed else 0.0
     end_visit = active.end()
     counts = (len(end_visit), len(active.owned) - len(end_visit))
     if timed:
         tmb["scheduler"] = perf_counter() - t0
     halted, batches, handler_s, send_s = _run_hooks(
-        channel, end_visit, "on_round_end", net._outbox_next, rnd + 1, tmb
+        channel, end_visit, "on_round_end", net._outbox_next, tmb
     )
     net.clock.advance(seconds)
     t0 = perf_counter() if timed else 0.0
     active.after_end(rnd, end_visit, halted_now)
     if timed:
         tmb["scheduler"] += perf_counter() - t0
-    timing = _phase_timing(st, tmb, handler_s, send_s, t_start)
+    timing = _handler_timing(tmb, handler_s, send_s, t_start)
     channel.send((
         "d",
         (halted, batches, active.decided, active.all_done, counts, timing),
@@ -544,7 +479,7 @@ def _worker_end(
 
 
 def _worker_finish(channel) -> None:
-    """Final phase: on_protocol_end, then ship the terminal per-node
+    """Op ``"f"``: on_protocol_end, then ship the terminal per-node
     state back as plain tuples.
 
     Plain tuples, not program objects: ``EnclaveProgram`` tracks its
@@ -559,7 +494,7 @@ def _worker_finish(channel) -> None:
     events = st.events
     traced = st.traced
     batches: List[tuple] = []
-    owned = st.active.owned
+    owned = net._active.owned
     for node_id in owned:
         node = net.nodes[node_id]
         if not node.alive:
@@ -613,9 +548,6 @@ def _worker_main(shard: int, nshards: int, channel) -> None:
     try:
         channel.bind_worker()
         _worker_init(shard, nshards)
-        _STATE.bucket = (
-            "shm" if channel.data_plane == DATA_PLANE_SHM else "serialize"
-        )
         channel.send(("r", shard))
         parent_pid = os.getppid()
 
@@ -662,9 +594,7 @@ class _ShardCrew:
     that keeps per-node RNG streams and caches deterministic.
     """
 
-    def __init__(
-        self, network: SynchronousNetwork, nshards: int, data_plane: str
-    ) -> None:
+    def __init__(self, network: SynchronousNetwork, nshards: int) -> None:
         global _FORK_NETWORK
         ctx = multiprocessing.get_context("fork")
         # Flush any buffered tracer sinks: the children inherit open file
@@ -673,11 +603,8 @@ class _ShardCrew:
             fh = getattr(sink, "_fh", None)
             if fh is not None and not fh.closed:
                 fh.flush()
-        self.channels = make_channels(ctx, nshards, data_plane)
+        self.channels = [ShmChannel() for _ in range(nshards)]
         self.nshards = nshards
-        self.data_plane = (
-            self.channels[0].data_plane if self.channels else data_plane
-        )
         self.procs: List[multiprocessing.process.BaseProcess] = []
         _FORK_NETWORK = network
         try:
@@ -743,13 +670,24 @@ class _ShardCrew:
             channel.close()
 
 
+class _ShardTally:
+    """What the mirror knows of the shards' schedulers — the part of an
+    :class:`ActiveSet` the round kernel reads — summed from what the
+    workers report when a round ends."""
+
+    decided = 0
+    all_done = False
+
+
 class _Coordinator:
-    """Runs the round loop against a shard crew.
+    """The sharded back-end: hooks run in the crew's workers, messages
+    move as one plan frame written into every shard's ring.
 
     The coordinator's own ``SynchronousNetwork`` acts as the *mirror*:
     its enclaves' liveness is kept in lockstep with the shards (worker
-    hooks never run here), so plan building, halt checks and the final
-    ``RunResult`` read the same state the serial engine would.
+    hooks never run here), so the kernel's handles, halt check and round
+    close, and the final ``RunResult``, read the same state the serial
+    engine would.
     """
 
     def __init__(self, network: SynchronousNetwork, crew: _ShardCrew) -> None:
@@ -757,20 +695,17 @@ class _Coordinator:
         self.crew = crew
         self.traced = network.tracer.enabled
         self.tm = network._timing
-        self.chan_bucket = (
-            "shm" if crew.data_plane == DATA_PLANE_SHM else "serialize"
-        )
+        self.wave_wall = 0.0
+        self.tally = network._active = _ShardTally()
+        self.result: Optional[RunResult] = None
         # Setup ran in the main process before the fork, so the round-1
-        # emissions are staged here, not in any worker.
-        intents = network._outbox_next
-        network._outbox_next = []
-        tmb: Optional[dict] = {} if self.tm is not None else None
-        self.pending: List[_PackedIntent] = [
-            _pack_intent(intent, 1, network, tmb) for intent in intents
-        ]
-        if tmb:
-            for bucket, seconds in tmb.items():
-                self.tm.add(bucket, seconds)
+        # emissions are staged here, not in any worker: size them here.
+        t0 = perf_counter() if self.tm is not None else 0.0
+        for intent in network._outbox_next:
+            if intent.targets:
+                intent.size = network.transport.message_size(intent.message)
+        if self.tm is not None:
+            self.tm.add("serialize", perf_counter() - t0)
 
     # -- helpers -------------------------------------------------------
 
@@ -779,7 +714,7 @@ class _Coordinator:
             self.net._halt_node(node_id, rnd)
 
     def _absorb_timing(self, shard: int, w_timing: tuple) -> None:
-        """Fold one worker phase's ``(busy_seconds, buckets)`` into the
+        """Fold one worker handler's ``(busy_seconds, buckets)`` into the
         round's per-shard totals."""
         busy, buckets = w_timing
         self.shard_busy[shard] += busy
@@ -795,60 +730,43 @@ class _Coordinator:
             for event in events:
                 emit(event)
 
-    def _wave(self, blob: bytes, sink: List[tuple]):
-        """One streamed phase: broadcast a command frame, then drain the
-        shard channels until every shard's ``done`` frame has landed.
+    def _merge(self, staged: List[tuple]) -> List[_SendIntent]:
+        """Streamed intent chunks back in exact serial emission order
+        (every record is keyed), as the intents the kernel transmits."""
+        neighbours = self.net.neighbour_tuple
+        staged.sort(key=lambda kv: kv[0])
+        return [
+            _SendIntent(
+                sender, neighbours(sender) if targets is None else targets,
+                message, digest, expect_acks, threshold, size,
+            )
+            for _key, (sender, targets, message, size, digest, expect_acks,
+                       threshold) in staged
+        ]
+
+    def _wave(self, blob: bytes, sink: List[tuple]) -> List[tuple]:
+        """One streamed exchange: broadcast a command frame, then drain
+        the shard channels until every shard's ``done`` frame has landed;
+        returns the ``done`` payloads in shard order.
 
         Streamed ``"s"`` chunks splice into ``sink`` the moment they
         arrive — the incremental merge that replaces v1's
-        wait-then-merge barrier.  Returns ``(done_payloads, wall)`` with
-        payloads in shard order.
+        wait-then-merge barrier.
 
         Timed runs split the wave wall four ways: channel time (send +
-        frame decode) into the data plane's bucket, splice time into
-        ``merge``, and the *blocked* residual into ``overlap`` up to the
-        busiest shard's in-phase busy time (that much of the wait bought
-        parallel compute) with only the remainder — true coordination
-        latency — charged to ``barrier``.
+        frame decode) into ``shm``, splice time into ``merge``, and the
+        *blocked* residual into ``overlap`` up to the busiest shard's
+        in-handler busy time (that much of the wait bought parallel
+        compute) with only the remainder — true coordination latency —
+        charged to ``barrier``.
         """
         channels = self.crew.channels
-        nshards = len(channels)
-        done: List[Optional[tuple]] = [None] * nshards
-        remaining = nshards
+        done: List[Optional[tuple]] = [None] * len(channels)
+        remaining = len(channels)
         tm = self.tm
-        if tm is None:
-            self.crew.broadcast_frame(blob)
-            step = 0
-            while remaining:
-                progress = False
-                for shard, channel in enumerate(channels):
-                    if done[shard] is not None:
-                        continue
-                    while True:
-                        msg = channel.try_recv()
-                        if msg is _NOTHING:
-                            break
-                        progress = True
-                        tag = msg[0]
-                        if tag == "s":
-                            sink.extend(msg[1])
-                        elif tag == "d":
-                            done[shard] = msg[1]
-                            remaining -= 1
-                            break
-                        else:
-                            self.crew.raise_worker_error(shard, msg)
-                if progress:
-                    step = 0
-                else:
-                    if step and step % 2048 == 0:
-                        self.crew.check_alive()
-                    _wait_spin(step)
-                    step += 1
-            return done, 0.0
-        t_wave = perf_counter()
+        t_wave = perf_counter() if tm is not None else 0.0
         self.crew.broadcast_frame(blob)
-        chan_s = perf_counter() - t_wave
+        chan_s = perf_counter() - t_wave if tm is not None else 0.0
         merge_s = 0.0
         step = 0
         while remaining:
@@ -857,17 +775,19 @@ class _Coordinator:
                 if done[shard] is not None:
                     continue
                 while True:
-                    t0 = perf_counter()
+                    t0 = perf_counter() if tm is not None else 0.0
                     msg = channel.try_recv()
                     if msg is _NOTHING:
                         break  # empty-poll cost stays in the blocked wall
-                    t1 = perf_counter()
-                    chan_s += t1 - t0
+                    if tm is not None:
+                        t1 = perf_counter()
+                        chan_s += t1 - t0
                     progress = True
                     tag = msg[0]
                     if tag == "s":
                         sink.extend(msg[1])
-                        merge_s += perf_counter() - t1
+                        if tm is not None:
+                            merge_s += perf_counter() - t1
                     elif tag == "d":
                         done[shard] = msg[1]
                         remaining -= 1
@@ -881,114 +801,173 @@ class _Coordinator:
                     self.crew.check_alive()
                 _wait_spin(step)
                 step += 1
-        wall = perf_counter() - t_wave
-        busy_max = 0.0
-        for payload in done:
-            w_timing = payload[-1]
-            if w_timing is not None and w_timing[0] > busy_max:
-                busy_max = w_timing[0]
-        blocked = max(0.0, wall - chan_s - merge_s)
-        overlap = min(blocked, busy_max)
-        tm.add(self.chan_bucket, chan_s)
-        tm.add("merge", merge_s)
-        tm.add("overlap", overlap)
-        tm.add("barrier", blocked - overlap)
-        return done, wall
-
-    # -- the round loop ------------------------------------------------
-
-    def run(self, max_rounds: int) -> RunResult:
-        net = self.net
-        for rnd in range(1, max_rounds + 1):
-            net.current_round = rnd
-            if self._round(rnd):
-                break
-        return self._finish()
-
-    def _round(self, rnd: int) -> bool:
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        tracer = net.tracer
-        traced = self.traced
-        tm = self.tm
-        nshards = len(self.crew.channels)
         if tm is not None:
-            tm.start_round(rnd)
+            wall = perf_counter() - t_wave
+            self.wave_wall += wall
+            busy_max = 0.0
+            for payload in done:
+                w_timing = payload[-1]
+                if w_timing is not None and w_timing[0] > busy_max:
+                    busy_max = w_timing[0]
+            blocked = max(0.0, wall - chan_s - merge_s)
+            overlap = min(blocked, busy_max)
+            tm.add("shm", chan_s)
+            tm.add("merge", merge_s)
+            tm.add("overlap", overlap)
+            tm.add("barrier", blocked - overlap)
+        return done
+
+    # -- where hooks run: in the workers --------------------------------
+
+    def run_hooks(
+        self, hook: str, rnd: int, halted_now=(), seconds: float = 0.0
+    ) -> None:
+        if hook == "on_round_begin":
+            self._begin_hooks(rnd)
+        elif hook == "on_round_end":
+            self._end_hooks(rnd, halted_now, seconds)
+        else:
+            self._finish_hooks()
+
+    def _begin_hooks(self, rnd: int) -> None:
+        """What on_round_begin emits joins the carried-over intents in
+        the mirror's outbox, after them — exactly as the serial outbox
+        orders them."""
+        net = self.net
+        tm = self.tm
+        if tm is not None:
             # Coordinator buckets cover the coordinator's own wall only;
-            # the workers' in-phase breakdowns accumulate here and
+            # the workers' in-handler breakdowns accumulate here and
             # attach per shard (busy + idle) when the round closes.
+            nshards = len(self.crew.channels)
             self.shard_busy = [0.0] * nshards
             self.shard_buckets: List[dict] = [{} for _ in range(nshards)]
-            wave_wall = 0.0
-        before = (traffic.omissions, traffic.rejections)
-        net._pending_handles.clear()
-        net._ack_size_cache.clear()
-
-        # Phase 1: round begin.  Carried-over intents (staged during the
-        # previous round's deliver/end hooks, already packed) precede the
-        # ones on_round_begin emits now, exactly as the serial outbox
-        # swap orders them.
-        outbox = self.pending
-        self.pending = []
-        if traced:
-            tracer.phase(rnd, "begin", count=len(outbox))
-        begin_staged: List[tuple] = []
-        responses, wall = self._wave(
-            pickle.dumps(("b", rnd), _PKL), begin_staged
-        )
-        if tm is not None:
-            wave_wall += wall
-            t0 = perf_counter()
-        begin_events: List[tuple] = []
+            self.wave_wall = 0.0
+        staged: List[tuple] = []
+        responses = self._wave(pickle.dumps(("b", rnd), _PKL), staged)
+        t0 = perf_counter() if tm is not None else 0.0
+        events: List[tuple] = []
         sched_counters = net.sched_counters
         for shard, (halted, batches, w_counts, w_timing) in \
                 enumerate(responses):
             self._apply_halts(halted, rnd)
-            begin_events.extend(batches)
+            events.extend(batches)
             sched_counters["begin_visited"] += w_counts[0]
             sched_counters["begin_skipped"] += w_counts[1]
             if w_timing is not None:
                 self._absorb_timing(shard, w_timing)
-        if traced:
-            self._emit_batches(begin_events)
-        begin_staged.sort(key=lambda kv: kv[0])
-        outbox.extend(record for _key, record in begin_staged)
+        if self.traced:
+            self._emit_batches(events)
+        net._outbox_now.extend(self._merge(staged))
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
 
-        # Phase 2: transmit.  All accounting happens here on the
-        # coordinator's ledger, replaying the serial transmit loop over
-        # the merged outbox; sizes and digests were computed in the
-        # workers (or in _pack_intent for round-1 setup intents).
-        if traced:
-            tracer.phase(rnd, "transmit", count=len(outbox))
+    def _end_hooks(self, rnd: int, halted_now: List[int], seconds: float) -> None:
+        """Divergence halts and the round's duration ship down so every
+        replica observes the same liveness and clock."""
+        net = self.net
+        tm = self.tm
+        staged: List[tuple] = []
+        events: List[tuple] = []
+        decided = 0
+        all_done = True
+        responses = self._wave(
+            pickle.dumps(("e", rnd, halted_now, seconds), _PKL), staged
+        )
         t0 = perf_counter() if tm is not None else 0.0
+        sched_counters = net.sched_counters
+        for shard, (halted, batches, w_decided, w_done, w_counts,
+                    w_timing) in enumerate(responses):
+            self._apply_halts(halted, rnd)
+            events.extend(batches)
+            decided += w_decided
+            all_done = all_done and w_done
+            sched_counters["end_visited"] += w_counts[0]
+            sched_counters["end_skipped"] += w_counts[1]
+            if w_timing is not None:
+                self._absorb_timing(shard, w_timing)
+        if self.traced:
+            self._emit_batches(events)
+        net._outbox_next.extend(self._merge(staged))
+        self.tally.decided = decided
+        self.tally.all_done = all_done
+        if tm is not None:
+            tm.add("merge", perf_counter() - t0)
+            for shard, busy in enumerate(self.shard_busy):
+                tm.record_shard(
+                    shard, busy, max(0.0, self.wave_wall - busy),
+                    self.shard_buckets[shard],
+                )
+
+    def _finish_hooks(self) -> None:
+        """on_protocol_end in the workers, then their terminal per-node
+        state folded into the mirror and the run's result."""
+        net = self.net
+        batches: List[tuple] = []
+        final: Dict[int, tuple] = {}
+        # No round is open any more, so the wave's buckets land at run
+        # level: the finish handoff is engine overhead, like the fork.
+        responses = self._wave(pickle.dumps(("f",), _PKL), [])
+        for w_batches, w_final, w_profile, _w_timing in responses:
+            batches.extend(w_batches)
+            for record in w_final:
+                final[record[0]] = record
+            if w_profile is not None and PROFILER.enabled \
+                    and PROFILER.registry is not None:
+                PROFILER.registry.merge_dump(w_profile)
+        if self.traced:
+            self._emit_batches(batches)
+        outputs: Dict[int, object] = {}
+        decided: Dict[int, Optional[int]] = {}
+        halted: List[int] = []
+        for node_id in sorted(final):
+            (_nid, alive, halted_round, has_output, output, decided_round,
+             rdrand) = final[node_id]
+            enclave = net.nodes[node_id].enclave
+            # Re-sync the mirror's per-node RNG stream so a follow-up
+            # instance on this network (replace_programs) continues the
+            # exact stream a serial run would.
+            enclave.rdrand = rdrand
+            if not alive:
+                net._halt_node(node_id, halted_round)  # on_protocol_end halts
+                halted.append(node_id)
+            if has_output:
+                outputs[node_id] = output
+                decided[node_id] = decided_round
+        self.result = RunResult(
+            outputs=outputs,
+            halted=halted,
+            stats=net.stats,
+            decided_rounds=decided,
+        )
+
+    # -- how messages move: one plan frame over the rings ---------------
+
+    def transmit(self, rnd: int, intents: List[_SendIntent]) -> int:
+        """All accounting happens here on the coordinator's ledger, with
+        the serial envelope back-end's own charging; sizes and digests
+        were computed where the intents were staged.  No channel
+        seal/open — on MODELED/NONE those only bump internal counters
+        nothing on the eligible domain observes."""
+        net = self.net
+        tm = self.tm
+        t0 = perf_counter() if tm is not None else 0.0
+        cached = net._neighbour_cache
         plan: List[tuple] = []
         per_sender: Dict[int, List[tuple]] = {}
         logical_count = 0
-        for record in outbox:
-            sender, targets, message, size, digest, expect_acks, threshold \
-                = record
-            if not nodes[sender].alive:
-                continue
-            resolved = (
-                net.neighbour_tuple(sender) if targets is None else targets
+        for intent in intents:
+            sender, targets, message = intent.sender, intent.targets, intent.message
+            logical_count += len(targets)
+            # A mesh multicast ships a sentinel instead of n-1 node ids.
+            raw = None if targets is cached.get(sender) else targets
+            plan.append(
+                (sender, raw, targets, message, intent.size, intent.digest)
             )
-            net._track_multicast(
-                rnd, sender, digest, expect_acks, threshold, len(resolved)
+            per_sender.setdefault(sender, []).append(
+                (targets, message, intent.size)
             )
-            if not resolved:
-                continue
-            logical_count += len(resolved)
-            plan.append((sender, targets, resolved, message, size, digest))
-            per_sender.setdefault(sender, []).append((resolved, message, size))
-            net._charge_multicast(rnd, sender, resolved, message, size)
-
-        # Physical ledger: one envelope per (sender, receiver) link, the
-        # serial path's coalescing.  No channel seal/open here — on
-        # MODELED/NONE those only bump internal counters nothing on the
-        # eligible domain observes.
+            net._charge_multicast(rnd, sender, targets, message, intent.size)
         for sender, entries in per_sender.items():
             for receivers, members, env_size in net._coalesce_links(entries):
                 net._charge_envelopes(
@@ -996,12 +975,18 @@ class _Coordinator:
                 )
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
+        self.plan = plan
+        return logical_count
 
-        # Phase 3: deliver.  The plan is pickled once and the same frame
-        # written into every shard's ring; the workers dispatch, the
-        # coordinator accounts.
-        if traced:
-            tracer.phase(rnd, "deliver", count=logical_count)
+    def deliver(self, rnd: int) -> int:
+        """The plan is pickled once and the same frame written into every
+        shard's ring; the workers dispatch, the coordinator accounts."""
+        net = self.net
+        traffic = net.stats.traffic
+        tracer = net.tracer
+        traced = self.traced
+        tm = self.tm
+        plan = self.plan
         t0 = perf_counter() if tm is not None else 0.0
         blob = pickle.dumps(
             ("v", rnd, [(s, raw, m, d) for s, raw, _res, m, _sz, d in plan]),
@@ -1009,17 +994,15 @@ class _Coordinator:
         )
         if tm is not None:
             tm.add("serialize", perf_counter() - t0)
-        deliver_staged: List[tuple] = []
+        staged: List[tuple] = []
         omitted: List[tuple] = []
         raw_acks: List[tuple] = []
         link_counts: Dict[tuple, int] = {}
         credits: Dict[tuple, int] = {}
         ack_total = 0
         deliver_events: Dict[tuple, list] = {}
-        responses, wall = self._wave(blob, deliver_staged)
-        if tm is not None:
-            wave_wall += wall
-            t0 = perf_counter()
+        responses = self._wave(blob, staged)
+        t0 = perf_counter() if tm is not None else 0.0
         for shard, response in enumerate(responses):
             (halted, w_omitted, w_links, w_credits, w_total, w_raw,
              batches, w_timing) = response
@@ -1061,117 +1044,32 @@ class _Coordinator:
                             action="omit_dead",
                             mtype=mtype,
                         ))
+            raw_acks.sort(key=lambda kv: kv[0])
+        net._outbox_next.extend(self._merge(staged))
         if tm is not None:
             tm.add("merge", perf_counter() - t0)
+        # Traced: the raw, keyed wave.  Untraced: the workers
+        # pre-aggregated it.
+        self.acks = (
+            [ack for _key, ack in raw_acks], link_counts, credits, ack_total
+        )
+        return len(raw_acks)
 
-        # Phase 4: ack wave.
+    def ack_wave(self, rnd: int) -> None:
+        net = self.net
+        tm = self.tm
+        queue, link_counts, credits, ack_total = self.acks
         t0 = perf_counter() if tm is not None else 0.0
-        if traced:
-            raw_acks.sort(key=lambda kv: kv[0])
-            queue = [ack for _key, ack in raw_acks]
-            tracer.phase(rnd, "ack_wave", count=len(queue))
-            if queue:
-                net._ack_wave_envelope(queue, rnd)
+        if queue:
+            net._ack_wave_envelope(queue, rnd)
         elif ack_total or credits:
-            # Untraced: the workers pre-aggregated the wave.
+            # The mirror carries no link state to seal through.
             net._settle_ack_wave(
                 rnd, net._ack_wire_size(rnd), link_counts, credits,
                 ack_total, seal=False,
             )
         if tm is not None:
             tm.add("ack_wave", perf_counter() - t0)
-
-        # Phases 5 and 6: the halt check runs on the mirror, the end
-        # hooks in the workers, the round's close on the mirror again.
-        halted_now = net._phase_halt_check(rnd)
-        live, seconds = net._open_phase_end(rnd)
-        end_staged: List[tuple] = []
-        end_events: List[tuple] = []
-        decided = 0
-        all_done = True
-        responses, wall = self._wave(
-            pickle.dumps(("e", rnd, halted_now, seconds), _PKL), end_staged
-        )
-        if tm is not None:
-            wave_wall += wall
-            t0 = perf_counter()
-        for shard, (halted, batches, w_decided, w_done, w_counts,
-                    w_timing) in enumerate(responses):
-            self._apply_halts(halted, rnd)
-            end_events.extend(batches)
-            decided += w_decided
-            all_done = all_done and w_done
-            sched_counters["end_visited"] += w_counts[0]
-            sched_counters["end_skipped"] += w_counts[1]
-            if w_timing is not None:
-                self._absorb_timing(shard, w_timing)
-        if traced:
-            self._emit_batches(end_events)
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
-        # Halts and liveness are mirrored into the coordinator, so the
-        # per-round observation hook sees the same network view the
-        # serial engine hands it.
-        net._close_round(
-            rnd, seconds, halted_now, live, decided, before,
-            engine_note=f" [parallel x{nshards} {self.crew.data_plane}]",
-        )
-        t0 = perf_counter() if tm is not None else 0.0
-        deliver_staged.sort(key=lambda kv: kv[0])
-        end_staged.sort(key=lambda kv: kv[0])
-        self.pending = [record for _key, record in deliver_staged]
-        self.pending.extend(record for _key, record in end_staged)
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
-            for shard, busy in enumerate(self.shard_busy):
-                tm.record_shard(
-                    shard, busy, max(0.0, wave_wall - busy),
-                    self.shard_buckets[shard],
-                )
-            net._finish_round_timing(tm, rnd)
-        return all_done
-
-    # -- protocol end --------------------------------------------------
-
-    def _finish(self) -> RunResult:
-        net = self.net
-        batches: List[tuple] = []
-        final: Dict[int, tuple] = {}
-        # No round is open any more, so the wave's buckets land at run
-        # level: the finish handoff is engine overhead, like the fork.
-        responses, _wall = self._wave(pickle.dumps(("f",), _PKL), [])
-        for w_batches, w_final, w_profile, _w_timing in responses:
-            batches.extend(w_batches)
-            for record in w_final:
-                final[record[0]] = record
-            if w_profile is not None and PROFILER.enabled \
-                    and PROFILER.registry is not None:
-                PROFILER.registry.merge_dump(w_profile)
-        if self.traced:
-            self._emit_batches(batches)
-        outputs: Dict[int, object] = {}
-        decided: Dict[int, Optional[int]] = {}
-        halted: List[int] = []
-        for node_id in sorted(final):
-            (_nid, alive, halted_round, has_output, output, decided_round,
-             rdrand) = final[node_id]
-            enclave = net.nodes[node_id].enclave
-            # Re-sync the mirror's per-node RNG stream so a follow-up
-            # instance on this network (replace_programs) continues the
-            # exact stream a serial run would.
-            enclave.rdrand = rdrand
-            if not alive:
-                net._halt_node(node_id, halted_round)  # on_protocol_end halts
-                halted.append(node_id)
-            if has_output:
-                outputs[node_id] = output
-                decided[node_id] = decided_round
-        return RunResult(
-            outputs=outputs,
-            halted=halted,
-            stats=net.stats,
-            decided_rounds=decided,
-        )
 
 
 def run_parallel(
@@ -1189,7 +1087,6 @@ def run_parallel(
             "platform); running serial"
         )
         return None  # pragma: no cover
-    data_plane = resolve_data_plane(network.config.extra)
     nshards = min(network.config.workers, network.config.n)
     tm = network._timing
     t0 = perf_counter() if tm is not None else 0.0
@@ -1197,13 +1094,11 @@ def run_parallel(
     # across runs: fork once, run many.  A reusable crew must match this
     # run's shape and come with a recycle payload prepared by the
     # session's begin_session_run — anything else reforks from scratch.
-    persistent = getattr(network, "_session_persistent", False)
-    crew = getattr(network, "_session_crew", None)
-    reset = network.__dict__.pop("_session_worker_reset", None)
+    crew = network._session_crew
+    reset, network._session_worker_reset = network._session_worker_reset, None
     if crew is not None and (
         reset is None
         or crew.nshards != nshards
-        or crew.data_plane != data_plane
         or not all(proc.is_alive() for proc in crew.procs)
     ):
         crew.shutdown()
@@ -1223,17 +1118,16 @@ def run_parallel(
             crew.await_ready()
     if crew is None:
         try:
-            crew = _ShardCrew(network, nshards, data_plane)
+            crew = _ShardCrew(network, nshards)
         except OSError as exc:  # pragma: no cover - fork/shm exhaustion
             _LOG.warning(
                 "parallel engine unavailable (%s); running serial", exc
             )
             return None
-        if persistent:
+        if network._session_persistent:
             network._session_crew = crew
-    # Recorded for stamps and tests: which carriage this run actually
-    # used ("shm" or "pickle").
-    network.parallel_data_plane = crew.data_plane
+    # Recorded for stamps and tests: the run reached the sharded engine.
+    network.parallel_data_plane = DATA_PLANE_SHM
     if tm is not None:
         # Forking P replicas is the dominant fixed cost of a parallel
         # run; charge it to the run-level barrier bucket so short runs
@@ -1242,14 +1136,17 @@ def run_parallel(
         # dumps show exactly what the session saved.
         tm.add("barrier", perf_counter() - t0)
     try:
-        return _Coordinator(network, crew).run(max_rounds)
+        coordinator = _Coordinator(network, crew)
+        for _wave in network._rounds(max_rounds, coordinator):
+            pass  # every wave is awaited inside the coordinator's calls
+        return coordinator.result
     finally:
         # Joining the workers is the tail half of the engine's fixed
         # cost; like the fork it lands in the run-level barrier bucket.
         # A session-owned crew stays warm for the next run; the session's
         # close() joins it instead.
         t0 = perf_counter() if tm is not None else 0.0
-        if getattr(network, "_session_crew", None) is not crew:
+        if network._session_crew is not crew:
             crew.shutdown()
         if tm is not None:
             tm.add("barrier", perf_counter() - t0)

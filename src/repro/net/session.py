@@ -127,7 +127,7 @@ class EngineSession:
         correctness requirement.
         """
         net = self.network
-        if getattr(net, "_session_crew", None) is None:
+        if net._session_crew is None:
             return
         net._session_worker_reset = (
             net.config.seed,
@@ -144,11 +144,10 @@ class EngineSession:
             return
         self._closed = True
         net = self.network
-        crew = getattr(net, "_session_crew", None)
-        if crew is not None:
-            crew.shutdown()
+        if net._session_crew is not None:
+            net._session_crew.shutdown()
             net._session_crew = None
-        net.__dict__.pop("_session_worker_reset", None)
+        net._session_worker_reset = None
 
     def __enter__(self) -> "EngineSession":
         return self

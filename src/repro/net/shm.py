@@ -1,12 +1,7 @@
 """Shared-memory data plane for the sharded round engine.
 
-The v1 coordinator↔worker protocol shipped every staged intent, ACK
-aggregate and timing payload through ``ProcessPoolExecutor`` — each
-barrier paid two pickled pipe crossings per shard plus the executor's
-queue-management threads, which the phase observatory measured at ~96%
-of parallel wall clock.  This module replaces the carriage (not the
-payloads: frames still hold pickles of the exact v1 tuples) with
-single-producer / single-consumer ring buffers over
+Coordinator↔worker frames (pickles of keyed tuples) travel over
+single-producer / single-consumer ring buffers on
 :mod:`multiprocessing.shared_memory`:
 
 * :class:`ShmRing` — one direction of one coordinator↔worker channel.
@@ -18,12 +13,9 @@ single-producer / single-consumer ring buffers over
   as zero-copy ``memoryview`` slices of the ring (``pickle.loads``
   accepts them directly).
 
-* :class:`ShmChannel` / :class:`PipeChannel` — the two interchangeable
-  data planes (``data_plane`` = ``"shm"`` / ``"pickle"``).  Both expose
-  ``send`` / ``send_frame`` / ``try_recv`` / ``recv``; the pickle
-  fallback (a :func:`multiprocessing.Pipe` pair) engages when POSIX
-  shared memory is unavailable or when the run forces it via
-  ``extra["parallel_data_plane"]``.
+* :class:`ShmChannel` — a ring each way, with ``send`` / ``send_frame``
+  / ``try_recv`` / ``recv``.  It is the only carriage: a host where
+  :func:`shared_memory_available` is false runs the serial engine.
 
 Publication protocol: the writer copies the header and payload into the
 data region first and only then stores the new write cursor; the reader
@@ -51,17 +43,15 @@ import os
 import pickle
 import struct
 import time
-from multiprocessing.connection import Connection
-from typing import List, Optional
+from typing import Optional
 
 try:  # pragma: no cover - import guard exercised via _probe()
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - ancient / stripped pythons
     _shared_memory = None
 
-#: Data-plane identifiers (machine stamps, bench entries, warnings).
+#: Data-plane identifier (machine stamps, bench entries).
 DATA_PLANE_SHM = "shm"
-DATA_PLANE_PICKLE = "pickle"
 
 _HEADER = struct.Struct("<I")
 _WRAP_MARKER = 0xFFFFFFFF
@@ -322,8 +312,6 @@ class ShmChannel:
     and ``recv`` pick the right directions.
     """
 
-    data_plane = DATA_PLANE_SHM
-
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._down = ShmRing(capacity=capacity, create=True)  # coord -> worker
         self._up = ShmRing(capacity=capacity, create=True)    # worker -> coord
@@ -366,64 +354,6 @@ class ShmChannel:
             _wait_spin(step)
             step += 1
 
-    def poll(self) -> bool:
-        ring = self._down if self._is_worker else self._up
-        return ring._load(_WRITE_CURSOR) != ring._load(_READ_CURSOR)
-
     def close(self) -> None:
         self._down.close()
         self._up.close()
-
-
-class PipeChannel:
-    """The pickle fallback: one :func:`multiprocessing.Pipe` pair per
-    direction-agnostic duplex channel.  Same verbs as :class:`ShmChannel`
-    so every byte of worker/coordinator logic is shared; only the frame
-    carriage differs."""
-
-    data_plane = DATA_PLANE_PICKLE
-
-    def __init__(self, ctx) -> None:
-        self._parent, self._child = ctx.Pipe(duplex=True)
-        self._conn: Connection = self._parent
-
-    def bind_worker(self) -> None:
-        self._conn = self._child
-        self._parent.close()
-
-    def send(self, obj) -> None:
-        self._conn.send_bytes(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-
-    def send_frame(self, frame) -> None:
-        self._conn.send_bytes(frame)
-
-    def try_recv(self):
-        if not self._conn.poll():
-            return _NOTHING
-        return pickle.loads(self._conn.recv_bytes())
-
-    def recv(self, alive_check=None):
-        step = 0
-        while True:
-            if self._conn.poll(0.05):
-                return pickle.loads(self._conn.recv_bytes())
-            if alive_check is not None:
-                alive_check()
-            step += 1
-
-    def poll(self) -> bool:
-        return self._conn.poll()
-
-    def close(self) -> None:
-        for conn in (self._parent, self._child):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-
-def make_channels(ctx, nshards: int, data_plane: str) -> List[object]:
-    """One channel per shard, of the requested plane."""
-    if data_plane == DATA_PLANE_SHM:
-        return [ShmChannel() for _ in range(nshards)]
-    return [PipeChannel(ctx) for _ in range(nshards)]

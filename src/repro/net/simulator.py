@@ -5,43 +5,18 @@ length ``2*delta`` (assumptions S2/S3).  Each peer is a :class:`Node`:
 an :class:`Enclave` running an :class:`EnclaveProgram` (trusted) plus an
 optional adversarial :class:`OSBehavior` (untrusted).
 
-Round anatomy (matching Algorithm 2's phases):
-
-1. **begin** — every live program's ``on_round_begin`` runs; multicasts
-   staged during the previous round (the paper's ``Wait(rnd) then
-   Multicast(...)``) are emitted now, stamped with the current round.
-2. **transmit** — each emission is written through the blinded channel,
-   then handed to the sender's OS behaviour, which may drop / delay /
-   inject; surviving wires are charged to the traffic statistics (they
-   crossed the network).
-3. **deliver** — each wire passes the receiver's OS behaviour, then the
-   channel ``read`` (integrity / program / freshness checks; failures
-   count as omissions per Theorem A.2), then the program's ``on_message``,
-   which may acknowledge (``ctx.acknowledge``) and stage next-round
-   multicasts.
-4. **ack wave** — acknowledgements flow back within the same round (a
-   round is one round *trip*); the engine credits them to the pending
-   multicast handles.
-5. **halt check** — any multicast that collected fewer than the ACK
-   threshold halts its sender's enclave (halt-on-divergence, P4).
-6. **end** — ``on_round_end`` runs for live programs; the round's wall
-   time is ``max(2*delta, round_bytes / bandwidth)`` under the shared-link
-   model, and the trusted clock advances by it.
-
-The engine stops once every live node's program has produced an output
-(early stopping) or the protocol's round bound is exhausted, after which
-``on_protocol_end`` lets undecided programs accept their default (⊥).
-
-Honest untraced runs take the *round-envelope* path
-(:meth:`SynchronousNetwork._run_round_envelope`): all messages sharing a
-``(sender, receiver, round)`` triple cross the link as one
-:class:`~repro.channel.peer_channel.Envelope` — one AEAD seal (FULL) or
-one counter-row pass (MODELED) per link instead of per message — while
-the *logical* traffic statistics, protocol outputs, halted sets and
-decided rounds stay byte-identical to the per-wire path.  Adversarial
-and traced-FULL runs fall back to per-wire processing (OS behaviours act
-on individual messages, before envelope assembly would happen), where
-the physical ledger still records one coalesced crossing per link.
+The round itself — Algorithm 2's begin, transmit, deliver, ack wave,
+halt check (P4) and end, then the early stop once every live node has an
+output, or ``on_protocol_end`` (⊥ for the undecided) at the round bound —
+is written once, in :meth:`RoundHost._rounds`.  An execution environment
+is a :class:`RoundBackend`: where hooks run and how messages move.  Two
+live here: :class:`_PerWireRounds` (one wire per message; OS behaviours
+filter each) and :class:`_EnvelopeRounds` (honest untraced-or-non-FULL
+runs: all messages sharing a ``(sender, receiver, round)`` triple cross
+as one :class:`~repro.channel.peer_channel.Envelope`, with logical
+traffic statistics, outputs, halted sets and decided rounds byte-identical
+to per-wire).  The sharded coordinator (:mod:`repro.net.parallel`) and
+the TCP daemon (:mod:`repro.net.wire`) are the other two.
 """
 
 from __future__ import annotations
@@ -50,7 +25,16 @@ import logging
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.adversary.behaviors import OSBehavior
 from repro.adversary.classification import ActionTrace, trace_from_wire_events
@@ -122,11 +106,19 @@ class MulticastHandle:
 
 @dataclass
 class _SendIntent:
+    """One staged ``Multicast(...)``, stamped for the round it transmits
+    in: ``message`` carries that round, ``digest`` is the ``H(val)`` its
+    ACKs will carry."""
+
     sender: NodeId
     targets: Tuple[NodeId, ...]
     message: ProtocolMessage
+    digest: bytes
     expect_acks: bool
     threshold: int
+    #: Wire bytes per target when whoever staged the intent already sized
+    #: it (the sharded engine's workers do); 0 otherwise.
+    size: int = 0
 
 
 def _multicast_key(message: ProtocolMessage) -> tuple:
@@ -162,20 +154,54 @@ def _ack_message(digest: bytes, rnd: Round) -> ProtocolMessage:
 _DIGEST_CACHE_LIMIT = 4096
 
 
+class RoundBackend(Protocol):
+    """What an execution environment implements, and nothing else: where
+    program hooks run and how messages move.  :meth:`RoundHost._rounds`
+    sequences the calls; between them it yields wherever a back-end whose
+    messages take time has to wait for its peers."""
+
+    def run_hooks(
+        self,
+        hook: str,
+        rnd: Round,
+        halted_now: Sequence[NodeId] = (),
+        seconds: float = 0.0,
+    ) -> None:
+        """Run ``on_round_begin`` / ``on_round_end`` for the nodes due in
+        round ``rnd`` — or ``on_protocol_end`` for all — wherever the
+        programs live, leaving what they stage in the host's outboxes and
+        their doneness in its ``_active``.  The round's divergence halts
+        and simulated duration come with ``on_round_end`` for replicas
+        that must mirror them."""
+
+    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
+        """Put the round's multicasts on their links; returns how many
+        messages that put in flight."""
+
+    def deliver(self, rnd: Round) -> int:
+        """Hand what arrived to ``on_message``; ACKs answer within the
+        same round trip.  Returns how many were queued."""
+
+    def ack_wave(self, rnd: Round) -> None:
+        """Settle the ACK wave through :meth:`RoundHost._credit_ack`."""
+
+
 class RoundHost:
-    """What :class:`EnclaveContext` stands on: the staging queues and the
-    ACK-digest cache of whatever drives the rounds — the simulator below,
+    """One lockstep round, written once (:meth:`_rounds`), plus what
+    :class:`EnclaveContext` stands on: the staging queues and the
+    ACK-digest cache of whatever hosts the programs — the simulator below,
     or one :class:`repro.net.wire.WireNode` over TCP.
 
-    A host also provides ``config``, ``current_round``, ``tracer``,
-    ``nodes`` (node id -> :class:`Node`), ``neighbour_tuple(node)``,
-    ``_queue_ack(acker, dest, original)`` and
+    A host also provides ``config``, ``tracer``, ``clock``, ``nodes``
+    (node id -> :class:`Node`), ``stats`` (a :class:`RunStats`),
+    ``neighbour_tuple(node)``, ``_queue_ack(acker, dest, original)`` and
     ``evict_departed_node(node)``; those depend on how it delivers.
     """
 
     config: SimulationConfig
 
     def _init_round_state(self) -> None:
+        self.current_round: Round = 0
         # Emission queues: _outbox_now transmits in the current round,
         # _outbox_next at the start of the next one (Wait semantics).
         self._outbox_now: List[_SendIntent] = []
@@ -185,7 +211,26 @@ class RoundHost:
         self._pending_handles: Dict[Tuple[NodeId, bytes], MulticastHandle] = {}
         # H(val) per multicast identity, for this host only.
         self._digest_cache: Dict[tuple, bytes] = {}
+        # The round scheduler over the hosted nodes, rebuilt by _setup.
+        self._active: Optional[ActiveSet] = None
+        #: Cumulative hook-visit accounting: node-rounds whose begin / end
+        #: hook the scheduler visited or skipped (see
+        #: :mod:`repro.net.activeset`).  Lives outside RunStats so the
+        #: equivalence suites can byte-compare results.
+        self.sched_counters: Dict[str, int] = {
+            "begin_visited": 0,
+            "begin_skipped": 0,
+            "end_visited": 0,
+            "end_skipped": 0,
+        }
+        # Observers a host may install: the phase-attributed wall-clock
+        # collector and the per-round observation hook.
+        self._timing = None
+        self._round_hook = None
 
+    # ------------------------------------------------------------------
+    # queueing API used by EnclaveContext
+    # ------------------------------------------------------------------
     def _queue_multicast(
         self,
         sender: NodeId,
@@ -198,40 +243,24 @@ class RoundHost:
             target_tuple = self.neighbour_tuple(sender)
         else:
             target_tuple = tuple(t for t in targets if t != sender)
-        intent = _SendIntent(
+        # Wait semantics: a call made during on_round_begin transmits this
+        # round, any other at the start of the next.  The round is known
+        # here, so this is the one place a multicast is stamped with it.
+        if self._in_round_begin:
+            outbox, rnd = self._outbox_now, self.current_round
+        else:
+            outbox, rnd = self._outbox_next, self.current_round + 1
+        message = message.with_round(rnd)
+        outbox.append(_SendIntent(
             sender=sender,
             targets=target_tuple,
             message=message,
+            digest=self._ack_digest(_multicast_key(message)),
             expect_acks=expect_acks,
             threshold=(
                 threshold if threshold is not None else self.config.ack_threshold
             ),
-        )
-        if self._in_round_begin:
-            self._outbox_now.append(intent)
-        else:
-            self._outbox_next.append(intent)
-
-    def _track_multicast(
-        self,
-        rnd: Round,
-        sender: NodeId,
-        digest: bytes,
-        expect_acks: bool,
-        threshold: int,
-        targets: int,
-    ) -> None:
-        """Open the handle the round's ACKs for this multicast credit and
-        the halt check (P4) reads; multicasts that expect none need none."""
-        if expect_acks:
-            self._pending_handles[(sender, digest)] = MulticastHandle(
-                sender=sender,
-                rnd=rnd,
-                key=digest,
-                expect_acks=True,
-                threshold=threshold,
-                targets=targets,
-            )
+        ))
 
     def _halt_node(self, node_id: NodeId, rnd: Optional[Round]) -> None:
         """Halt(st) for one hosted node — the enclave leaves the network
@@ -251,6 +280,271 @@ class RoundHost:
             digest = hash_bytes(encode(key), domain="ack")[:8]
             self._digest_cache[key] = digest
         return digest
+
+    # ------------------------------------------------------------------
+    # the round kernel
+    # ------------------------------------------------------------------
+    def _setup(self, owned: Optional[Iterable[NodeId]] = None) -> None:
+        """Open a run: ``on_setup`` for every live hosted node, then the
+        round scheduler over the nodes this process schedules — all of
+        them, unless it is a shard worker holding a replica."""
+        self.current_round = 0
+        tm = self._timing
+        t0 = perf_counter() if tm is not None else 0.0
+        for node in self.nodes.values():
+            if node.alive:
+                node.program.on_setup(node.context)
+        if tm is not None:
+            tm.add("handler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        self._active = ActiveSet(
+            self.nodes, self.nodes if owned is None else owned
+        )
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
+
+    def _rounds(self, max_rounds: int, backend: RoundBackend):
+        """The lockstep round of Algorithms 2 and 3 (P5) — begin, transmit,
+        deliver, ack wave, halt on divergence (P4), end — for at most
+        ``max_rounds`` rounds or until everyone is done, then
+        ``on_protocol_end``.  Call :meth:`_setup` first.
+
+        A generator: it yields the name of a wave — ``"eod"`` (the data is
+        out), ``"eoa"`` (the ACKs are out), ``"fin"`` (the round is
+        closed) — wherever a back-end whose messages take time must wait
+        for its peers before the next step.  A back-end that moves
+        messages inside its calls has nothing to wait for: its driver
+        exhausts the generator with a ``for`` loop.
+        """
+        nodes = self.nodes
+        tracer = self.tracer
+        traced = tracer.enabled
+        tm = self._timing
+        traffic = self.stats.traffic
+        handles = self._pending_handles
+        for rnd in range(1, max_rounds + 1):
+            self.current_round = rnd
+            if tm is not None:
+                tm.start_round(rnd)
+            before = (traffic.omissions, traffic.rejections)
+            handles.clear()
+            # Staged multicasts from last round move to the live queue
+            # first so their relative order is stable.
+            self._outbox_now, self._outbox_next = self._outbox_next, []
+            if traced:
+                tracer.phase(rnd, "begin", count=len(self._outbox_now))
+            self._in_round_begin = True
+            backend.run_hooks("on_round_begin", rnd)
+            self._in_round_begin = False
+
+            outbox, self._outbox_now = self._outbox_now, []
+            if traced:
+                tracer.phase(rnd, "transmit", count=len(outbox))
+            due: List[_SendIntent] = []
+            for intent in outbox:
+                if not nodes[intent.sender].alive:
+                    continue
+                if intent.expect_acks:
+                    # The handle this round's ACKs credit and the halt
+                    # check reads; it tracks the call even when there is
+                    # nothing to send (n == 1, or an empty target list).
+                    handles[(intent.sender, intent.digest)] = MulticastHandle(
+                        sender=intent.sender,
+                        rnd=rnd,
+                        key=intent.digest,
+                        expect_acks=True,
+                        threshold=intent.threshold,
+                        targets=len(intent.targets),
+                    )
+                if intent.targets:
+                    due.append(intent)
+            count = backend.transmit(rnd, due)
+            yield "eod"
+
+            if traced:
+                tracer.phase(rnd, "deliver", count=count)
+            count = backend.deliver(rnd)
+            yield "eoa"
+
+            # The ACK wave closes the same round trip.
+            if traced:
+                tracer.phase(rnd, "ack_wave", count=count)
+            backend.ack_wave(rnd)
+
+            halted_now = self._phase_halt_check(rnd)
+            live, seconds = self._open_phase_end(rnd)
+            backend.run_hooks("on_round_end", rnd, halted_now, seconds)
+            self._close_round(
+                rnd, seconds, halted_now, live, self._active.decided, before
+            )
+            if tm is not None:
+                self._finish_round_timing(tm, rnd)
+            yield "fin"
+            if self._everyone_done():
+                break
+        backend.run_hooks("on_protocol_end", self.current_round)
+
+    def run_hooks(
+        self,
+        hook: str,
+        rnd: Round,
+        halted_now: Sequence[NodeId] = (),
+        seconds: float = 0.0,
+    ) -> None:
+        """:meth:`RoundBackend.run_hooks` for programs hosted in this
+        process: visit the nodes the scheduler says are due, in node-id
+        order."""
+        nodes = self.nodes
+        active = self._active
+        counters = self.sched_counters
+        tm = self._timing
+        t0 = perf_counter() if tm is not None else 0.0
+        if hook == "on_round_begin":
+            visit = active.begin(rnd)
+            counters["begin_visited"] += len(visit)
+            counters["begin_skipped"] += len(active.owned) - len(visit)
+        elif hook == "on_round_end":
+            visit = active.end()
+            counters["end_visited"] += len(visit)
+            counters["end_skipped"] += len(active.owned) - len(visit)
+        else:
+            visit = active.owned
+        if tm is not None:
+            tm.add("scheduler", perf_counter() - t0)
+        t0 = perf_counter() if tm is not None else 0.0
+        for node_id in visit:
+            node = nodes[node_id]
+            if not node.alive:
+                continue
+            if hook == "on_round_begin":
+                node.program.on_round_begin(node.context)
+            elif hook == "on_round_end":
+                node.program.on_round_end(node.context)
+            else:
+                node.program.on_protocol_end(node.context)
+        if tm is not None:
+            tm.add("handler", perf_counter() - t0)
+        if hook == "on_round_end":
+            t0 = perf_counter() if tm is not None else 0.0
+            active.after_end(rnd, visit, halted_now)
+            if tm is not None:
+                tm.add("scheduler", perf_counter() - t0)
+
+    def _everyone_done(self) -> bool:
+        """Whether the run can stop early: every hosted node has decided
+        or halted (a host that is one of several also asks its peers)."""
+        return self._active.all_done
+
+    def _credit_ack(self, dest: NodeId, digest: bytes, count: int = 1) -> None:
+        """``count`` ACKs carrying ``digest`` reached ``dest``: credit the
+        multicast they acknowledge.  ACKs to a halted destination are
+        omissions; ACKs for unknown multicasts (replays, cross-round
+        strays) are ignored — exactly the 'treat as omitted' rule."""
+        if not self.nodes[dest].alive:
+            self.stats.traffic.record_omissions(count)
+            return
+        handle = self._pending_handles.get((dest, digest))
+        if handle is not None:
+            handle.acks += count
+
+    def _phase_halt_check(self, rnd: Round) -> List[NodeId]:
+        """Halt-on-divergence (P4): any multicast that collected fewer
+        ACKs than its threshold halts its sender's enclave."""
+        tracer = self.tracer
+        traced = tracer.enabled
+        if traced:
+            tracer.phase(rnd, "halt_check", count=len(self._pending_handles))
+        halted_now: List[NodeId] = []
+        for (sender, _key), handle in self._pending_handles.items():
+            if handle.halts_sender:
+                self._halt_node(sender, rnd)
+                if sender not in halted_now:
+                    halted_now.append(sender)
+                if traced:
+                    tracer.halt(rnd, sender, handle.acks, handle.threshold)
+                _PROTOCOL_LOG.info(
+                    "round %d: node %d halted on divergence (%d/%d acks)",
+                    rnd, sender, handle.acks, handle.threshold,
+                )
+        return halted_now
+
+    def _open_phase_end(self, rnd: Round) -> Tuple[int, float]:
+        """Open the round's end; returns what its close needs and the
+        hooks cannot change: the live-node count the round summary reports
+        (an O(N) scan, so only when someone looks: traced or DEBUG-logged
+        runs — 0 otherwise) and the round's simulated duration under the
+        shared-link bandwidth model, ``max(2*delta, bytes / bandwidth)``."""
+        tracer = self.tracer
+        live = 0
+        if tracer.enabled or _LOG.isEnabledFor(logging.DEBUG):
+            live = sum(1 for node in self.nodes.values() if node.alive)
+        if tracer.enabled:
+            tracer.phase(rnd, "end", count=live)
+        seconds = self.config.round_seconds
+        bandwidth = self.config.bandwidth_bytes_per_s
+        if bandwidth:
+            seconds = max(
+                seconds, self.stats.traffic.round_bytes(rnd) / bandwidth
+            )
+        return live, seconds
+
+    def _close_round(
+        self,
+        rnd: Round,
+        seconds: float,
+        halted_now: List[NodeId],
+        live: int,
+        decided: int,
+        before: Tuple[int, int],
+    ) -> None:
+        """Close the round once every end hook has run: advance the
+        trusted clock, record the round, summarise it (trace span, DEBUG
+        line) and call the observation hook."""
+        traffic = self.stats.traffic
+        tracer = self.tracer
+        round_bytes = traffic.round_bytes(rnd)
+        self.clock.advance(seconds)
+        self.stats.rounds.append(
+            RoundRecord(rnd=rnd, bytes=round_bytes, seconds=seconds)
+        )
+        debug = _LOG.isEnabledFor(logging.DEBUG)
+        if tracer.enabled or debug:
+            omissions = traffic.omissions - before[0]
+            rejections = traffic.rejections - before[1]
+            if tracer.enabled:
+                tracer.emit(
+                    RoundSpan(
+                        rnd=rnd,
+                        bytes=round_bytes,
+                        seconds=seconds,
+                        omissions=omissions,
+                        rejections=rejections,
+                        live=live,
+                        decided=decided,
+                        halted=halted_now,
+                    )
+                )
+            _LOG.debug(
+                "round %d: bytes=%d seconds=%.3f omissions=%d rejections=%d "
+                "live=%d decided=%d halted=%s",
+                rnd, round_bytes, seconds, omissions, rejections,
+                live, decided, halted_now,
+            )
+        if self._round_hook is not None:
+            self._round_hook(self, rnd, halted_now)
+
+    def _finish_round_timing(self, tm, rnd: Round) -> None:
+        """Close the round's timing record; when also traced, emit it as
+        a :class:`TimingEvent` so traces carry the breakdown inline."""
+        record = tm.end_round()
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(TimingEvent(
+                rnd=rnd,
+                wall=record["wall"],
+                buckets=dict(record["buckets"]),
+                shards=list(record["shards"]),
+            ))
 
 
 class EnclaveContext:
@@ -439,16 +733,14 @@ class SynchronousNetwork(RoundHost):
             self.transport = PlainTransport(enclaves)
 
         self.stats = RunStats()
-        self.current_round: Round = 0
         self._init_round_state()
         # A network outlives its protocol instances, so its digest memo is
         # bounded — see _ack_digest.  OrderedDict: the policy is LRU.
         self._digest_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
-        self._ack_queue: List[Tuple[NodeId, NodeId, ProtocolMessage]] = []
-        # Envelope-path ACK queue: (acker, dest, digest) triples — the
-        # digest is all an ACK carries, so the envelope path never builds
-        # per-ACK ProtocolMessage objects.
-        self._ack_queue_fast: List[Tuple[NodeId, NodeId, bytes]] = []
+        # This round's ACKs as (acker, dest, digest) triples — the digest
+        # is all an ACK carries; only the per-wire back-end ever builds
+        # ProtocolMessage objects from them.
+        self._ack_queue: List[Tuple[NodeId, NodeId, bytes]] = []
         # Multicast digest by message object identity, valid for one round
         # (entries are cleared at round start; the messages stay referenced
         # by the round's delivery plan, so ids cannot be reused mid-round).
@@ -468,6 +760,15 @@ class SynchronousNetwork(RoundHost):
             node_id for node_id, node in self.nodes.items()
             if node.behavior is not None
         ]
+        #: Which carriage the sharded engine used for the last run that
+        #: reached it ("shm"); None while every run has been serial.
+        self.parallel_data_plane: Optional[str] = None
+        # Engine-session state (repro.net.session): whether run_parallel
+        # keeps its forked crew for the next run, the crew it kept, and
+        # the recycle payload the session prepared for it.
+        self._session_persistent = False
+        self._session_crew = None
+        self._session_worker_reset: Optional[tuple] = None
         self._resolve_run_paths()
 
     def _resolve_run_paths(self) -> None:
@@ -535,25 +836,13 @@ class SynchronousNetwork(RoundHost):
             not envelope_disabled and not self._envelope_fast_path
         )
         # Per-round observation hook: ``extra["round_hook"]`` is called as
-        # ``hook(network, rnd, halted_now)`` at the very end of phase 6 on
-        # every engine path (per-wire, envelope, and the parallel
-        # coordinator).  The campaign runner uses it to collect liveness
-        # trails for invariant checking; the hook must treat the network
-        # as read-only.
+        # ``hook(network, rnd, halted_now)`` when a round closes, whatever
+        # back-end served it.  The campaign runner uses it to collect
+        # liveness trails for invariant checking; the hook must treat the
+        # network as read-only.
         self._round_hook = config.extra.get("round_hook")
         self._warned_parallel_fallback = False
-        #: Cumulative hook-visit accounting: node-rounds whose begin / end
-        #: hook the scheduler visited or skipped (see
-        #: :mod:`repro.net.activeset`).  Lives outside RunStats so the
-        #: equivalence suites can byte-compare results.
-        self.sched_counters: Dict[str, int] = {
-            "begin_visited": 0,
-            "begin_skipped": 0,
-            "end_visited": 0,
-            "end_skipped": 0,
-        }
-        # The round scheduler, rebuilt by _setup for every run.
-        self._active: Optional[ActiveSet] = None
+        self.sched_counters = dict.fromkeys(self.sched_counters, 0)
         # Envelope-path dispatch table, cached across rounds (halts are
         # read live off the enclave; only replace_programs invalidates).
         self._dispatch_cache: Optional[List[tuple]] = None
@@ -632,19 +921,13 @@ class SynchronousNetwork(RoundHost):
     def _queue_ack(
         self, acker: NodeId, dest: NodeId, original: ProtocolMessage
     ) -> None:
-        if self._envelope_fast_path:
-            # The envelope ACK wave works on digests alone; the digest of
-            # the delivered message object was cached during transmit
-            # (FULL delivers decoded copies, so it falls back to the
-            # keyed cache).
-            digest = self._ack_digest_by_id.get(id(original))
-            if digest is None:
-                digest = self._ack_digest(_multicast_key(original))
-            self._ack_queue_fast.append((acker, dest, digest))
-            return
-        digest = self._ack_digest(_multicast_key(original))
-        ack = _ack_message(digest, self.current_round)
-        self._ack_queue.append((acker, dest, ack))
+        # The envelope back-end caches the digest of each message object
+        # it transmits; FULL delivers decoded copies and the per-wire
+        # back-end caches nothing, so both fall back to the keyed memo.
+        digest = self._ack_digest_by_id.get(id(original))
+        if digest is None:
+            digest = self._ack_digest(_multicast_key(original))
+        self._ack_queue.append((acker, dest, digest))
 
     # ------------------------------------------------------------------
     # multi-instance support
@@ -682,7 +965,6 @@ class SynchronousNetwork(RoundHost):
         self._outbox_now.clear()
         self._outbox_next.clear()
         self._ack_queue.clear()
-        self._ack_queue_fast.clear()
         self._ack_digest_by_id.clear()
         self._future_wires.clear()
         self._pending_handles.clear()
@@ -791,13 +1073,9 @@ class SynchronousNetwork(RoundHost):
             envelope = self._envelope_fast_path
             if tm is not None:
                 tm.set_engine("envelope" if envelope else "serial")
-            run_round = self._run_round_envelope if envelope else self._run_round
-            for rnd in range(1, max_rounds + 1):
-                self.current_round = rnd
-                run_round(rnd)
-                if self._active.all_done:
-                    break
-            self._finish()
+            backend = _EnvelopeRounds(self) if envelope else _PerWireRounds(self)
+            for _wave in self._rounds(max_rounds, backend):
+                pass  # both move messages inside their calls
             return self._result()
         finally:
             if tm is not None:
@@ -830,9 +1108,9 @@ class SynchronousNetwork(RoundHost):
         round-envelope path (honest — so ROD/byzantine schedules that act
         on individual wires fall back automatically — homogeneous
         measurements, not explicitly disabled) and additionally requires
-        a non-FULL transport.  Fork / shared memory unavailability is
-        reported by :func:`run_parallel` itself, which can observe the
-        actual failure.
+        a non-FULL transport and usable shared memory for the rings.  A
+        failure to fork, or to create the rings after all, is reported by
+        :func:`run_parallel` itself, which can observe it.
         """
         if not self._honest:
             return "adversarial OS behaviours require per-wire processing"
@@ -845,43 +1123,14 @@ class SynchronousNetwork(RoundHost):
             )
         if not self._envelope_fast_path:
             return "envelope fast path disabled via config extra"
+        from repro.net import shm
+
+        if not shm.shared_memory_available():
+            return (
+                "no usable shared memory for the shard rings "
+                f"({shm.shared_memory_unavailable_reason()})"
+            )
         return None
-
-    def _setup(self) -> None:
-        self.current_round = 0
-        tm = self._timing
-        t0 = perf_counter() if tm is not None else 0.0
-        for node in self.nodes.values():
-            if node.alive:
-                node.program.on_setup(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
-        self._active = ActiveSet(self.nodes, self.nodes)
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
-
-    def _finish(self) -> None:
-        tm = self._timing
-        t0 = perf_counter() if tm is not None else 0.0
-        for node in self.nodes.values():
-            if node.alive:
-                node.program.on_protocol_end(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-
-    def _finish_round_timing(self, tm, rnd: Round) -> None:
-        """Close the round's timing record; when also traced, emit it as
-        a :class:`TimingEvent` so traces carry the breakdown inline."""
-        record = tm.end_round()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(TimingEvent(
-                rnd=rnd,
-                wall=record["wall"],
-                buckets=dict(record["buckets"]),
-                shards=list(record["shards"]),
-            ))
 
     def _result(self) -> RunResult:
         outputs: Dict[NodeId, object] = {}
@@ -899,310 +1148,6 @@ class SynchronousNetwork(RoundHost):
             stats=self.stats,
             decided_rounds=decided,
         )
-
-    # ------------------------------------------------------------------
-    def _phase_begin(self, rnd: Round) -> Tuple[int, int]:
-        """Phase 1: open the round and run ``on_round_begin`` for the
-        nodes due this round.  Returns the traffic ledger's (omissions,
-        rejections) at round start, for the round summary."""
-        nodes = self.nodes
-        traffic = self.stats.traffic
-        tracer = self.tracer
-        tm = self._timing
-        if tm is not None:
-            tm.start_round(rnd)
-        before = (traffic.omissions, traffic.rejections)
-        self._pending_handles.clear()
-        self._ack_size_cache.clear()
-        self._ack_digest_by_id.clear()
-        # Staged multicasts from last round move to the live queue first
-        # so their relative order is stable.
-        self._outbox_now, self._outbox_next = self._outbox_next, []
-        if tracer.enabled:
-            tracer.phase(rnd, "begin", count=len(self._outbox_now))
-        t0 = perf_counter() if tm is not None else 0.0
-        visit = self._active.begin(rnd)
-        counters = self.sched_counters
-        counters["begin_visited"] += len(visit)
-        counters["begin_skipped"] += self.config.n - len(visit)
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
-        self._in_round_begin = True
-        for node_id in visit:
-            node = nodes[node_id]
-            if node.alive:
-                node.program.on_round_begin(node.context)
-        self._in_round_begin = False
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        return before
-
-    def _run_round(self, rnd: Round) -> None:
-        """One round, one wire per message: the general path (adversarial,
-        traced-FULL and heterogeneous runs) and the reference the
-        envelope path is tested against."""
-        nodes = self.nodes
-        traffic = self.stats.traffic
-        transport = self.transport
-        tracer = self.tracer
-        traced = tracer.enabled
-        tm = self._timing
-        # With envelope accounting, per-wire sends are logical-only; the
-        # physical ledger gets one coalesced crossing per link below.
-        physical = not self._envelope_accounting
-        before = self._phase_begin(rnd)
-
-        # Phase 2: transmit.
-        if traced:
-            tracer.phase(rnd, "transmit", count=len(self._outbox_now))
-        digest_s = serialize_s = seal_s = 0.0
-        transmissions: List[WireMessage] = []
-        for intent in self._outbox_now:
-            sender_node = nodes[intent.sender]
-            if not sender_node.alive:
-                continue
-            message = intent.message.with_round(rnd)
-            t0 = perf_counter() if tm is not None else 0.0
-            digest = self._ack_digest(_multicast_key(message))
-            if tm is not None:
-                digest_s += perf_counter() - t0
-            self._track_multicast(
-                rnd, intent.sender, digest, intent.expect_acks,
-                intent.threshold, len(intent.targets),
-            )
-            if not intent.targets:
-                # Nothing to size or write (n == 1, or an explicitly empty
-                # target list); the handle above still tracks the call.
-                continue
-            t0 = perf_counter() if tm is not None else 0.0
-            size_hint = transport.message_size(message)
-            t1 = perf_counter() if tm is not None else 0.0
-            wires = transport.write_fanout(
-                intent.sender, intent.targets, message, size_hint
-            )
-            if tm is not None:
-                serialize_s += t1 - t0
-                seal_s += perf_counter() - t1
-            behavior = sender_node.behavior
-            if behavior is None:
-                for wire in wires:
-                    traffic.record_send(
-                        wire.mtype, wire.size, rnd, physical=physical
-                    )
-                if traced:
-                    tracer.wire_fanout(rnd, wires, "send", charged=True)
-                transmissions.extend(wires)
-            else:
-                for wire in wires:
-                    self._apply_send_filter(
-                        behavior, intent.sender, wire, rnd, transmissions
-                    )
-        self._outbox_now = []
-        if tm is not None:
-            tm.add("digest", digest_s)
-            tm.add("serialize", serialize_s)
-            tm.add("seal", seal_s)
-
-        # Injected (replayed / forged) wires and previously delayed wires
-        # (only OS behaviours produce either).
-        for behavior_id in self._behavior_nodes:
-            node = nodes[behavior_id]
-            behavior = node.behavior
-            if not node.alive:
-                continue
-            for delay, out in behavior.drain_injections(rnd):
-                if delay <= 0:
-                    traffic.record_send(
-                        out.mtype, out.size, rnd, physical=physical
-                    )
-                    if traced:
-                        tracer.wire(
-                            rnd, out, "replay", actor=node.node_id, charged=True
-                        )
-                    transmissions.append(out)
-                else:
-                    if traced:
-                        tracer.wire(rnd, out, "replay", actor=node.node_id)
-                    self._future_wires.setdefault(rnd + delay, []).append(out)
-        for out in self._future_wires.pop(rnd, ()):  # delayed arrivals
-            traffic.record_send(
-                out.mtype, out.size, rnd, physical=physical
-            )
-            if traced:
-                tracer.wire(rnd, out, "flush", charged=True)
-            transmissions.append(out)
-
-        if not physical and transmissions:
-            self._record_physical_links(transmissions, rnd, "transmit")
-
-        # Phase 3: deliver protocol messages.
-        if traced:
-            tracer.phase(rnd, "deliver", count=len(transmissions))
-        self._deliver(transmissions, rnd)
-
-        # Phase 4: ack wave (same round trip).  The ACK write loop is
-        # charged to ack_wave; the delivery call below attributes its own
-        # open / handler time internally.
-        if traced:
-            tracer.phase(rnd, "ack_wave", count=len(self._ack_queue))
-        ack_queue, self._ack_queue = self._ack_queue, []
-        t0 = perf_counter() if tm is not None else 0.0
-        ack_wires: List[WireMessage] = []
-        for acker, dest, ack in ack_queue:
-            acker_node = nodes[acker]
-            if not acker_node.alive:
-                continue
-            cache_key = (
-                ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload
-            )
-            size_hint = self._ack_size_cache.get(cache_key)
-            if size_hint is None:
-                size_hint = transport.message_size(ack)
-                self._ack_size_cache[cache_key] = size_hint
-            wire = transport.write(acker, dest, ack, size_hint)
-            behavior = acker_node.behavior
-            if behavior is None:
-                traffic.record_send(
-                    wire.mtype, wire.size, rnd, physical=physical
-                )
-                if traced:
-                    tracer.wire(rnd, wire, "send", charged=True)
-                ack_wires.append(wire)
-                continue
-            self._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
-        if not physical and ack_wires:
-            self._record_physical_links(ack_wires, rnd, "ack")
-        if tm is not None:
-            tm.add("ack_wave", perf_counter() - t0)
-        self._deliver(ack_wires, rnd)
-
-        self._phase_end(rnd, self._phase_halt_check(rnd), before)
-
-    def _phase_halt_check(self, rnd: Round) -> List[NodeId]:
-        """Phase 5: halt-on-divergence check (P4)."""
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
-            tracer.phase(rnd, "halt_check", count=len(self._pending_handles))
-        halted_now: List[NodeId] = []
-        for (sender, _key), handle in self._pending_handles.items():
-            if handle.halts_sender:
-                self._halt_node(sender, rnd)
-                if sender not in halted_now:
-                    halted_now.append(sender)
-                if traced:
-                    tracer.halt(rnd, sender, handle.acks, handle.threshold)
-                _PROTOCOL_LOG.info(
-                    "round %d: node %d halted on divergence (%d/%d acks)",
-                    rnd, sender, handle.acks, handle.threshold,
-                )
-        return halted_now
-
-    def _phase_end(
-        self, rnd: Round, halted_now: List[NodeId], before: Tuple[int, int]
-    ) -> None:
-        """Phase 6: round end hooks for the nodes due, then the round's
-        close (clock advance, round summary)."""
-        nodes = self.nodes
-        active = self._active
-        live, seconds = self._open_phase_end(rnd)
-        tm = self._timing
-        t0 = perf_counter() if tm is not None else 0.0
-        end_visit = active.end()
-        counters = self.sched_counters
-        counters["end_visited"] += len(end_visit)
-        counters["end_skipped"] += self.config.n - len(end_visit)
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
-        for node_id in end_visit:
-            node = nodes[node_id]
-            if node.alive:
-                node.program.on_round_end(node.context)
-        # Behaviours tick every round regardless of program activity
-        # (delay queues and injection schedules advance on rounds, not on
-        # deliveries); they never interact with program end hooks.
-        for behavior_id in self._behavior_nodes:
-            nodes[behavior_id].behavior.on_round_end(rnd)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
-        active.after_end(rnd, end_visit, halted_now)
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
-        self._close_round(
-            rnd, seconds, halted_now, live, active.decided, before
-        )
-        if tm is not None:
-            self._finish_round_timing(tm, rnd)
-
-    def _open_phase_end(self, rnd: Round) -> Tuple[int, float]:
-        """Open phase 6; returns what its close needs and the hooks cannot
-        change: the live-node count the round summary reports (an O(N)
-        scan, so only when someone looks: traced or DEBUG-logged runs —
-        0 otherwise) and the round's simulated duration under the
-        shared-link bandwidth model, ``max(2*delta, bytes / bandwidth)``."""
-        tracer = self.tracer
-        live = 0
-        if tracer.enabled or _LOG.isEnabledFor(logging.DEBUG):
-            live = sum(1 for node in self.nodes.values() if node.alive)
-        if tracer.enabled:
-            tracer.phase(rnd, "end", count=live)
-        seconds = self.config.round_seconds
-        bandwidth = self.config.bandwidth_bytes_per_s
-        if bandwidth:
-            seconds = max(
-                seconds, self.stats.traffic.round_bytes(rnd) / bandwidth
-            )
-        return live, seconds
-
-    def _close_round(
-        self,
-        rnd: Round,
-        seconds: float,
-        halted_now: List[NodeId],
-        live: int,
-        decided: int,
-        before: Tuple[int, int],
-        engine_note: str = "",
-    ) -> None:
-        """The tail of phase 6, once every end hook has run: advance the
-        trusted clock, record the round, summarise it (trace span, DEBUG
-        line) and call the observation hook.  ``live`` / ``decided`` are
-        node counts the caller already holds."""
-        traffic = self.stats.traffic
-        tracer = self.tracer
-        round_bytes = traffic.round_bytes(rnd)
-        self.clock.advance(seconds)
-        self.stats.rounds.append(
-            RoundRecord(rnd=rnd, bytes=round_bytes, seconds=seconds)
-        )
-        debug = _LOG.isEnabledFor(logging.DEBUG)
-        if tracer.enabled or debug:
-            omissions = traffic.omissions - before[0]
-            rejections = traffic.rejections - before[1]
-            if tracer.enabled:
-                tracer.emit(
-                    RoundSpan(
-                        rnd=rnd,
-                        bytes=round_bytes,
-                        seconds=seconds,
-                        omissions=omissions,
-                        rejections=rejections,
-                        live=live,
-                        decided=decided,
-                        halted=halted_now,
-                    )
-                )
-            _LOG.debug(
-                "round %d: bytes=%d seconds=%.3f omissions=%d rejections=%d "
-                "live=%d decided=%d halted=%s%s",
-                rnd, round_bytes, seconds, omissions, rejections,
-                live, decided, halted_now, engine_note,
-            )
-        if self._round_hook is not None:
-            self._round_hook(self, rnd, halted_now)
 
     def _record_physical_links(
         self, wires: List[WireMessage], rnd: Round, wave: str
@@ -1351,208 +1296,6 @@ class SynchronousNetwork(RoundHost):
             for receiver in receivers:
                 tracer.envelope(rnd, sender, receiver, count, size, wave=wave)
 
-    def _run_round_envelope(self, rnd: Round) -> None:
-        """One round with per-link traffic coalescing.
-
-        Semantically identical to :meth:`_run_round` on its activation
-        domain (honest, homogeneous, untraced-or-non-FULL): same logical
-        traffic statistics, same dispatch order (so first-wins message
-        semantics match), same ACK credits, halts and round summaries.
-        Physically, everything one sender transmits to one receiver in
-        one wave crosses as a single :class:`Envelope` — one AEAD seal
-        (FULL) or one counter bump (MODELED/NONE) per link.
-        """
-        nodes = self.nodes
-        traffic = self.stats.traffic
-        transport = self.transport
-        tracer = self.tracer
-        traced = tracer.enabled
-        full = transport.security is ChannelSecurity.FULL
-        tm = self._timing
-        before = self._phase_begin(rnd)
-
-        # Phase 2: transmit.  First build the delivery plan — one entry
-        # per multicast, in emission order, so dispatch below replays the
-        # per-wire delivery order exactly — then seal one envelope per
-        # (sender, receiver) link.
-        if traced:
-            tracer.phase(rnd, "transmit", count=len(self._outbox_now))
-        digest_by_id = self._ack_digest_by_id
-        plan: List[Tuple[NodeId, Tuple[NodeId, ...], ProtocolMessage, int]] = []
-        per_sender: Dict[NodeId, List[tuple]] = {}
-        logical_count = 0
-        serialize_s = 0.0
-        # Digest pre-pass: stamp and hash the wave's staged multicasts in
-        # one tight sweep (attribute lookups hoisted) instead of a digest
-        # call interleaved per intent.  Liveness cannot change during
-        # transmit (no handlers run), and cache insertions happen in the
-        # serial per-intent order, so the digest LRU state — and every
-        # digest value — stays byte-identical.
-        t0 = perf_counter() if tm is not None else 0.0
-        ack_digest = self._ack_digest
-        staged = [
-            (intent, intent.message.with_round(rnd))
-            for intent in self._outbox_now
-            if nodes[intent.sender].alive
-        ]
-        digests = [ack_digest(_multicast_key(message)) for _, message in staged]
-        if tm is not None:
-            tm.add("batch_crypto", perf_counter() - t0)
-        for (intent, message), digest in zip(staged, digests):
-            self._track_multicast(
-                rnd, intent.sender, digest, intent.expect_acks,
-                intent.threshold, len(intent.targets),
-            )
-            if not intent.targets:
-                continue
-            digest_by_id[id(message)] = digest
-            logical_count += len(intent.targets)
-            # FULL charges the real per-member sealed sizes, known only
-            # after sealing, and carries the body (encoded once per
-            # fan-out) where the modeled transports carry the size.
-            t0 = perf_counter() if tm is not None else 0.0
-            sized = (
-                encode(message.to_tuple()) if full
-                else transport.message_size(message)
-            )
-            if tm is not None:
-                serialize_s += perf_counter() - t0
-            plan.append(
-                (intent.sender, intent.targets, message, 0 if full else sized)
-            )
-            per_sender.setdefault(intent.sender, []).append(
-                (intent.targets, message, sized)
-            )
-            if not full:
-                self._charge_multicast(
-                    rnd, intent.sender, intent.targets, message, sized
-                )
-        self._outbox_now = []
-        if tm is not None:
-            tm.add("serialize", serialize_s)
-
-        # Seal one envelope per link.  Counters advance per member, so
-        # channel state stays interchangeable with the per-wire path.
-        t0 = perf_counter() if tm is not None else 0.0
-        batch_s = 0.0
-        envelopes: List[Envelope] = []
-        for sender, entries in per_sender.items():
-            if full:
-                buckets: Dict[NodeId, List[tuple]] = {}
-                for targets, message, body in entries:
-                    for receiver in targets:
-                        buckets.setdefault(receiver, []).append((message, body))
-                for receiver, pairs in buckets.items():
-                    env = transport.seal_envelope(
-                        sender,
-                        receiver,
-                        None,
-                        encoded_bodies=[body for _, body in pairs],
-                    )
-                    for (message, _), msize in zip(pairs, env.member_sizes):
-                        traffic.record_send(
-                            message.type, msize, rnd, physical=False
-                        )
-                    traffic.record_envelope(env.count, env.size)
-                    envelopes.append(env)
-                continue
-            for receivers, members, env_size in self._coalesce_links(entries):
-                # One vectorized seal pass per member list: the transport
-                # hoists the guard / measurement / row lookups out of the
-                # per-link loop.
-                t1 = perf_counter() if tm is not None else 0.0
-                envelopes.extend(transport.seal_envelope_wave(
-                    sender, receivers, members, size=env_size
-                ))
-                if tm is not None:
-                    batch_s += perf_counter() - t1
-                self._charge_envelopes(
-                    rnd, sender, receivers, len(members), env_size
-                )
-        if tm is not None:
-            tm.add("seal", perf_counter() - t0 - batch_s)
-            tm.add("batch_crypto", batch_s)
-
-        # Phase 3: deliver.  Open each live receiver's envelopes (the
-        # link-level integrity / freshness checks, and for FULL the single
-        # AEAD open) grouped per receiver — one guard / accepted-row
-        # borrow per receiver instead of per envelope; every link appears
-        # at most once per round, so regrouping cannot reorder any
-        # per-link counter sequence — then dispatch members in plan order.
-        if traced:
-            tracer.phase(rnd, "deliver", count=logical_count)
-        t0 = perf_counter() if tm is not None else 0.0
-        opened: Dict[Tuple[NodeId, NodeId], deque] = {}
-        inbound: Dict[NodeId, List[Envelope]] = {}
-        for env in envelopes:
-            if not nodes[env.receiver].alive:
-                continue  # per-member omissions are recorded in dispatch
-            inbound.setdefault(env.receiver, []).append(env)
-        for receiver, batch in inbound.items():
-            opened_members = transport.open_envelope_wave(receiver, batch)
-            if full:
-                for env, members in zip(batch, opened_members):
-                    opened[(env.sender, receiver)] = deque(members)
-        if tm is not None:
-            tm.add("batch_crypto", perf_counter() - t0)
-        # The dispatch table is static between program swaps (halts are
-        # read live off the enclave below), so it is built once per run
-        # instead of once per round.
-        dispatch = self._dispatch_cache
-        if dispatch is None:
-            dispatch = [None] * self.config.n
-            for node_id in range(self.config.n):
-                node = nodes[node_id]
-                dispatch[node_id] = (
-                    node.enclave, node.program.on_message, node.context
-                )
-            self._dispatch_cache = dispatch
-        halted = EnclaveState.HALTED
-        t0 = perf_counter() if tm is not None else 0.0
-        for sender, targets, message, size_hint in plan:
-            mtype = message.type.value if traced else None
-            for receiver in targets:
-                enclave, on_message, context = dispatch[receiver]
-                if enclave.state is halted:
-                    traffic.record_omission()
-                    if traced:
-                        tracer.emit(WireEvent(
-                            rnd=rnd,
-                            sender=sender,
-                            receiver=receiver,
-                            size=size_hint,
-                            action="omit_dead",
-                            mtype=mtype,
-                        ))
-                    continue
-                if full:
-                    on_message(
-                        context, sender, opened[(sender, receiver)].popleft()
-                    )
-                else:
-                    on_message(context, sender, message)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        # Every receiver that had an envelope opened got at least one
-        # on_message dispatch — deliveries re-wake for phase 6.
-        self._active.delivered.update(inbound)
-
-        # Phase 4: ack wave (same round trip).
-        queue = self._ack_queue_fast
-        self._ack_queue_fast = []
-        if traced:
-            tracer.phase(rnd, "ack_wave", count=len(queue))
-        if queue:
-            t0 = perf_counter() if tm is not None else 0.0
-            if full:
-                self._ack_wave_envelope_full(queue, rnd)
-            else:
-                self._ack_wave_envelope(queue, rnd)
-            if tm is not None:
-                tm.add("ack_wave", perf_counter() - t0)
-
-        self._phase_end(rnd, self._phase_halt_check(rnd), before)
-
     def _ack_wave_envelope(
         self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
     ) -> None:
@@ -1647,14 +1390,8 @@ class SynchronousNetwork(RoundHost):
             self._charge_envelopes(
                 rnd, acker, (dest,), count, env_size, wave="ack"
             )
-        handles = self._pending_handles
         for (dest, digest), count in credits.items():
-            if not nodes[dest].alive:
-                traffic.record_omissions(count)
-                continue
-            handle = handles.get((dest, digest))
-            if handle is not None:
-                handle.acks += count
+            self._credit_ack(dest, digest, count)
 
     def _ack_wave_envelope_full(
         self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
@@ -1674,7 +1411,6 @@ class SynchronousNetwork(RoundHost):
             if not nodes[acker].alive:
                 continue
             links.setdefault((acker, dest), []).append(digest)
-        handles = self._pending_handles
         for (acker, dest), digests in links.items():
             bodies = []
             for digest in digests:
@@ -1693,20 +1429,18 @@ class SynchronousNetwork(RoundHost):
                 traffic.record_omissions(env.count)
                 continue
             for message in transport.open_envelope(dest, env):
-                handle = handles.get((dest, message.payload))
-                if handle is not None:
-                    handle.acks += 1
+                self._credit_ack(dest, message.payload)
 
     def _deliver(self, wires: List[WireMessage], rnd: Round) -> None:
-        """Phase 3 (and the tail of phase 4) on the per-wire path: each
-        wire passes the receiver's OS behaviour, then the channel read,
-        then credits its handle (an ACK) or dispatches to the program."""
+        """Receive per-wire: each wire passes the receiver's OS behaviour,
+        then the channel read (integrity / program / freshness checks;
+        failures count as omissions per Theorem A.2), then credits its
+        handle (an ACK) or dispatches to the program."""
         nodes = self.nodes
         traffic = self.stats.traffic
         transport = self.transport
         tracer = self.tracer
         traced = tracer.enabled
-        handles = self._pending_handles
         delivered = self._active.delivered
         tm = self._timing
         open_s = handler_s = 0.0
@@ -1737,11 +1471,7 @@ class SynchronousNetwork(RoundHost):
             if tm is not None:
                 open_s += perf_counter() - t0
             if message.type is MessageType.ACK:
-                handle = handles.get((wire.receiver, message.payload))
-                if handle is not None:
-                    handle.acks += 1
-                # ACKs for unknown multicasts (replays, cross-round strays)
-                # are ignored — exactly the 'treat as omitted' rule.
+                self._credit_ack(wire.receiver, message.payload)
                 continue
             delivered.add(wire.receiver)
             t0 = perf_counter() if tm is not None else 0.0
@@ -1753,3 +1483,340 @@ class SynchronousNetwork(RoundHost):
         if tm is not None:
             tm.add("open", open_s)
             tm.add("handler", handler_s)
+
+
+class _PerWireRounds:
+    """The per-wire back-end: one wire per message.  The general one
+    (adversarial, traced-FULL and heterogeneous runs — OS behaviours act
+    on individual wires) and the reference the envelope back-end is tested
+    against."""
+
+    def __init__(self, net: SynchronousNetwork) -> None:
+        self.net = net
+        self.run_hooks = net.run_hooks
+        self._wires: List[WireMessage] = []
+
+    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
+        """Write each multicast through the blinded channel and hand the
+        wires to the sender's OS behaviour, which may drop / delay /
+        inject; surviving wires are charged (they crossed the network)."""
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        transport = net.transport
+        tracer = net.tracer
+        traced = tracer.enabled
+        tm = net._timing
+        # With envelope accounting, per-wire sends are logical-only; the
+        # physical ledger gets one coalesced crossing per link below.
+        physical = not net._envelope_accounting
+        net._ack_size_cache.clear()
+        serialize_s = seal_s = 0.0
+        transmissions: List[WireMessage] = []
+        for intent in intents:
+            message = intent.message
+            t0 = perf_counter() if tm is not None else 0.0
+            size_hint = transport.message_size(message)
+            t1 = perf_counter() if tm is not None else 0.0
+            wires = transport.write_fanout(
+                intent.sender, intent.targets, message, size_hint
+            )
+            if tm is not None:
+                serialize_s += t1 - t0
+                seal_s += perf_counter() - t1
+            behavior = nodes[intent.sender].behavior
+            if behavior is None:
+                for wire in wires:
+                    traffic.record_send(
+                        wire.mtype, wire.size, rnd, physical=physical
+                    )
+                if traced:
+                    tracer.wire_fanout(rnd, wires, "send", charged=True)
+                transmissions.extend(wires)
+            else:
+                for wire in wires:
+                    net._apply_send_filter(
+                        behavior, intent.sender, wire, rnd, transmissions
+                    )
+        if tm is not None:
+            tm.add("serialize", serialize_s)
+            tm.add("seal", seal_s)
+
+        # Injected (replayed / forged) wires and previously delayed wires
+        # (only OS behaviours produce either).
+        for behavior_id in net._behavior_nodes:
+            node = nodes[behavior_id]
+            behavior = node.behavior
+            if not node.alive:
+                continue
+            for delay, out in behavior.drain_injections(rnd):
+                if delay <= 0:
+                    traffic.record_send(
+                        out.mtype, out.size, rnd, physical=physical
+                    )
+                    if traced:
+                        tracer.wire(
+                            rnd, out, "replay", actor=node.node_id, charged=True
+                        )
+                    transmissions.append(out)
+                else:
+                    if traced:
+                        tracer.wire(rnd, out, "replay", actor=node.node_id)
+                    net._future_wires.setdefault(rnd + delay, []).append(out)
+        for out in net._future_wires.pop(rnd, ()):  # delayed arrivals
+            traffic.record_send(
+                out.mtype, out.size, rnd, physical=physical
+            )
+            if traced:
+                tracer.wire(rnd, out, "flush", charged=True)
+            transmissions.append(out)
+
+        if not physical and transmissions:
+            net._record_physical_links(transmissions, rnd, "transmit")
+        self._wires = transmissions
+        return len(transmissions)
+
+    def deliver(self, rnd: Round) -> int:
+        net = self.net
+        net._deliver(self._wires, rnd)
+        return len(net._ack_queue)
+
+    def ack_wave(self, rnd: Round) -> None:
+        """Write the queued ACKs back through the acker's OS behaviour and
+        deliver them.  The write loop is charged to ``ack_wave``; the
+        delivery attributes its own open / handler time."""
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        transport = net.transport
+        tracer = net.tracer
+        traced = tracer.enabled
+        tm = net._timing
+        physical = not net._envelope_accounting
+        ack_queue, net._ack_queue = net._ack_queue, []
+        t0 = perf_counter() if tm is not None else 0.0
+        ack_wires: List[WireMessage] = []
+        for acker, dest, digest in ack_queue:
+            acker_node = nodes[acker]
+            if not acker_node.alive:
+                continue
+            ack = _ack_message(digest, rnd)
+            cache_key = (
+                ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload
+            )
+            size_hint = net._ack_size_cache.get(cache_key)
+            if size_hint is None:
+                size_hint = transport.message_size(ack)
+                net._ack_size_cache[cache_key] = size_hint
+            wire = transport.write(acker, dest, ack, size_hint)
+            behavior = acker_node.behavior
+            if behavior is None:
+                traffic.record_send(
+                    wire.mtype, wire.size, rnd, physical=physical
+                )
+                if traced:
+                    tracer.wire(rnd, wire, "send", charged=True)
+                ack_wires.append(wire)
+                continue
+            net._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
+        if not physical and ack_wires:
+            net._record_physical_links(ack_wires, rnd, "ack")
+        if tm is not None:
+            tm.add("ack_wave", perf_counter() - t0)
+        net._deliver(ack_wires, rnd)
+        # Behaviours tick every round regardless of program activity
+        # (delay queues and injection schedules advance on rounds, not on
+        # deliveries); they never interact with program hooks.
+        for behavior_id in net._behavior_nodes:
+            nodes[behavior_id].behavior.on_round_end(rnd)
+
+
+class _EnvelopeRounds:
+    """The round-envelope back-end: everything one sender transmits to
+    one receiver in one wave crosses as a single :class:`Envelope` — one
+    AEAD seal (FULL) or one counter bump (MODELED/NONE) per link.
+
+    Semantically identical to :class:`_PerWireRounds` on its activation
+    domain (honest, homogeneous, untraced-or-non-FULL): same logical
+    traffic statistics, same dispatch order (so first-wins message
+    semantics match), same ACK credits, halts and round summaries.
+    """
+
+    def __init__(self, net: SynchronousNetwork) -> None:
+        self.net = net
+        self.run_hooks = net.run_hooks
+        self._plan: List[tuple] = []
+        self._envelopes: List[Envelope] = []
+        self._queue: List[Tuple[NodeId, NodeId, bytes]] = []
+
+    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
+        """Build the delivery plan — one entry per multicast, in emission
+        order, so dispatch replays the per-wire delivery order exactly —
+        then seal one envelope per (sender, receiver) link."""
+        net = self.net
+        traffic = net.stats.traffic
+        transport = net.transport
+        full = transport.security is ChannelSecurity.FULL
+        tm = net._timing
+        digest_by_id = net._ack_digest_by_id
+        digest_by_id.clear()
+        plan: List[Tuple[NodeId, Tuple[NodeId, ...], ProtocolMessage, int]] = []
+        per_sender: Dict[NodeId, List[tuple]] = {}
+        logical_count = 0
+        serialize_s = 0.0
+        for intent in intents:
+            message = intent.message
+            digest_by_id[id(message)] = intent.digest
+            logical_count += len(intent.targets)
+            # FULL charges the real per-member sealed sizes, known only
+            # after sealing, and carries the body (encoded once per
+            # fan-out) where the modeled transports carry the size.
+            t0 = perf_counter() if tm is not None else 0.0
+            sized = (
+                encode(message.to_tuple()) if full
+                else transport.message_size(message)
+            )
+            if tm is not None:
+                serialize_s += perf_counter() - t0
+            plan.append(
+                (intent.sender, intent.targets, message, 0 if full else sized)
+            )
+            per_sender.setdefault(intent.sender, []).append(
+                (intent.targets, message, sized)
+            )
+            if not full:
+                net._charge_multicast(
+                    rnd, intent.sender, intent.targets, message, sized
+                )
+        if tm is not None:
+            tm.add("serialize", serialize_s)
+
+        # Counters advance per member, so channel state stays
+        # interchangeable with the per-wire back-end.
+        t0 = perf_counter() if tm is not None else 0.0
+        batch_s = 0.0
+        envelopes: List[Envelope] = []
+        for sender, entries in per_sender.items():
+            if full:
+                buckets: Dict[NodeId, List[tuple]] = {}
+                for targets, message, body in entries:
+                    for receiver in targets:
+                        buckets.setdefault(receiver, []).append((message, body))
+                for receiver, pairs in buckets.items():
+                    env = transport.seal_envelope(
+                        sender,
+                        receiver,
+                        None,
+                        encoded_bodies=[body for _, body in pairs],
+                    )
+                    for (message, _), msize in zip(pairs, env.member_sizes):
+                        traffic.record_send(
+                            message.type, msize, rnd, physical=False
+                        )
+                    traffic.record_envelope(env.count, env.size)
+                    envelopes.append(env)
+                continue
+            for receivers, members, env_size in net._coalesce_links(entries):
+                # One vectorized seal pass per member list: the transport
+                # hoists the guard / measurement / row lookups out of the
+                # per-link loop.
+                t1 = perf_counter() if tm is not None else 0.0
+                envelopes.extend(transport.seal_envelope_wave(
+                    sender, receivers, members, size=env_size
+                ))
+                if tm is not None:
+                    batch_s += perf_counter() - t1
+                net._charge_envelopes(
+                    rnd, sender, receivers, len(members), env_size
+                )
+        if tm is not None:
+            tm.add("seal", perf_counter() - t0 - batch_s)
+            tm.add("batch_crypto", batch_s)
+        self._plan = plan
+        self._envelopes = envelopes
+        return logical_count
+
+    def deliver(self, rnd: Round) -> int:
+        """Open each live receiver's envelopes (the link-level integrity /
+        freshness checks, and for FULL the single AEAD open) grouped per
+        receiver — one guard / accepted-row borrow per receiver instead of
+        per envelope; every link appears at most once per round, so
+        regrouping cannot reorder any per-link counter sequence — then
+        dispatch members in plan order."""
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        transport = net.transport
+        tracer = net.tracer
+        traced = tracer.enabled
+        full = transport.security is ChannelSecurity.FULL
+        tm = net._timing
+        t0 = perf_counter() if tm is not None else 0.0
+        opened: Dict[Tuple[NodeId, NodeId], deque] = {}
+        inbound: Dict[NodeId, List[Envelope]] = {}
+        for env in self._envelopes:
+            if not nodes[env.receiver].alive:
+                continue  # per-member omissions are recorded in dispatch
+            inbound.setdefault(env.receiver, []).append(env)
+        for receiver, batch in inbound.items():
+            opened_members = transport.open_envelope_wave(receiver, batch)
+            if full:
+                for env, members in zip(batch, opened_members):
+                    opened[(env.sender, receiver)] = deque(members)
+        if tm is not None:
+            tm.add("batch_crypto", perf_counter() - t0)
+        # The dispatch table is static between program swaps (halts are
+        # read live off the enclave below), so it is built once per run
+        # instead of once per round.
+        dispatch = net._dispatch_cache
+        if dispatch is None:
+            dispatch = [None] * net.config.n
+            for node_id in range(net.config.n):
+                node = nodes[node_id]
+                dispatch[node_id] = (
+                    node.enclave, node.program.on_message, node.context
+                )
+            net._dispatch_cache = dispatch
+        halted = EnclaveState.HALTED
+        t0 = perf_counter() if tm is not None else 0.0
+        for sender, targets, message, size_hint in self._plan:
+            mtype = message.type.value if traced else None
+            for receiver in targets:
+                enclave, on_message, context = dispatch[receiver]
+                if enclave.state is halted:
+                    traffic.record_omission()
+                    if traced:
+                        tracer.emit(WireEvent(
+                            rnd=rnd,
+                            sender=sender,
+                            receiver=receiver,
+                            size=size_hint,
+                            action="omit_dead",
+                            mtype=mtype,
+                        ))
+                    continue
+                if full:
+                    on_message(
+                        context, sender, opened[(sender, receiver)].popleft()
+                    )
+                else:
+                    on_message(context, sender, message)
+        if tm is not None:
+            tm.add("handler", perf_counter() - t0)
+        # Every receiver that had an envelope opened got at least one
+        # on_message dispatch — deliveries re-wake for the round's end.
+        net._active.delivered.update(inbound)
+        self._queue, net._ack_queue = net._ack_queue, []
+        return len(self._queue)
+
+    def ack_wave(self, rnd: Round) -> None:
+        net = self.net
+        if self._queue:
+            tm = net._timing
+            t0 = perf_counter() if tm is not None else 0.0
+            if net.transport.security is ChannelSecurity.FULL:
+                net._ack_wave_envelope_full(self._queue, rnd)
+            else:
+                net._ack_wave_envelope(self._queue, rnd)
+            if tm is not None:
+                tm.add("ack_wave", perf_counter() - t0)

@@ -28,21 +28,23 @@ Design constraints, in order:
    emission order) so a wire round presents programs the same
    delivery-insensitive view a simulator round does.
 
-3. **Rounds are driven by I/O readiness, not a global loop.**  Each
-   round runs three barrier waves over round-stamped frames:
+3. **The round is the simulator's; only the waiting is ours.**  Phase
+   order lives in :meth:`~repro.net.simulator.RoundHost._rounds`; a
+   :class:`WireNode` is one of its delivery back-ends, and its pump
+   flushes and waits where that generator yields one of three waves:
 
    * ``DATA* → EOD``  — sealed round envelopes, then an end-of-data
-     marker (phase 2/3: transmit + deliver);
+     marker;
    * ``ACK → EOA``    — aggregated 8-byte ACK digests, then an
-     end-of-ack marker (phase 4: the same-round ACK wave);
+     end-of-ack marker (the same-round ACK wave);
    * ``FIN(done)``    — post-round-end marker carrying the node's
      doneness, so every node evaluates ``everyone_done`` on the same
      information the simulator's after-round check sees.
 
-   A peer that misses a barrier past the timeout (plus one grace retry)
-   is **ejected**: its traffic for the round is discarded and counted as
-   omissions — the campaign harness's omission semantics, reused.
-   Ejection never raises; the survivors keep lockstep among themselves.
+   A peer still silent a timeout and a half into a wave is **ejected**:
+   its traffic for the round is discarded and counted as omissions — the
+   campaign harness's omission semantics, reused.  Ejection never
+   raises; the survivors keep lockstep among themselves.
 
 Frame layout (see docs/NETWORKING.md for the wire diagram)::
 
@@ -87,6 +89,7 @@ from repro.net.simulator import (
     RoundHost,
     _multicast_key,
 )
+from repro.net.stats import RunStats
 from repro.net.topology import Topology
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
@@ -125,8 +128,7 @@ _RECV_BYTES = 64 * 1024
 
 #: Default per-barrier timeout.  Loopback rounds complete in
 #: milliseconds; the default is generous so slow CI machines never
-#: eject healthy peers.  One grace retry of ``timeout/2`` runs before
-#: ejection.
+#: eject healthy peers.  A wave waits one and a half of it in all.
 DEFAULT_ROUND_TIMEOUT_S = 10.0
 
 #: How long the dialer retries an unreachable peer during cluster
@@ -171,8 +173,7 @@ class WireNodeConfig:
     #: dead-peer ejection.
     fail_at_round: Optional[int] = None
     #: how to fail: "crash" tears the sockets down (peers eject on EOF);
-    #: "hang" goes silent with sockets open (peers eject on barrier
-    #: timeout + grace retry).
+    #: "hang" goes silent with sockets open (peers eject on timeout).
     fail_mode: str = "crash"
 
     def __post_init__(self) -> None:
@@ -291,8 +292,9 @@ class WireNodeConfig:
 # observability: per-link counters + latency histograms
 # ----------------------------------------------------------------------
 
-class WireStats:
-    """Per-link byte/frame counters and wire-latency histograms.
+class WireStats(RunStats):
+    """The round kernel's run ledger (bytes per round are frame bytes
+    here) plus per-link counters and wire-latency histograms.
 
     Persisted snapshots must carry ``transport="tcp"`` in their machine
     stamp (:func:`repro.obs.machine.machine_stamp`) so bench entries
@@ -300,17 +302,26 @@ class WireStats:
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.bytes_sent: Dict[int, int] = {}
         self.bytes_received: Dict[int, int] = {}
         self.frames_sent: Dict[int, int] = {}
         self.frames_received: Dict[int, int] = {}
-        self.omissions = 0
-        self.rejections = 0
         self.ejected: List[int] = []
+        #: frames for a round already closed (late or replayed), dropped
+        self.stale_frames = 0
         #: seconds spent blocked on each barrier wait
         self.barrier_wait_s = Histogram()
         #: wall-clock seconds per completed round
         self.round_wall_s = Histogram()
+
+    @property
+    def omissions(self) -> int:
+        return self.traffic.omissions
+
+    @property
+    def rejections(self) -> int:
+        return self.traffic.rejections
 
     # -- recording -----------------------------------------------------
     def sent(self, peer: int, nbytes: int) -> None:
@@ -345,6 +356,7 @@ class WireStats:
             "omissions": self.omissions,
             "rejections": self.rejections,
             "ejected": list(self.ejected),
+            "stale_frames": self.stale_frames,
             "barrier_wait_s": self.barrier_wait_s.snapshot(),
             "round_wall_s": self.round_wall_s.snapshot(),
         }
@@ -665,7 +677,7 @@ def _protocol_plan(
 
 
 class _WireAbort(Exception):
-    """Internal: the fail_at_round crash knob fired."""
+    """Internal: the fail_at_round knob fired."""
 
 
 # ----------------------------------------------------------------------
@@ -689,6 +701,7 @@ class WireNode(RoundHost):
         self.stats = WireStats()
         self.topology = Topology.full_mesh(cfg.n)
         self.current_run = 0
+        # In ascending id order, which is the canonical dispatch order.
         self._peers: Dict[NodeId, _Peer] = {
             pid: _Peer(pid) for pid in range(cfg.n) if pid != cfg.node_id
         }
@@ -697,7 +710,10 @@ class WireNode(RoundHost):
         self._connected = asyncio.Event()
         self._round_walls: List[float] = []
         self._round_bytes: List[int] = []
-        self._bytes_this_round = 0
+        self._round_t0 = 0.0
+        # The last (run, round) closed here, and its FIN consensus.
+        self._closed = (0, 0)
+        self._peers_done = False
         self._departed: set = set()
         self._build_universe(cfg.seed)
 
@@ -722,8 +738,7 @@ class WireNode(RoundHost):
         #: ``ctx.config``).
         self.config = cfg.simulation_config(seed)
         master = DeterministicRNG(("simulation", seed))
-        clock = SimulationClock()
-        self._clock_source = clock
+        clock = self.clock = SimulationClock()
         factory, self._max_rounds = _protocol_plan(cfg, seed)
         full = cfg.security == "full"
         authority = AttestationAuthority(master, MODP_2048) if full else None
@@ -760,10 +775,11 @@ class WireNode(RoundHost):
             for pid in self._peers:
                 self._send_counters[pid] = 0
                 self._recv_guards[pid] = ReplayGuard(0)
-        # fresh per-run protocol state (mirrors the engine's queues)
-        self.current_round = 0
+        # Fresh per-run state; the ledger's rounds restart with the run.
         self._init_round_state()
-        self._ack_out: List[Tuple[NodeId, bytes]] = []
+        self._ack_out: Dict[NodeId, List[bytes]] = {}
+        self.stats.rounds.clear()
+        self.stats.traffic.bytes_by_round.clear()
 
     # ------------------------------------------------------------------
     # RoundHost: what EnclaveContext calls
@@ -777,14 +793,14 @@ class WireNode(RoundHost):
     def _queue_ack(
         self, acker: NodeId, dest: NodeId, original: ProtocolMessage
     ) -> None:
-        self._ack_out.append(
-            (dest, self._ack_digest(_multicast_key(original)))
+        self._ack_out.setdefault(dest, []).append(
+            self._ack_digest(_multicast_key(original))
         )
 
     def evict_departed_node(self, node: NodeId) -> None:
         """A halted, ejected or departed node leaves the topology from
-        the next multicast on (the simulator's phase-5 eviction timing:
-        a BYE is only ever sent after the current round's data wave)."""
+        the next multicast on (the simulator's eviction timing: a BYE is
+        only ever sent after the current round's data wave)."""
         self._departed.add(node)
 
     # ------------------------------------------------------------------
@@ -801,7 +817,7 @@ class WireNode(RoundHost):
             self._eject(peer, "write-error")
             return
         self.stats.sent(peer.node_id, len(frame))
-        self._bytes_this_round += len(frame)
+        self.stats.traffic.bytes_by_round[self.current_round] += len(frame)
 
     async def _drain_all(self) -> None:
         for peer in self._peers.values():
@@ -1043,6 +1059,23 @@ class WireNode(RoundHost):
             self.evict_departed_node(peer.node_id)
             return
         _, run, rnd = frame[0:3]
+        if not (isinstance(run, int) and isinstance(rnd, int)):
+            raise ProtocolError("malformed frame position")
+        # Lockstep bounds what an honest peer can send: it cannot pass
+        # our barrier further than the next round, or round 1 of the next
+        # run.  A frame behind that window is late or replayed (its inbox
+        # is gone for good); one beyond it would allocate inboxes nothing
+        # ever drops.
+        if (run, rnd) <= self._closed:
+            self.stats.stale_frames += 1
+            return
+        if not (
+            (run == self.current_run and rnd <= self.current_round + 1)
+            or (run, rnd) == (self.current_run + 1, 1)
+        ):
+            raise ProtocolError(
+                f"frame for run {run} round {rnd} outside the lockstep window"
+            )
         box = peer.inbox(run, rnd)
         if kind == K_DATA:
             if len(frame) != 6 or not (
@@ -1068,29 +1101,24 @@ class WireNode(RoundHost):
     # barriers
     # ------------------------------------------------------------------
     def _live_peers(self) -> List[_Peer]:
-        return [
-            self._peers[pid]
-            for pid in sorted(self._peers)
-            if self._peers[pid].alive
-        ]
+        return [peer for peer in self._peers.values() if peer.alive]
 
     async def _barrier(self, run: int, rnd: int, wave: str) -> None:
-        """Wait for every live peer's end-of-wave marker; eject on
-        timeout (one grace retry of half the timeout first)."""
-        timeout = self.cfg.round_timeout_s
+        """Wait for every live peer's end-of-wave marker.  The wave has
+        one deadline — a timeout and a half from its start — and each
+        peer gets what is left of it: k silent peers cost one wait."""
+        if wave == "fin" and self.enclave.halted:
+            return      # we said BYE, not FIN: nobody answers
+        deadline = perf_counter() + 1.5 * self.cfg.round_timeout_s
         for peer in self._live_peers():
-            box = peer.inbox(run, rnd)
-            event: asyncio.Event = getattr(box, wave)
+            event: asyncio.Event = getattr(peer.inbox(run, rnd), wave)
             if event.is_set():
                 continue
             t0 = perf_counter()
             try:
-                await asyncio.wait_for(event.wait(), timeout)
+                await asyncio.wait_for(event.wait(), max(deadline - t0, 0.0))
             except asyncio.TimeoutError:
-                try:    # grace retry: half the timeout again
-                    await asyncio.wait_for(event.wait(), timeout / 2)
-                except asyncio.TimeoutError:
-                    self._eject(peer, f"timeout:{wave}:round-{rnd}")
+                self._eject(peer, f"timeout:{wave}:round-{rnd}")
             self.stats.barrier_wait_s.observe(perf_counter() - t0)
 
     def _eject(self, peer: _Peer, reason: str) -> None:
@@ -1113,165 +1141,130 @@ class WireNode(RoundHost):
                 pass
 
     # ------------------------------------------------------------------
-    # the round pump
+    # the round: RoundBackend over TCP frames, and the pump that waits
     # ------------------------------------------------------------------
-    async def _run_rounds(self, run: int, max_rounds: int) -> None:
-        """Drive the six engine phases over the wire for one run."""
-        program = self.enclave.program
-        cfg = self.cfg
-        self.current_round = 0
-        program.on_setup(self.context)
-        executed = 0
-        for rnd in range(1, max_rounds + 1):
-            if self._stop.is_set():
-                break
-            round_t0 = perf_counter()
-            self._bytes_this_round = 0
-            self.current_round = rnd
-            self._pending_handles.clear()
-            alive = not self.enclave.halted
+    def _mark_wave(self, kind: int, rnd: int, *rest) -> None:
+        """Tell every live peer this node's part of a wave is out."""
+        for peer in self._live_peers():
+            self._send_frame(peer, (kind, self.current_run, rnd, *rest))
 
-            if cfg.fail_at_round == rnd:
-                if cfg.fail_mode == "hang":
-                    # Go silent with sockets open; peers must eject us
-                    # on barrier timeout.  Exit once they all have (they
-                    # close their side) or on shutdown.
-                    while (any(p.alive for p in self._peers.values())
-                           and not self._stop.is_set()):
-                        await asyncio.sleep(0.05)
+    def run_hooks(
+        self, hook: str, rnd: int, halted_now=(), seconds: float = 0.0
+    ) -> None:
+        """The hooks run here, on the one hosted node; around them goes
+        what this daemon owes its peers when a round closes."""
+        if hook == "on_round_begin":
+            self._round_t0 = perf_counter()
+            if self.cfg.fail_at_round == rnd:
                 raise _WireAbort()
+        super().run_hooks(hook, rnd, halted_now, seconds)
+        if hook == "on_round_end":
+            if self.enclave.halted:
+                self._mark_wave(K_BYE, rnd, "halted")
+            else:
+                self._mark_wave(K_FIN, rnd, int(self._active.all_done))
 
-            # Phase 1: round begin (staged intents move up first, so
-            # their relative order is stable — the engine's rule).
-            self._outbox_now, self._outbox_next = self._outbox_next, []
-            self._in_round_begin = True
-            if alive:
-                program.on_round_begin(self.context)
-            self._in_round_begin = False
-
-            # Phase 2: transmit — one sealed envelope per link.
-            per_target: Dict[NodeId, List[ProtocolMessage]] = {}
-            for intent in self._outbox_now:
-                message = intent.message.with_round(rnd)
-                digest = self._ack_digest(_multicast_key(message))
-                self._track_multicast(
-                    rnd, cfg.node_id, digest, intent.expect_acks,
-                    intent.threshold, len(intent.targets),
-                )
-                for target in intent.targets:
-                    per_target.setdefault(target, []).append(message)
-            self._outbox_now = []
-            for target in sorted(per_target):
-                members = per_target[target]
-                peer = self._peers.get(target)
-                if peer is None or not peer.alive:
-                    self.stats.omissions += len(members)
-                    continue
-                counter, count, body = self._seal_members(target, members)
-                self._send_frame(
-                    peer, (K_DATA, run, rnd, counter, count, body)
-                )
-            for peer in self._live_peers():
-                self._send_frame(peer, (K_EOD, run, rnd))
-            await self._drain_all()
-
-            # Phase 3: deliver.  Wait out the data wave, then dispatch
-            # in canonical order: links sorted by sender id, members in
-            # emission order.
-            await self._barrier(run, rnd, "eod")
-            for peer in [self._peers[pid] for pid in sorted(self._peers)]:
-                box = peer.inbox(run, rnd)
-                if not peer.alive and not box.eod_seen:
-                    # Died mid-wave: the round's partial traffic is
-                    # discarded wholesale (omissions), never half-applied.
-                    self.stats.omissions += sum(c for _, c, _ in box.data)
-                    continue
-                for counter, count, body in box.data:
-                    try:
-                        members = self._open_members(
-                            peer.node_id, counter, count, body
-                        )
-                    except (CryptoError, ProtocolError) as exc:
-                        # Verification failure is an omission (Thm A.2).
-                        self.stats.rejections += count
-                        self.stats.omissions += count
-                        _LOG.info(
-                            "node %d: rejected envelope from %d: %s",
-                            cfg.node_id, peer.node_id, exc,
-                        )
-                        continue
-                    if self.enclave.halted:
-                        continue
-                    for member in members:
-                        program.on_message(
-                            self.context, peer.node_id, member
-                        )
-
-            # Phase 4: ACK wave — aggregated digests, same round trip.
-            acks_by_dest: Dict[NodeId, List[bytes]] = {}
-            for dest, digest in self._ack_out:
-                acks_by_dest.setdefault(dest, []).append(digest)
-            self._ack_out = []
-            for dest in sorted(acks_by_dest):
-                peer = self._peers.get(dest)
-                if peer is not None and peer.alive:
-                    self._send_frame(
-                        peer,
-                        (K_ACK, run, rnd, tuple(acks_by_dest[dest])),
-                    )
-            for peer in self._live_peers():
-                self._send_frame(peer, (K_EOA, run, rnd))
-            await self._drain_all()
-            await self._barrier(run, rnd, "eoa")
-            handles = self._pending_handles
-            for peer in [self._peers[pid] for pid in sorted(self._peers)]:
-                box = peer.inbox(run, rnd)
-                if not peer.alive and not box.eoa_seen:
-                    continue    # died mid-ack-wave: its ACKs are omitted
-                for digest in box.acks:
-                    handle = handles.get((cfg.node_id, digest))
-                    if handle is not None:
-                        handle.acks += 1
-
-            # Phase 5: halt-on-divergence (P4) + voluntary halts.
-            if alive and any(h.halts_sender for h in handles.values()):
-                self._halt_node(cfg.node_id, rnd)
-            if alive and self.enclave.halted:
-                for peer in self._live_peers():
-                    self._send_frame(peer, (K_BYE, run, rnd, "halted"))
-                await self._drain_all()
-                executed = rnd
-                self._finish_round(rnd, round_t0, run)
-                break
-
-            # Phase 6: round end, clock advance, FIN barrier.
-            if alive:
-                program.on_round_end(self.context)
-            self._clock_source.advance(self.config.round_seconds)
-            done = bool(program.has_output) or self.enclave.halted
-            for peer in self._live_peers():
-                self._send_frame(peer, (K_FIN, run, rnd, int(done)))
-            await self._drain_all()
-            await self._barrier(run, rnd, "fin")
-            executed = rnd
-            peers_done = all(
-                peer.inbox(run, rnd).done
-                for peer in self._live_peers()
+    def transmit(self, rnd: int, intents: list) -> int:
+        """One sealed envelope per link, then the end-of-data marker."""
+        per_target: Dict[NodeId, List[ProtocolMessage]] = {}
+        for intent in intents:
+            for target in intent.targets:
+                per_target.setdefault(target, []).append(intent.message)
+        sent = 0
+        for target in sorted(per_target):
+            members = per_target[target]
+            peer = self._peers.get(target)
+            if peer is None or not peer.alive:
+                self.stats.traffic.record_omissions(len(members))
+                continue
+            counter, count, body = self._seal_members(target, members)
+            self._send_frame(
+                peer, (K_DATA, self.current_run, rnd, counter, count, body)
             )
-            self._finish_round(rnd, round_t0, run)
-            if done and peers_done:
-                break
-        if not self.enclave.halted:
-            program.on_protocol_end(self.context)
-        self._rounds_executed = executed
+            sent += count
+        self._mark_wave(K_EOD, rnd)
+        return sent
 
-    def _finish_round(self, rnd: int, round_t0: float, run: int) -> None:
-        wall = perf_counter() - round_t0
+    def deliver(self, rnd: int) -> int:
+        """Dispatch the data wave in canonical order — links sorted by
+        sender id, members in emission order — then answer it within the
+        same round trip: aggregated ACK digests and the end-of-ack
+        marker."""
+        cfg = self.cfg
+        run = self.current_run
+        traffic = self.stats.traffic
+        program = self.enclave.program
+        for peer in self._peers.values():
+            box = peer.inbox(run, rnd)
+            if not peer.alive and not box.eod_seen:
+                # Died mid-wave: the round's partial traffic is
+                # discarded wholesale (omissions), never half-applied.
+                traffic.record_omissions(sum(c for _, c, _ in box.data))
+                continue
+            for counter, count, body in box.data:
+                try:
+                    members = self._open_members(
+                        peer.node_id, counter, count, body
+                    )
+                except (CryptoError, ProtocolError) as exc:
+                    # Verification failure is an omission (Thm A.2).
+                    traffic.rejections += count
+                    traffic.record_omissions(count)
+                    _LOG.info(
+                        "node %d: rejected envelope from %d: %s",
+                        cfg.node_id, peer.node_id, exc,
+                    )
+                    continue
+                if self.enclave.halted:
+                    continue
+                self._active.delivered.add(cfg.node_id)
+                for member in members:
+                    program.on_message(self.context, peer.node_id, member)
+        acks, self._ack_out = self._ack_out, {}
+        for dest in sorted(acks):
+            peer = self._peers.get(dest)
+            if peer is not None and peer.alive:
+                self._send_frame(peer, (K_ACK, run, rnd, tuple(acks[dest])))
+        self._mark_wave(K_EOA, rnd)
+        return sum(map(len, acks.values()))
+
+    def ack_wave(self, rnd: int) -> None:
+        for peer in self._peers.values():
+            box = peer.inbox(self.current_run, rnd)
+            if not peer.alive and not box.eoa_seen:
+                continue    # died mid-ack-wave: its ACKs are omitted
+            for digest in box.acks:
+                self._credit_ack(self.cfg.node_id, digest)
+
+    def _everyone_done(self) -> bool:
+        """FIN consensus — or this node is leaving: halted, or asked to
+        stop at this round boundary."""
+        if self.enclave.halted or self._stop.is_set():
+            return True
+        return self._active.all_done and self._peers_done
+
+    async def _run_rounds(self, run: int, max_rounds: int) -> None:
+        """Serve one run.  The kernel sequences the round; this pump only
+        flushes and waits wherever it yields a wave."""
+        self._setup()
+        for wave in self._rounds(max_rounds, self):
+            rnd = self.current_round
+            await self._drain_all()
+            await self._barrier(run, rnd, wave)
+            if wave == "fin":
+                self._finish_round(run, rnd)
+
+    def _finish_round(self, run: int, rnd: int) -> None:
+        self._peers_done = all(
+            peer.inbox(run, rnd).done for peer in self._live_peers()
+        )
+        wall = perf_counter() - self._round_t0
         self._round_walls.append(wall)
-        self._round_bytes.append(self._bytes_this_round)
+        self._round_bytes.append(self.stats.traffic.round_bytes(rnd))
         self.stats.round_wall_s.observe(wall)
         for peer in self._peers.values():
             peer.drop_round(run, rnd)
+        self._closed = (run, rnd)
 
     # ------------------------------------------------------------------
     # service entry points
@@ -1312,6 +1305,12 @@ class WireNode(RoundHost):
                 await self._run_rounds(0, self._max_rounds)
         except _WireAbort:
             crashed = True
+            if cfg.fail_mode == "hang":
+                # Silent, sockets open: peers must eject us on timeout.
+                # Exit once they all have (they close their side).
+                while (any(p.alive for p in self._peers.values())
+                       and not self._stop.is_set()):
+                    await asyncio.sleep(0.05)
         finally:
             await self._close(crashed=crashed)
         program = self.enclave.program
@@ -1320,7 +1319,7 @@ class WireNode(RoundHost):
             output=program.output if program.has_output else None,
             decided_round=program.decided_round,
             halted=self.enclave.halted,
-            rounds_executed=getattr(self, "_rounds_executed", 0),
+            rounds_executed=self.stats.rounds_executed,
             ejected_peers=list(self.stats.ejected),
             round_walls=list(self._round_walls),
             round_bytes=list(self._round_bytes),

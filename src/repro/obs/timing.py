@@ -6,17 +6,18 @@ engine's cost centres:
 
 ``seal``       transport writes / envelope sealing (AEAD or counter pass)
 ``open``       transport reads / envelope opening and verification
-``digest``     ACK digest computation (``H(val)`` per multicast identity)
 ``serialize``  message sizing, body encoding, and cross-process pickling
 ``handler``    protocol hook execution (``on_round_begin`` /
-               ``on_message`` / ``on_round_end`` / setup and finish)
-``ack_wave``   the phase-4 ACK aggregation and crediting
-``batch_crypto``  wave-batched envelope sealing / opening and digest
-               pre-passes (the vectorized fast path; per-link crypto
-               stays in ``seal``/``open``/``digest``)
+               ``on_message`` / ``on_round_end`` / setup and finish),
+               stamping what the hooks stage (round + ACK digest)
+               included
+``ack_wave``   the ACK wave's aggregation and crediting
+``batch_crypto``  wave-batched envelope sealing / opening (the
+               vectorized fast path; per-link crypto stays in
+               ``seal``/``open``)
 ``shm``        parallel engine only: shared-memory data-plane traffic —
                frame writes, polls that landed a frame, and frame
-               decode (the pickle pipe fallback charges ``serialize``)
+               decode
 ``barrier``    parallel engine only: coordinator wall blocked on worker
                phases *beyond* any shard's concurrent busy time (true
                coordination latency; worker fork/join included)
@@ -54,7 +55,6 @@ from typing import Dict, List, Optional
 PHASE_BUCKETS = (
     "seal",
     "open",
-    "digest",
     "serialize",
     "handler",
     "ack_wave",

@@ -3,12 +3,12 @@
 The v2 engine replaced the per-round pickle round-trips with
 shared-memory ring buffers, batched the per-wave crypto, and streamed
 staged intents through the barrier.  None of that may show: these tests
-pin the ring's framing discipline, the byte-identity of the shm and
-pickle-pipe data planes against each other and against serial (results,
-dual ledgers, traced event streams, timed vs untimed), the batched
-transport verbs against their per-link loops, the one-line fallback
-warning, and the coordinator's barrier attribution (< 0.3 of wall at
-workers = 2 — the number that was 0.96 under the v1 protocol).
+pin the ring's framing discipline, the byte-identity of the shm data
+plane against serial (results, dual ledgers, traced event streams, timed
+vs untimed), the batched transport verbs against their per-link loops,
+the one-line fallback warnings (an ineligible run; a host without
+shared memory), and the coordinator's barrier attribution (< 0.3 of
+wall at workers = 2 — the number that was 0.96 under the v1 protocol).
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from repro.adversary.omission import SelectiveOmission
 from repro.common.rng import DeterministicRNG
 from repro.common.types import MessageType, ProtocolMessage
 from repro.core.erb import ErbProgram
-from repro.net.parallel import planned_data_plane, resolve_data_plane
-from repro.net.shm import (
-    DATA_PLANE_PICKLE,
-    DATA_PLANE_SHM,
-    ShmRing,
-    shared_memory_available,
-)
+from repro.net.parallel import planned_data_plane
+from repro.net.shm import DATA_PLANE_SHM, ShmRing, shared_memory_available
 from repro.net.simulator import SynchronousNetwork
 from repro.net.transport import ModeledTransport, PlainTransport
 from repro.obs.timing import TimingCollector
@@ -157,35 +152,18 @@ def test_ring_consume_frees_space_for_the_writer():
 # data-plane resolution
 # ---------------------------------------------------------------------------
 
-def test_resolve_data_plane_honors_explicit_choice():
-    assert resolve_data_plane({"parallel_data_plane": "pickle"}) \
-        == DATA_PLANE_PICKLE
-    assert resolve_data_plane({"parallel_data_plane": "shm"}) == DATA_PLANE_SHM
-    assert resolve_data_plane({}) == DATA_PLANE_SHM  # auto, shm available
-
-
 def test_planned_data_plane_is_none_for_serial_shapes():
     assert planned_data_plane(None) is None
     assert planned_data_plane(1) is None
     assert planned_data_plane(2) == DATA_PLANE_SHM
-    assert planned_data_plane(
-        2, {"parallel_data_plane": "pickle"}
-    ) == DATA_PLANE_PICKLE
 
 
 def test_run_records_the_data_plane_on_the_network():
     config = SimulationConfig(n=8, seed=3, workers=2)
     network = SynchronousNetwork(config, _erb_factory(config))
+    assert network.parallel_data_plane is None
     network.run(config.t + 2)
     assert network.parallel_data_plane == DATA_PLANE_SHM
-
-    config = SimulationConfig(
-        n=8, seed=3, workers=2,
-        extra={"parallel_data_plane": "pickle"},
-    )
-    network = SynchronousNetwork(config, _erb_factory(config))
-    network.run(config.t + 2)
-    assert network.parallel_data_plane == DATA_PLANE_PICKLE
 
 
 def _erb_factory(config):
@@ -198,49 +176,35 @@ def _erb_factory(config):
 
 
 # ---------------------------------------------------------------------------
-# equivalence: shm plane == pickle plane == serial, at 1/2/4 workers
+# equivalence: shm plane == serial, at 1/2/4 workers
 # ---------------------------------------------------------------------------
-
-def _plane_config(config: SimulationConfig, workers: int,
-                  plane: str) -> SimulationConfig:
-    forced = _workers_config(config, workers)
-    forced.extra["parallel_data_plane"] = plane
-    return forced
-
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_erb_planes_byte_identical(workers):
     config = SimulationConfig(n=16, seed=5)
     serial = run_erb(config, initiator=0, message=b"plane")
     shm = run_erb(
-        _plane_config(config, workers, "shm"), initiator=0, message=b"plane"
-    )
-    pkl = run_erb(
-        _plane_config(config, workers, "pickle"), initiator=0, message=b"plane"
+        _workers_config(config, workers), initiator=0, message=b"plane"
     )
     assert _snapshot(shm) == _snapshot(serial)
-    assert _snapshot(pkl) == _snapshot(serial)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_erng_planes_byte_identical(workers):
     config = SimulationConfig(n=12, seed=8)
     serial = run_erng(config)
-    shm = run_erng(_plane_config(config, workers, "shm"))
-    pkl = run_erng(_plane_config(config, workers, "pickle"))
+    shm = run_erng(_workers_config(config, workers))
     assert _snapshot(shm) == _snapshot(serial)
-    assert _snapshot(pkl) == _snapshot(serial)
 
 
-@pytest.mark.parametrize("plane", ["shm", "pickle"])
-def test_traced_planes_replay_serial_events(plane):
-    """Both data planes must stream staged intents back in an order the
-    keyed merge restores exactly: the traced event streams are the serial
+def test_traced_run_replays_serial_events():
+    """The data plane must stream staged intents back in an order the
+    keyed merge restores exactly: the traced event stream is the serial
     stream byte for byte."""
     t_par, t_ser = Tracer.memory(), Tracer.memory()
     serial = run_erng(SimulationConfig(n=8, seed=3, tracer=t_ser))
-    parallel = run_erng(_plane_config(
-        SimulationConfig(n=8, seed=3, tracer=t_par), 3, plane
+    parallel = run_erng(_workers_config(
+        SimulationConfig(n=8, seed=3, tracer=t_par), 3
     ))
     assert parallel.outputs == serial.outputs
     assert t_par.events == t_ser.events
@@ -251,35 +215,17 @@ def test_traced_planes_replay_serial_events(plane):
     n=st.integers(min_value=4, max_value=12),
     seed=st.integers(min_value=0, max_value=2**16),
     workers=st.integers(min_value=2, max_value=5),
-    plane=st.sampled_from(["shm", "pickle"]),
 )
-def test_planes_worker_invariant_property(n, seed, workers, plane):
+def test_planes_worker_invariant_property(n, seed, workers):
     config = SimulationConfig(n=n, seed=seed)
     serial = run_erng(config)
-    parallel = run_erng(_plane_config(config, workers, plane))
+    parallel = run_erng(_workers_config(config, workers))
     assert _snapshot(parallel) == _snapshot(serial)
 
 
 # ---------------------------------------------------------------------------
-# fallback: forced pickle plane, and the one-line serial warning
+# fallback: the one-line serial warning
 # ---------------------------------------------------------------------------
-
-def test_forced_pickle_plane_still_runs_parallel():
-    """Forcing the fallback plane must not silently fall back to serial:
-    the run still shards, only the channel transport changes."""
-    config = SimulationConfig(
-        n=10, seed=4, workers=2, extra={"parallel_data_plane": "pickle"}
-    )
-    network = SynchronousNetwork(config, _erb_factory(config))
-    assert network._parallel_eligible() is True
-    result = network.run(config.t + 2)
-    assert network.parallel_data_plane == DATA_PLANE_PICKLE
-    serial_cfg = SimulationConfig(n=10, seed=4)
-    serial = SynchronousNetwork(
-        serial_cfg, _erb_factory(serial_cfg)
-    ).run(serial_cfg.t + 2)
-    assert _snapshot(result) == _snapshot(serial)
-
 
 def test_serial_fallback_warns_once_with_reason(caplog):
     """workers > 1 on an ineligible run (adversarial wires) must say so:
@@ -451,19 +397,7 @@ def test_barrier_share_below_bar_at_two_workers():
 
 
 def test_shm_plane_attributes_shm_not_serialize():
-    """The shm data plane charges its traffic to the ``shm`` bucket; the
-    pickle plane charges ``serialize`` (and no ``shm``)."""
+    """The data plane charges its traffic to the ``shm`` bucket."""
     tm_shm = TimingCollector()
-    run_erng(SimulationConfig(
-        n=12, seed=8, workers=2, timing=tm_shm,
-        extra={"parallel_data_plane": "shm"},
-    ))
+    run_erng(SimulationConfig(n=12, seed=8, workers=2, timing=tm_shm))
     assert tm_shm.totals.get("shm", 0.0) > 0
-
-    tm_pkl = TimingCollector()
-    run_erng(SimulationConfig(
-        n=12, seed=8, workers=2, timing=tm_pkl,
-        extra={"parallel_data_plane": "pickle"},
-    ))
-    assert "shm" not in tm_pkl.totals
-    assert tm_pkl.totals.get("serialize", 0.0) > 0

@@ -135,15 +135,12 @@ class TestSerialSessionReuse:
 
 @fork_only
 class TestParallelCrewReuse:
-    @pytest.mark.parametrize("plane", ["shm", "pickle"])
+    @pytest.mark.parametrize("plane", ["shm"])
     def test_crew_survives_runs_and_stays_bit_identical(self, plane):
-        if plane == "shm" and not shared_memory_available():
+        if not shared_memory_available():
             pytest.skip("POSIX shared memory unavailable")
         factory = _ErngEpochFactory(9, 4, 64)
-        config = SimulationConfig(
-            n=9, seed=5, workers=2, random_bits=64,
-            extra={"parallel_data_plane": plane},
-        )
+        config = SimulationConfig(n=9, seed=5, workers=2, random_bits=64)
         with EngineSession(config, factory) as session:
             first = session.run(6)
             crew = session.network._session_crew
@@ -151,6 +148,7 @@ class TestParallelCrewReuse:
             second = session.run(6, seed=11)
             # ...exactly once: the same crew served the recycled run.
             assert session.network._session_crew is crew
+            assert session.network.parallel_data_plane == plane
 
         _assert_same_run(
             first, run_erng(SimulationConfig(n=9, seed=5, random_bits=64))
@@ -180,16 +178,14 @@ class TestBeaconChainIdentity:
     @pytest.mark.parametrize("workers,plane", [
         (1, None),
         pytest.param(2, "shm", marks=fork_only),
-        pytest.param(2, "pickle", marks=fork_only),
     ])
     def test_sequential_session_pipelined_agree(self, workers, plane):
         if plane == "shm" and not shared_memory_available():
             pytest.skip("POSIX shared memory unavailable")
-        extra = {"parallel_data_plane": plane} if plane else None
         epochs = 3
         reference = _sequential_chain(epochs)
 
-        kwargs = dict(n=5, t=2, seed=7, workers=workers, extra=extra)
+        kwargs = dict(n=5, t=2, seed=7, workers=workers)
         with RandomBeacon(session=True, **kwargs) as session_beacon:
             for _ in range(epochs):
                 session_beacon.next_beacon()

@@ -7,8 +7,8 @@ not show: ``RunResult`` snapshots, logical *and* physical traffic ledgers
 and traced event streams have to be byte-identical to a reference run of
 the same loop in which nothing is skipped — the same program classes
 with their ``SPARSE_AWARE`` promise withdrawn, so every node is due every
-round ("dense").  Pinned on the serial engine and the sharded one over
-both data planes, by a hypothesis property across ERB / ERNG /
+round ("dense").  Pinned on the serial engine and the sharded one, by a
+hypothesis property across ERB / ERNG /
 optimized-ERNG, plus the contract around it: the ``sparse_aware``
 subclass-voiding rule, the visit counters, the :class:`ActiveSet`
 bookkeeping itself, and the active-set cache eviction (neighbour tuples
@@ -51,15 +51,13 @@ def _everyone_always_due():
             cls.SPARSE_AWARE = True
 
 
-def _run(protocol, n, seed, workers, data_plane, traced=False):
+def _run(protocol, n, seed, workers, traced=False):
     """One run; returns (result, tracer events, the network's visit
     counters — captured through the per-round observation hook)."""
     seen = {}
     extra = {"round_hook": lambda net, rnd, halted: seen.update(
         counters=net.sched_counters
     )}
-    if data_plane is not None:
-        extra["parallel_data_plane"] = data_plane
     tracer = Tracer.memory() if traced else None
     config = SimulationConfig(
         n=n, seed=seed, workers=workers, extra=extra, tracer=tracer,
@@ -89,10 +87,7 @@ def _equivalence_case(draw):
     n = draw(st.integers(min_value=8, max_value=14))
     seed = draw(st.integers(min_value=0, max_value=2**32))
     workers = draw(st.sampled_from([1, 2]))
-    data_plane = (
-        draw(st.sampled_from(["shm", "pickle"])) if workers > 1 else None
-    )
-    return protocol, n, seed, workers, data_plane
+    return protocol, n, seed, workers
 
 
 @given(_equivalence_case())
@@ -113,9 +108,9 @@ def test_sparse_equals_dense_byte_identical(case):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sparse_equals_dense_pinned_seed(protocol, workers):
     """The deterministic anchor of the property above (fast to bisect)."""
-    sparse, _, _ = _run(protocol, 12, 7, workers, None)
+    sparse, _, _ = _run(protocol, 12, 7, workers)
     with _everyone_always_due():
-        dense, _, full = _run(protocol, 12, 7, workers, None)
+        dense, _, full = _run(protocol, 12, 7, workers)
     assert _snapshot(sparse) == _snapshot(dense)
     assert full["begin_skipped"] == full["end_skipped"] == 0
 

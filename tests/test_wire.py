@@ -17,7 +17,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import subprocess
 import tempfile
 import time
 
@@ -182,6 +181,49 @@ class TestDeadPeers:
         for survivor in (0, 1, 2, 4):
             assert result.reports[survivor].ejected_peers == [3]
 
+    def test_silent_peers_share_one_deadline(self, caplog):
+        """A wave has one deadline, a timeout and a half from its start:
+        two hung peers are ejected together, in the wave they first miss,
+        and cost the survivors one wait — not one each."""
+        from repro.net.wire import WireNode
+
+        timeout = 0.5
+
+        async def main():
+            nodes = [WireNode(cfg) for cfg in cluster_configs(
+                5, "erb", seed=7, message=b"x", fail_at_round={3: 2, 4: 2},
+                fail_mode="hang", round_timeout_s=timeout,
+            )]
+            ports = {}
+            for node in nodes:
+                _, ports[node.cfg.node_id] = await node.start_server()
+            for node in nodes:
+                node.cfg.peers = {
+                    pid: ("127.0.0.1", port) for pid, port in ports.items()
+                    if pid != node.cfg.node_id
+                }
+            tasks = [asyncio.ensure_future(n.run_service()) for n in nodes]
+            reports = await asyncio.wait_for(asyncio.gather(*tasks[:3]), 60)
+            # The two hung daemons keep each other's link open: stop them.
+            for node in nodes[3:]:
+                node.shutdown()
+            await asyncio.wait_for(asyncio.gather(*tasks[3:]), 60)
+            return reports
+
+        with caplog.at_level("INFO", logger="repro.wire"):
+            reports = asyncio.run(main())
+        ejections = [
+            rec.args for rec in caplog.records if "ejected peer" in rec.msg
+        ]
+        for report in reports:
+            assert report.ejected_peers == [3, 4]
+            assert [
+                reason for node, _, reason in ejections
+                if node == report.node_id
+            ] == ["timeout:eod:round-2"] * 2
+            # ~1.5 x timeout; one wait per silent peer would be 3 x.
+            assert 1.5 * timeout <= report.round_walls[1] < 2.5 * timeout
+
     def test_crashed_initiator_leaves_no_decision(self):
         """If the initiator dies before round 1 nothing was ever sent;
         the cluster must terminate round-bounded, not hang."""
@@ -276,6 +318,58 @@ class TestHostileFrames:
         for i in range(4):
             assert not reports[i].crashed and reports[i].output == b"x"
             assert reports[i].ejected_peers == [4]
+
+    @staticmethod
+    def _injecting(after_kind, after_rnd, extra):
+        """Rewire a node to send ``extra(run)`` right after each of its
+        ``after_kind`` frames of round ``after_rnd``."""
+        def corrupt(node):
+            send = node._send_frame
+
+            def send_and_inject(peer, payload):
+                send(peer, payload)
+                if payload[0] == after_kind and payload[2] == after_rnd:
+                    send(peer, extra(payload[1]))
+
+            node._send_frame = send_and_inject
+        return corrupt
+
+    def test_replayed_frame_for_a_closed_round_is_dropped_and_counted(self):
+        """Lockstep puts every receiver past round 1 by the time the
+        sender's round-2 EOA leaves, so a round-1 EOD replayed behind it
+        is late: dropped and counted, no inbox re-created for a round
+        nothing will ever drop again, nobody ejected."""
+        from repro.net.wire import K_EOA, K_EOD
+
+        nodes, reports = _run_with_hostile_sender(
+            5, 4, self._injecting(K_EOA, 2, lambda run: (K_EOD, run, 1))
+        )
+        for i in range(5):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert reports[i].ejected_peers == []
+        for node in nodes[:4]:
+            assert node.stats.stale_frames == 1
+            assert all(not peer._inboxes for peer in node._peers.values())
+
+    @pytest.mark.parametrize("run_shift, rnd", [(0, 10**6), (0, "x"), (2, 1)])
+    def test_frame_outside_the_lockstep_window_is_link_death(
+        self, run_shift, rnd
+    ):
+        """No honest peer can be further ahead than the next round (or
+        round 1 of the next run): a frame claiming more — or a position
+        that is no round at all — kills the link instead of allocating an
+        inbox per claimed round, and the survivors decide."""
+        from repro.net.wire import K_DATA, K_EOD
+
+        nodes, reports = _run_with_hostile_sender(
+            5, 4, self._injecting(
+                K_EOD, 1, lambda run: (K_DATA, run + run_shift, rnd, 1, 1, b"")
+            )
+        )
+        for i in range(4):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert reports[i].ejected_peers == [4]
+            assert len(nodes[i]._peers[4]._inboxes) <= 1
 
 
 # ----------------------------------------------------------------------

@@ -4,68 +4,35 @@ Every benchmark module regenerates one artifact of the paper's evaluation
 (Section 6): it sweeps the same parameter the paper swept, prints the same
 rows/series, asserts the paper's *shape* claims (who wins, growth order,
 crossovers), and persists the rows under ``benchmarks/results/`` so
-EXPERIMENTS.md can quote them.
+EXPERIMENTS.md can quote them.  Speed is not measured here but by
+``perfbench/``.
 
 Sweep sizes are controlled by ``REPRO_BENCH_SCALE``:
 
-* ``smoke``   — minimal sizes (CI sanity);
+* ``smoke``   — minimal sizes (CI sanity; persists nothing, so the
+  checked-in default-scale rows survive the run);
 * ``default`` — moderate sizes, minutes of wall time in total;
 * ``full``    — the paper's maxima (N = 2^10 for ERB), slower.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from repro.obs.machine import git_revision, machine_stamp  # noqa: F401 (re-export)
-from repro.obs.metrics import PROFILER, MetricsRegistry
-
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Shared metrics registry: benchmark modules feed run statistics into it
-#: via :func:`record_run`; :func:`save_results` snapshots it into a
-#: ``<name>.metrics.json`` sidecar next to each results file.
-METRICS = MetricsRegistry()
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
 if SCALE not in ("smoke", "default", "full"):
     raise RuntimeError(f"unknown REPRO_BENCH_SCALE={SCALE!r}")
 
 
-#: Worker count for the parallel-engine benchmark cases.  Overridable so
-#: CI smoke runs (2-core runners) and developer machines measure what
-#: their hardware actually has.
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
-
 def pick(smoke, default, full):
     """Choose a sweep by scale."""
     return {"smoke": smoke, "default": default, "full": full}[SCALE]
-
-
-@contextlib.contextmanager
-def maybe_profile(name: str):
-    """cProfile a benchmark section when ``REPRO_BENCH_PROFILE_OUT`` is
-    set: dumps ``<dir>/<name>.pstats`` alongside the metrics sidecars."""
-    out_dir = os.environ.get("REPRO_BENCH_PROFILE_OUT")
-    if not out_dir:
-        yield None
-        return
-    import cProfile
-
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield profiler
-    finally:
-        profiler.disable()
-        profiler.dump_stats(path / f"{name}.pstats")
 
 
 def powers_of_two(lo: int, hi: int) -> List[int]:
@@ -99,32 +66,16 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def record_run(result) -> None:
-    """Feed one simulation's RunStats into the shared metrics registry."""
-    result.stats.publish(METRICS)
-
-
 def save_results(name: str, payload: Dict) -> None:
-    """Persist one benchmark's rows for EXPERIMENTS.md.
-
-    Alongside ``<name>.json`` this writes a ``<name>.metrics.json``
-    sidecar with whatever accumulated in :data:`METRICS` (and the
-    profiler registry, when wall-clock profiling was enabled).
-    """
+    """Persist one benchmark's rows for EXPERIMENTS.md (not at smoke
+    scale: its tiny sweeps must not overwrite the quoted rows)."""
+    if SCALE == "smoke":
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = dict(payload)
     payload["scale"] = SCALE
     with open(RESULTS_DIR / f"{name}.json", "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
-    sidecar: Dict = {
-        "benchmark": name,
-        "scale": SCALE,
-        "metrics": METRICS.as_dict(),
-    }
-    if PROFILER.enabled and PROFILER.registry is not None:
-        sidecar["profile"] = PROFILER.registry.as_dict()
-    with open(RESULTS_DIR / f"{name}.metrics.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, default=str)
 
 
 def growth_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:

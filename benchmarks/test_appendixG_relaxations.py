@@ -67,8 +67,8 @@ def _membership_churn():
     }
 
 
-def test_appendix_g_flooding(benchmark):
-    rows = benchmark.pedantic(_flooding_sweep, rounds=1, iterations=1)
+def test_appendix_g_flooding():
+    rows = _flooding_sweep()
     print_table(
         "Appendix G / S5 — Flood-ERB: full mesh vs 4-regular expander",
         ["N", "mesh rounds", "mesh MB", "expander rounds", "expander MB"],
@@ -86,8 +86,8 @@ def test_appendix_g_flooding(benchmark):
         assert 2 < r["expander_rounds"] <= 2 + 2 * (r["n"].bit_length())
 
 
-def test_appendix_g_membership(benchmark):
-    data = benchmark.pedantic(_membership_churn, rounds=1, iterations=1)
+def test_appendix_g_membership():
+    data = _membership_churn()
     print()
     print(
         f"Appendix G / S1 — dynamic membership: {data['events']} ERB-announced "

@@ -8,7 +8,7 @@ the two-round behaviour and the bandwidth knee.
 
 from __future__ import annotations
 
-from bench_common import pick, powers_of_two, print_table, record_run, save_results
+from bench_common import pick, powers_of_two, print_table, save_results
 
 from repro import SimulationConfig, run_erb
 
@@ -18,6 +18,10 @@ from repro import SimulationConfig, run_erb
 #: that happens around N = 2^10 — this second series shifts the knee into
 #: the default sweep so the phenomenon is visible at every scale.
 TIGHT_LINK = 16 * 1024 * 1024
+
+#: Smallest swept N whose round traffic outgrows ``TIGHT_LINK`` (2 s of
+#: a 16 MB/s link carry 32 MB; the ECHO round at N = 2^9 is ~50 MB).
+KNEE_N = 512
 
 
 def _sweep():
@@ -31,7 +35,6 @@ def _sweep():
         config = SimulationConfig(n=n, seed=1)
         result = run_erb(config, initiator=0, message=b"fig2a-payload")
         assert set(result.outputs.values()) == {b"fig2a-payload"}
-        record_run(result)
         tight_config = SimulationConfig(
             n=n, seed=1, bandwidth_bytes_per_s=TIGHT_LINK
         )
@@ -49,8 +52,8 @@ def _sweep():
     return rows
 
 
-def test_fig2a_erb_termination(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig2a_erb_termination():
+    rows = _sweep()
 
     print_table(
         "Fig 2a — ERB honest termination (time in simulated seconds)",
@@ -73,9 +76,11 @@ def test_fig2a_erb_termination(benchmark):
         assert r["termination_s"] >= 2 * r["one_round_s"] - 1e-9
 
     # Paper claim 3 (the knee): once per-round traffic outgrows the shared
-    # link, termination bends up — flat at small N, stretched at large N.
-    if len(rows) >= 4:
-        small = rows[0]
-        assert small["termination_tight_s"] == small["termination_s"]
-        big = rows[-1]
-        assert big["termination_tight_s"] > big["termination_s"]
+    # link, termination bends up — flat below the knee, stretched from it
+    # on.  Each row is held to the side of the knee its N is on, so a
+    # sweep that stops short of it (smoke) still checks the flat part.
+    for r in rows:
+        if r["n"] >= KNEE_N:
+            assert r["termination_tight_s"] > r["termination_s"]
+        else:
+            assert r["termination_tight_s"] == r["termination_s"]

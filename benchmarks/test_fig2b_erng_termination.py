@@ -14,6 +14,10 @@ from repro import ClusterConfig, SimulationConfig, run_erng, run_optimized_erng
 
 TIGHT_LINK = 4 * 1024 * 1024  # bytes/s — shifts the climb into our sweep
 
+#: Smallest swept N whose cubic round traffic outgrows ``TIGHT_LINK``
+#: (2 s of a 4 MB/s link carry 8 MB; ERNG at N = 64 moves ~52 MB).
+CLIMB_N = 64
+
 
 def _sweep():
     sizes = pick(
@@ -47,8 +51,8 @@ def _sweep():
     return rows
 
 
-def test_fig2b_erng_termination(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig2b_erng_termination():
+    rows = _sweep()
 
     print_table(
         "Fig 2b — ERNG honest termination (simulated seconds)",
@@ -70,5 +74,10 @@ def test_fig2b_erng_termination(benchmark):
 
     # The climb: cubic traffic through a tight link stretches rounds at
     # the top of the sweep but not at the bottom (the paper's shape).
-    assert rows[0]["unopt_tight_s"] == rows[0]["unopt_s"]
-    assert rows[-1]["unopt_tight_s"] > rows[-1]["unopt_s"]
+    # Each row is held to the side of the climb its N is on, so a sweep
+    # that stops short of it (smoke) still checks the flat part.
+    for r in rows:
+        if r["n"] >= CLIMB_N:
+            assert r["unopt_tight_s"] > r["unopt_s"]
+        else:
+            assert r["unopt_tight_s"] == r["unopt_s"]

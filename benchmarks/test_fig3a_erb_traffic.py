@@ -40,8 +40,8 @@ def _sweep():
     return rows
 
 
-def test_fig3a_erb_traffic(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig3a_erb_traffic():
+    rows = _sweep()
 
     print_table(
         "Fig 3a — ERB traffic vs N (Ex = measured, Th = closed form)",

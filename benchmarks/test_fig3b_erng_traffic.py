@@ -44,8 +44,8 @@ def _sweep():
     return rows
 
 
-def test_fig3b_erng_traffic(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig3b_erng_traffic():
+    rows = _sweep()
 
     print_table(
         "Fig 3b — ERNG traffic vs N (ERNG-0 = unoptimized, ERNG-1 = optimized)",
@@ -69,8 +69,11 @@ def test_fig3b_erng_traffic(benchmark):
         assert 0.5 < r["unopt_mb"] / r["th_unopt_mb"] < 2.0
 
     # Paper: >= ~60 % saving with the fixed 2N/3 cluster at the top size.
-    # ((2/3)^3 ≈ 0.30 of the work, minus CHOSEN/FINAL overhead.)
-    assert rows[-1]["saving"] > 0.5
+    # ((2/3)^3 ≈ 0.30 of the work, minus CHOSEN/FINAL overhead, which
+    # still eats the margin below N = 32: 49.8 % at N = 16.)
+    for r in rows:
+        if r["n"] >= 32:
+            assert r["saving"] > 0.5
 
     # The saving improves with N (overheads amortize).
     assert rows[-1]["saving"] > rows[0]["saving"]

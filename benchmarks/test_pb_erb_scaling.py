@@ -23,20 +23,29 @@ vs N) beyond its N = 4096 ceiling: the cluster construction keeps the
 committee size fixed while N grows, so messages/bits must stay
 near-linear in N and rounds must stay inside the γ + 5 deterministic
 bound at every size.  ``python -m repro report`` quotes both tables.
+
+Both sweeps double as the scale-feasibility checks — the run completes
+and its ledger is what the protocol predicts, no clock involved: the
+optimized ERNG reaches N = 4096 (four times the paper's maximum) at
+every scale, smoke included; pb-ERB reaches N = 16384 at full scale; and
+a third case runs deterministic ERB at N = 8192 on the sharded engine
+(full scale only).
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from bench_common import (
+    SCALE,
     growth_exponent,
     pick,
     print_table,
     save_results,
 )
 
-from repro import SimulationConfig
+from repro import SimulationConfig, run_erb
 from repro.core.erng_optimized import ClusterConfig, run_optimized_erng
 from repro.core.pb_erb import PbErbConfig, run_pb_erb
 
@@ -62,6 +71,9 @@ def test_pb_erb_scaling_curve():
         # ε-probabilistic delivery: the Chernoff tail loses at most a
         # handful of nodes to ⊥ at the default knobs.
         assert delivered >= int(n * 0.99)
+        # The ledger stays O(N log N): deterministic ERB's would be
+        # 2·N² (268M messages at N = 16384; the samples make it ~1.4M).
+        assert result.traffic.messages_sent <= 8 * n * math.log2(n)
         rows.append({
             "n": n,
             "fanout": pb.resolved_fanout(n),
@@ -110,7 +122,7 @@ def test_erng_opt_scaling_curve():
     N concurrent O(N^2) instances), and the round count must respect the
     deterministic γ + 5 bound at every size.
     """
-    sizes = pick([256, 1024], [1024, 4096, 8192], [4096, 8192, 16384])
+    sizes = pick([256, 1024, 4096], [1024, 4096, 8192], [4096, 8192, 16384])
     cluster = ClusterConfig()
     rows = []
     for n in sizes:
@@ -152,3 +164,19 @@ def test_erng_opt_scaling_curve():
           row["bits_per_node"]] for row in rows],
     )
     save_results("erng_opt_scaling", {"rows": rows})
+
+
+@pytest.mark.skipif(SCALE != "full", reason="N=8192 runs at full scale only")
+def test_erb_n8192_feasibility():
+    """Honest deterministic ERB at N = 2^13 — eight times the paper's
+    maximum — on the two-worker sharded engine: the run completes in two
+    rounds, everyone accepts, and the O(N²) ledger is exact."""
+    n = 8192
+    result = run_erb(
+        SimulationConfig(n=n, seed=26, workers=2),
+        initiator=0,
+        message=b"perf-8192",
+    )
+    assert result.rounds_executed == 2
+    assert set(result.outputs.values()) == {b"perf-8192"}
+    assert result.traffic.messages_sent == 2 * n * (n - 1)

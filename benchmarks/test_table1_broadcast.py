@@ -80,8 +80,8 @@ def _measure():
     return {"n": n, "t": t, "f": f, "rows": rows}
 
 
-def test_table1_broadcast_comparison(benchmark):
-    data = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def test_table1_broadcast_comparison():
+    data = _measure()
     rows = data["rows"]
     n, t, f = data["n"], data["t"], data["f"]
 

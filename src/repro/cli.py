@@ -8,7 +8,6 @@ Examples::
     python -m repro inspect /tmp/t.jsonl          # per-round timeline
     python -m repro erb --n 64 --timing-out /tmp/timing.json
     python -m repro report /tmp/timing.json --html /tmp/report.html
-    python -m repro report BENCH_engine.json      # throughput trend + gate
     python -m repro erng --n 16
     python -m repro erng-opt --n 120 --gamma 7
     python -m repro agreement --n 9 --inputs A,A,B,A,B,A,A,B,A
@@ -105,11 +104,14 @@ def _finish_obs(config: SimulationConfig, args: argparse.Namespace, result) -> N
     """Write the ``--timing-out`` / ``--metrics-out`` sidecars.
 
     Both sidecars carry the machine stamp (git rev, cpu_count, workers):
-    performance numbers without provenance are anecdotes (see
-    :mod:`repro.obs.bench`).
+    performance numbers without provenance are anecdotes.  Building the
+    stamp forks ``git``, so a run that writes neither file builds none.
     """
-    stamp = _stamp_for(args)
     timing_out = getattr(args, "timing_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    if not (timing_out or metrics_out):
+        return
+    stamp = _stamp_for(args)
     if timing_out and config.timing is not None:
         payload = config.timing.as_dict()
         payload["machine"] = stamp
@@ -130,7 +132,6 @@ def _finish_obs(config: SimulationConfig, args: argparse.Namespace, result) -> N
                 f"`python -m repro report {timing_out}`)",
                 file=sys.stderr,
             )
-    metrics_out = getattr(args, "metrics_out", None)
     if metrics_out and PROFILER.enabled and PROFILER.registry is not None:
         registry = PROFILER.registry
         if result is not None:
@@ -614,10 +615,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     try:
         text = render_report(
-            args.path,
-            html_out=args.html,
-            flame_out=args.flame,
-            threshold=args.threshold,
+            args.path, html_out=args.html, flame_out=args.flame
         )
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
@@ -853,13 +851,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="render a --timing-out sidecar, timed trace, or BENCH_*.json "
-        "history as a performance report",
+        help="render a --timing-out sidecar, a timed trace, or a "
+        "benchmarks/results rows file as a report",
     )
     p_report.add_argument(
         "path",
         help="a --timing-out JSON sidecar, a --trace-out JSONL file from "
-        "a timed run, or a BENCH_*.json benchmark history",
+        "a timed run, or a benchmarks/results/*.json rows file",
     )
     p_report.add_argument(
         "--html", default=None, metavar="OUT",
@@ -869,10 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flame", default=None, metavar="OUT",
         help="also export collapsed stacks (speedscope / flamegraph "
         "input; timing inputs only)",
-    )
-    p_report.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="bench-history regression threshold (default: %(default)s)",
     )
     p_report.set_defaults(func=_cmd_report)
 

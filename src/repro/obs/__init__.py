@@ -15,9 +15,7 @@ Six pieces:
   count, workers) attached to every persisted measurement;
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — JSONL persistence,
   the ``inspect`` timeline, and the ``report`` renderers (CLI table,
-  self-contained HTML, collapsed-stack flame export);
-* :mod:`repro.obs.bench` — the benchmark-history regression gate behind
-  ``tools/bench_check.py``.
+  self-contained HTML, collapsed-stack flame export).
 
 Typical use::
 
@@ -33,7 +31,6 @@ Typical use::
     print(config.timing.coverage())   # fraction of wall attributed
 """
 
-from repro.obs.bench import GateResult, check_file, check_history
 from repro.obs.events import (
     ROUND_PHASES,
     CampaignEvent,
@@ -57,7 +54,7 @@ from repro.obs.export import (
     render_timeline,
     write_trace,
 )
-from repro.obs.machine import git_revision, machine_stamp, stamps_comparable
+from repro.obs.machine import git_revision, machine_stamp
 from repro.obs.metrics import (
     PROFILER,
     Counter,
@@ -76,7 +73,6 @@ __all__ = [
     "Counter",
     "DecisionEvent",
     "EnvelopeEvent",
-    "GateResult",
     "Gauge",
     "HaltEvent",
     "Histogram",
@@ -98,8 +94,6 @@ __all__ = [
     "Tracer",
     "WireEvent",
     "charged_bytes_by_round",
-    "check_file",
-    "check_history",
     "event_from_dict",
     "event_to_dict",
     "git_revision",
@@ -107,7 +101,6 @@ __all__ = [
     "read_trace",
     "render_report",
     "render_timeline",
-    "stamps_comparable",
     "timing_to_collapsed",
     "write_trace",
 ]

@@ -2,8 +2,8 @@
 
 The registry is deliberately dependency-free and duck-typed: anything
 with ``counter`` / ``gauge`` / ``histogram`` getters can stand in for a
-:class:`MetricsRegistry` (``TrafficStats.publish`` and the benchmark
-sidecar both rely only on that surface).
+:class:`MetricsRegistry` (``TrafficStats.publish`` and the
+``--metrics-out`` sidecar both rely only on that surface).
 
 Profiling hooks (the crypto / serialization timers in
 :mod:`repro.channel.peer_channel`) go through the module-level
@@ -182,7 +182,7 @@ class MetricsRegistry:
         return _Timer(self.histogram(name))
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Snapshot every metric (the benchmark sidecar format)."""
+        """Snapshot every metric (the ``--metrics-out`` sidecar format)."""
         return {
             "counters": {
                 name: metric.value for name, metric in sorted(self._counters.items())

@@ -1,4 +1,4 @@
-"""Render timing sidecars and benchmark histories into reports.
+"""Render timing sidecars, timed traces and figure-sweep rows as reports.
 
 ``python -m repro report PATH`` accepts three inputs and renders each as
 a CLI table plus (optionally) a self-contained HTML page:
@@ -8,11 +8,12 @@ a CLI table plus (optionally) a self-contained HTML page:
   breakdown, per-round detail and per-shard utilization;
 * a ``--trace-out`` JSONL trace containing :class:`TimingEvent` records
   (a traced *and* timed run) — aggregated to the same shape;
-* a ``BENCH_*.json`` benchmark history — throughput trend across
-  entries plus the regression-gate deltas;
 * a ``benchmarks/results/*.json`` row dump (``{"rows": [...]}`` — the
   figure-sweep tables, e.g. the pb-ERB and optimized-ERNG scaling
   curves) — rendered as the aligned table EXPERIMENTS.md quotes.
+
+Wall-clock comparisons between runs are not this module's job: a
+``perfbench/run.py --out`` file is read by ``perfbench/compare.py``.
 
 ``timing_to_collapsed`` additionally exports the phase attribution in
 collapsed-stack format (``frame;frame value`` per line, values in
@@ -27,7 +28,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.bench import DEFAULT_THRESHOLD, check_history
 from repro.obs.timing import PHASE_BUCKETS
 
 
@@ -38,9 +38,8 @@ from repro.obs.timing import PHASE_BUCKETS
 def load_payload(path) -> Tuple[str, Dict]:
     """Classify and load a report input.
 
-    Returns ``("timing", payload)`` or ``("bench", payload)``; raises
-    ``ValueError`` for anything unrecognizable (the CLI maps that to
-    exit code 2).
+    Returns ``("timing", payload)`` or ``("rows", payload)``; raises
+    ``ValueError`` for anything else (the CLI maps that to exit code 2).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -51,20 +50,24 @@ def load_payload(path) -> Tuple[str, Dict]:
     if isinstance(data, dict):
         if data.get("kind") == "timing":
             return "timing", data
-        if isinstance(data.get("history"), list):
-            return "bench", data
         if isinstance(data.get("rows"), list) and data["rows"]:
             return "rows", data
+        if isinstance(data.get("history"), list) or (
+            "runs" in data and "stamp" in data
+        ):
+            raise ValueError(
+                f"{path}: benchmark runs are not a report input; compare "
+                "two `perfbench/run.py --out` files with perfbench/compare.py"
+            )
         raise ValueError(
-            f"{path}: JSON is neither a timing sidecar (kind='timing'), "
-            "a benchmark history (has 'history'), nor a results row dump "
-            "(has 'rows')"
+            f"{path}: JSON is neither a timing sidecar (kind='timing') "
+            "nor a results row dump (has 'rows')"
         )
     timing = _timing_from_trace_lines(text.splitlines())
     if timing is not None:
         return "timing", timing
     raise ValueError(
-        f"{path}: not a timing sidecar, benchmark history, or a JSONL "
+        f"{path}: not a timing sidecar, a results row dump, or a JSONL "
         "trace containing timing events"
     )
 
@@ -251,52 +254,6 @@ def timing_to_collapsed(payload: Dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# bench report
-# ----------------------------------------------------------------------
-
-def render_bench_report(
-    payload: Dict, threshold: float = DEFAULT_THRESHOLD
-) -> str:
-    """The CLI view of one BENCH_*.json history: trend + gate verdict."""
-    history: List[dict] = [
-        e for e in payload.get("history", []) if isinstance(e, dict)
-    ]
-    lines = [
-        f"benchmark: {payload.get('benchmark', '?')}  "
-        f"({len(history)} history entries)",
-        "",
-    ]
-    cases = sorted({
-        case for entry in history
-        for case in (entry.get("cases") or {})
-    })
-    lines.append("throughput trend (msg/s, oldest → newest):")
-    for case in cases:
-        rates = []
-        for entry in history:
-            case_data = (entry.get("cases") or {}).get(case)
-            rate = (case_data or {}).get("messages_per_sec")
-            rates.append(f"{rate:,.0f}" if rate is not None else "-")
-        lines.append(f"  {case:<24} " + " → ".join(rates))
-    speedups = sorted({
-        key for entry in history for key in entry
-        if "_speedup" in key
-    })
-    if speedups:
-        lines.append("")
-        lines.append("speedup ratios (oldest → newest):")
-        for key in speedups:
-            values = [
-                f"{entry[key]:.3f}" if entry.get(key) is not None else "-"
-                for entry in history
-            ]
-            lines.append(f"  {key:<28} " + " → ".join(values))
-    lines.append("")
-    lines.append(check_history(payload, threshold).report())
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
 # results-rows report (figure sweeps under benchmarks/results/)
 # ----------------------------------------------------------------------
 
@@ -358,8 +315,6 @@ th {{ border-bottom: 2px solid #888; }}
         border-radius: 2px; }}
 .idle {{ background: #c44e52; }}
 .muted {{ color: #777; }}
-.bad {{ color: #b00020; font-weight: 600; }}
-.ok {{ color: #2e7d32; }}
 </style></head><body>
 <h1>{title}</h1>
 """
@@ -370,12 +325,10 @@ def _esc(value) -> str:
 
 
 def render_html(kind: str, payload: Dict, title: str = "results") -> str:
-    """Self-contained HTML report for any payload kind."""
+    """Self-contained HTML report for either payload kind."""
     if kind == "timing":
         return _render_timing_html(payload)
-    if kind == "rows":
-        return _render_rows_html(payload, title)
-    return _render_bench_html(payload)
+    return _render_rows_html(payload, title)
 
 
 def _render_rows_html(payload: Dict, title: str) -> str:
@@ -478,68 +431,11 @@ def _render_timing_html(payload: Dict) -> str:
     return "".join(parts)
 
 
-def _render_bench_html(payload: Dict) -> str:
-    history: List[dict] = [
-        e for e in payload.get("history", []) if isinstance(e, dict)
-    ]
-    gate = check_history(payload)
-    parts = [_HTML_HEAD.format(
-        title=f"Benchmark history — {_esc(payload.get('benchmark', '?'))}"
-    )]
-    verdict_class = "ok" if gate.ok else "bad"
-    verdict = "PASS" if gate.ok else (
-        "REGRESSION" if gate.exit_code == 1 else "UNUSABLE HISTORY"
-    )
-    parts.append(
-        f"<p>Regression gate: <span class={verdict_class}>{verdict}</span>"
-        f" <span class=muted>({gate.compared_entries} comparable prior "
-        f"entries)</span></p>"
-    )
-    cases = sorted({
-        case for entry in history for case in (entry.get("cases") or {})
-    })
-    parts.append("<h2>Throughput trend (msg/s)</h2><table><tr><th>case</th>")
-    for entry in history:
-        label = _esc(entry.get("git_rev") or entry.get("timestamp", "?"))
-        parts.append(f"<th>{label}</th>")
-    parts.append("</tr>")
-    best: Dict[str, float] = {}
-    for case in cases:
-        rates = [
-            ((entry.get("cases") or {}).get(case) or {}).get(
-                "messages_per_sec"
-            )
-            for entry in history
-        ]
-        best[case] = max((r for r in rates if r is not None), default=0.0)
-        parts.append(f"<tr><td>{_esc(case)}</td>")
-        for rate in rates:
-            if rate is None:
-                parts.append("<td class=muted>-</td>")
-            else:
-                width = 60.0 * rate / best[case] if best[case] else 0.0
-                parts.append(
-                    f"<td>{rate:,.0f}<br>"
-                    f"<span class=bar style='width:{width:.0f}px'></span></td>"
-                )
-        parts.append("</tr>")
-    parts.append("</table>")
-    parts.append("<h2>Gate detail</h2><pre>")
-    parts.append(_esc(gate.report()))
-    parts.append("</pre></body></html>\n")
-    return "".join(parts)
-
-
 # ----------------------------------------------------------------------
-# one-call entry point used by the CLI and tools/bench_check.py
+# one-call entry point used by the CLI
 # ----------------------------------------------------------------------
 
-def render_report(
-    path,
-    html_out=None,
-    flame_out=None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> str:
+def render_report(path, html_out=None, flame_out=None) -> str:
     """Load ``path``, write optional HTML / collapsed-stack artifacts,
     and return the CLI table."""
     kind, payload = load_payload(path)
@@ -554,6 +450,4 @@ def render_report(
             fh.write(timing_to_collapsed(payload))
     if kind == "timing":
         return render_timing_report(payload)
-    if kind == "rows":
-        return render_rows_report(payload, title)
-    return render_bench_report(payload, threshold)
+    return render_rows_report(payload, title)

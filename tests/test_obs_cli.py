@@ -93,8 +93,20 @@ class TestTimingOut:
         assert payload["engine"] == "envelope"
         assert payload["machine"]["workers"] == 1
         assert payload["machine"]["cpu_count"] is not None
+        assert "git_rev" in payload["machine"]
         assert payload["rounds"]
         assert sum(payload["totals"].values()) > 0
+
+    def test_run_without_sidecars_builds_no_stamp(self, monkeypatch, capsys):
+        """``machine_stamp()`` forks ``git``; a run that writes no file
+        the stamp would go into must not pay for one."""
+
+        def forbidden(**kwargs):
+            raise AssertionError("machine_stamp() called for a plain run")
+
+        monkeypatch.setattr("repro.cli.machine_stamp", forbidden)
+        assert main(["erb", "--n", "4", "--message", "x"]) == 0
+        assert "accepted value(s)" in capsys.readouterr().out
 
     def test_metrics_out_sidecar_is_stamped(self, tmp_path, capsys):
         sidecar = str(tmp_path / "mx.json")
@@ -167,15 +179,6 @@ class TestReportCommand:
             assert fh.read().startswith("<!doctype html>")
         with open(flame_out) as fh:
             assert ";" in fh.read()
-
-    def test_report_on_bench_fixture(self, capsys):
-        from pathlib import Path
-
-        fixture = str(Path(__file__).parent / "data" / "bench_mini.json")
-        assert main(["report", fixture]) == 0
-        out = capsys.readouterr().out
-        assert "throughput trend" in out
-        assert "bench gate: PASS" in out
 
     def test_report_on_garbage_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

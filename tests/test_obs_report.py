@@ -2,7 +2,7 @@
 
 ``python -m repro report`` accepts three input shapes — a
 ``--timing-out`` sidecar, a JSONL trace containing timing events, and a
-``BENCH_*.json`` history — and every rendered artifact must be
+``benchmarks/results`` rows file — and every rendered artifact must be
 self-contained (no external assets) and faithful to the payload.
 """
 
@@ -17,7 +17,6 @@ import pytest
 from repro import SimulationConfig, run_erb
 from repro.obs.report import (
     load_payload,
-    render_bench_report,
     render_html,
     render_report,
     render_timing_report,
@@ -25,7 +24,11 @@ from repro.obs.report import (
 )
 from repro.obs.timing import TimingCollector
 
-DATA = Path(__file__).parent / "data"
+#: A checked-in figure-sweep rows file (the non-timing report input).
+ROWS_FILE = (
+    Path(__file__).parent.parent
+    / "benchmarks" / "results" / "pb_erb_scaling.json"
+)
 
 #: A tiny hand-written timing payload with a parallel-style shard record
 #: (values chosen so shares are easy to eyeball in failures).
@@ -62,10 +65,15 @@ class TestLoadPayload:
         assert kind == "timing"
         assert payload["engine"] == "parallel"
 
-    def test_detects_bench_history(self):
-        kind, payload = load_payload(DATA / "bench_mini.json")
-        assert kind == "bench"
-        assert payload["benchmark"] == "engine_throughput"
+    @pytest.mark.parametrize("payload", [
+        {"benchmark": "engine_throughput", "history": [{"cases": {}}]},
+        {"stamp": {"cpu_count": 2}, "runs": [{"workload": "cli-cold"}]},
+    ], ids=["bench-history", "perfbench-out"])
+    def test_benchmark_runs_point_at_compare(self, tmp_path, payload):
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="perfbench/compare.py"):
+            load_payload(path)
 
     def test_aggregates_timing_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -124,22 +132,10 @@ class TestTimingTable:
         assert "slowest rounds" in text
 
 
-class TestBenchTable:
-    def test_renders_trend_and_gate(self):
-        with open(DATA / "bench_mini.json") as fh:
-            payload = json.load(fh)
-        text = render_bench_report(payload)
-        assert "throughput trend" in text
-        assert "erb_n64_fanout" in text
-        assert "320,000 → 330,000" in text
-        assert "parallel_speedup_vs_serial" in text
-        assert "bench gate: PASS" in text
-
-
 class TestHtml:
     @pytest.mark.parametrize("kind,payload_path", [
         ("timing", None),
-        ("bench", DATA / "bench_mini.json"),
+        ("rows", ROWS_FILE),
     ])
     def test_html_is_self_contained(self, kind, payload_path):
         if payload_path is None:
@@ -159,13 +155,6 @@ class TestHtml:
         assert "Phase breakdown" in html
         assert "Per-shard utilization" in html
         assert "abc1234" in html
-
-    def test_bench_html_contents(self):
-        with open(DATA / "bench_mini.json") as fh:
-            payload = json.load(fh)
-        html = render_html("bench", payload)
-        assert "Throughput trend" in html
-        assert "PASS" in html
 
 
 class TestCollapsedStacks:
@@ -204,11 +193,4 @@ class TestRenderReport:
 
     def test_flame_on_bench_input_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="flame"):
-            render_report(
-                DATA / "bench_mini.json",
-                flame_out=tmp_path / "f.txt",
-            )
-
-    def test_bench_input_renders_gate(self):
-        text = render_report(DATA / "bench_mini.json")
-        assert "bench gate: PASS" in text
+            render_report(ROWS_FILE, flame_out=tmp_path / "f.txt")

@@ -100,8 +100,8 @@ def planned_data_plane(
     """The data plane a run with this shape would use — ``"shm"`` — or
     ``None`` when the sharded engine is not in play: a single worker, no
     fork start method, or no usable shared memory (such a run executes
-    serially).  Pure — no warnings — so stamps and bench entries can call
-    it freely; ``extra`` is accepted for callers that pass their config's
+    serially).  Pure — no warnings — so machine stamps and the contract
+    benchmark can call it freely; ``extra`` is accepted for callers that pass their config's
     and selects nothing."""
     if not workers or workers <= 1:
         return None

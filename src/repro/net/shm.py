@@ -50,7 +50,7 @@ try:  # pragma: no cover - import guard exercised via _probe()
 except ImportError:  # pragma: no cover - ancient / stripped pythons
     _shared_memory = None
 
-#: Data-plane identifier (machine stamps, bench entries).
+#: Data-plane identifier (machine stamps, contract-benchmark checks).
 DATA_PLANE_SHM = "shm"
 
 _HEADER = struct.Struct("<I")

@@ -52,7 +52,11 @@ Frame layout (see docs/NETWORKING.md for the wire diagram)::
 
 The payload reuses :mod:`repro.common.serialization` — the same tagged,
 deterministic, attacker-bytes-never-execute encoding the simulator's
-channels use.
+channels use.  A frame is encoded once however many peers it goes to:
+wave markers once per wave, each message once per round, and a DATA
+frame is spliced per link around its shared body
+(:func:`~repro.common.serialization.compose_tuple`).  One method,
+:meth:`WireNode._write_frame`, length-prefixes and writes every frame.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from repro.common.errors import (
     ProtocolError,
 )
 from repro.common.rng import DeterministicRNG
-from repro.common.serialization import decode, encode
+from repro.common.serialization import compose_tuple, decode, encode
 from repro.common.types import NodeId, ProtocolMessage
 from repro.core.erb import ErbProgram
 from repro.core.erng import ErngProgram
@@ -117,6 +121,11 @@ K_ACK = 4     # (kind, run, rnd, digests)     aggregated ack digests
 K_EOA = 5     # (kind, run, rnd)              end of ack wave
 K_FIN = 6     # (kind, run, rnd, done)        post-round-end barrier
 K_BYE = 7     # (kind, run, rnd, reason)      graceful departure
+
+#: Fields per frame kind, for every kind a peer may send after HELLO.
+_ARITY = {K_DATA: 6, K_EOD: 3, K_ACK: 4, K_EOA: 3, K_FIN: 4, K_BYE: 4}
+#: Length of one aggregated ACK digest (``RoundHost._ack_digest``).
+_DIGEST_BYTES = 8
 
 #: What each read asks the socket for.  asyncio's selector transport
 #: defaults to 256 KiB, which glibc serves with a fresh mmap (plus an
@@ -297,8 +306,8 @@ class WireStats(RunStats):
     here) plus per-link counters and wire-latency histograms.
 
     Persisted snapshots must carry ``transport="tcp"`` in their machine
-    stamp (:func:`repro.obs.machine.machine_stamp`) so bench entries
-    never cross-compare with simulated runs.
+    stamp (:func:`repro.obs.machine.machine_stamp`) so a wire measurement
+    is never read as a simulated one.
     """
 
     def __init__(self) -> None:
@@ -806,10 +815,10 @@ class WireNode(RoundHost):
     # ------------------------------------------------------------------
     # link layer: framing, sealing
     # ------------------------------------------------------------------
-    def _send_frame(self, peer: _Peer, payload: tuple) -> None:
-        if not peer.alive or peer.writer is None:
-            return
-        body = encode(payload)
+    def _write_frame(self, peer: _Peer, body: bytes) -> None:
+        """The one framing site: length-prefix an encoded frame and write
+        it to ``peer``.  Callers choose the peers — the live ones, or the
+        one being dialled — and encode a frame for several peers once."""
         frame = _LEN.pack(len(body)) + body
         try:
             peer.writer.write(frame)
@@ -828,34 +837,38 @@ class WireNode(RoundHost):
                     self._eject(peer, "write-error")
 
     def _seal_members(
-        self, peer_id: NodeId, members: List[ProtocolMessage]
-    ) -> tuple:
-        """(counter, count, body) of one round envelope for one link.
+        self,
+        peer_id: NodeId,
+        members: List[bytes],
+        shared: Dict[tuple, bytes],
+    ) -> Tuple[int, bytes]:
+        """(counter, encoded body) of one round envelope for one link;
+        ``members`` are the encoded message tuples.
 
         FULL links go through :meth:`SecureChannel.write_envelope` —
         real AEAD ciphertext, the channel's own counter sequence.
-        MODELED links carry the plaintext member tuples plus the link
-        counter and sender measurement, enforcing the same acceptance
-        semantics (measurement binding, strictly increasing counters)
-        at the receiver.
+        MODELED links carry the plaintext ``(measurement, members)`` plus
+        the link counter, enforcing the same acceptance semantics
+        (measurement binding, strictly increasing counters) at the
+        receiver; that body is the same on every link with the same
+        members, so it is composed once per round (``shared``).
         """
         me = self.cfg.node_id
         if self.cfg.security == "full":
-            channel = self._channels[peer_id]
-            envelope = channel.write_envelope(
-                me,
-                [encode(m.to_tuple()) for m in members],
-                self.enclave.rdrand.rng(),
+            envelope = self._channels[peer_id].write_envelope(
+                me, members, self.enclave.rdrand.rng(),
                 self.enclave.measurement,
             )
-            return (envelope.counter, envelope.count, envelope.sealed)
+            return envelope.counter, encode(envelope.sealed)
         counter = self._send_counters[peer_id] + 1
         self._send_counters[peer_id] = counter
-        body = (
-            self._measurements[me],
-            tuple(m.to_tuple() for m in members),
-        )
-        return (counter, len(members), body)
+        key = tuple(members)
+        body = shared.get(key)
+        if body is None:
+            body = shared[key] = compose_tuple((
+                encode(self._measurements[me]), compose_tuple(members),
+            ))
+        return counter, body
 
     def _open_members(
         self, peer_id: NodeId, counter: int, count: int, body
@@ -930,10 +943,10 @@ class WireNode(RoundHost):
         self._check_connected()
 
     def _send_hello(self, peer: _Peer) -> None:
-        self._send_frame(peer, (
+        self._write_frame(peer, encode((
             K_HELLO, WIRE_PROTO_VERSION, self.cfg.node_id,
             self.cfg.config_digest(),
-        ))
+        )))
 
     def _attach(
         self,
@@ -972,7 +985,7 @@ class WireNode(RoundHost):
         peer.reader = reader
         peer.writer = writer
         writer.transport.max_size = _RECV_BYTES
-        self._send_hello_raw(writer, peer)
+        self._send_hello(peer)
         hello, _ = await asyncio.wait_for(
             self._read_raw_frame(reader), timeout=self.cfg.connect_timeout_s
         )
@@ -985,17 +998,6 @@ class WireNode(RoundHost):
         peer.alive = True
         peer.reader_task = asyncio.ensure_future(self._reader_loop(peer))
         self._check_connected()
-
-    def _send_hello_raw(
-        self, writer: asyncio.StreamWriter, peer: _Peer
-    ) -> None:
-        body = encode((
-            K_HELLO, WIRE_PROTO_VERSION, self.cfg.node_id,
-            self.cfg.config_digest(),
-        ))
-        frame = _LEN.pack(len(body)) + body
-        writer.write(frame)
-        self.stats.sent(peer.node_id, len(frame))
 
     @staticmethod
     async def _read_raw_frame(
@@ -1051,16 +1053,43 @@ class WireNode(RoundHost):
             )
             self._eject(peer, "protocol-error")
 
-    def _route(self, peer: _Peer, frame: tuple) -> None:
+    def _route(self, peer: _Peer, frame: object) -> None:
+        """File one decoded frame in its round inbox.  Every field of
+        every kind is checked before anything reads it: a frame of the
+        wrong shape raises :class:`ProtocolError`, which kills the link."""
+        if not (
+            isinstance(frame, tuple) and frame
+            and isinstance(frame[0], int) and frame[0] in _ARITY
+        ):
+            raise ProtocolError("unknown frame kind")
         kind = frame[0]
-        if kind == K_BYE:
-            _, run, rnd, reason = frame
-            peer.mark_dead(f"bye:{reason}")
-            self.evict_departed_node(peer.node_id)
-            return
+        if len(frame) != _ARITY[kind]:
+            raise ProtocolError(
+                f"malformed frame: kind {kind} with {len(frame)} fields"
+            )
         _, run, rnd = frame[0:3]
         if not (isinstance(run, int) and isinstance(rnd, int)):
             raise ProtocolError("malformed frame position")
+        if kind == K_DATA:
+            valid = isinstance(frame[3], int) and isinstance(frame[4], int)
+        elif kind == K_ACK:
+            digests = frame[3]
+            valid = isinstance(digests, tuple) and all(
+                isinstance(d, bytes) and len(d) == _DIGEST_BYTES
+                for d in digests
+            )
+        elif kind == K_FIN:
+            valid = frame[3] in (0, 1)
+        elif kind == K_BYE:
+            valid = isinstance(frame[3], str)
+        else:
+            valid = True        # EOD, EOA: the position is all they carry
+        if not valid:
+            raise ProtocolError(f"malformed frame of kind {kind}")
+        if kind == K_BYE:
+            peer.mark_dead(f"bye:{frame[3]}")
+            self.evict_departed_node(peer.node_id)
+            return
         # Lockstep bounds what an honest peer can send: it cannot pass
         # our barrier further than the next round, or round 1 of the next
         # run.  A frame behind that window is late or replayed (its inbox
@@ -1078,10 +1107,6 @@ class WireNode(RoundHost):
             )
         box = peer.inbox(run, rnd)
         if kind == K_DATA:
-            if len(frame) != 6 or not (
-                isinstance(frame[3], int) and isinstance(frame[4], int)
-            ):
-                raise ProtocolError("malformed DATA frame")
             box.data.append(frame[3:])       # (counter, count, body)
         elif kind == K_EOD:
             box.eod_seen = True
@@ -1091,11 +1116,9 @@ class WireNode(RoundHost):
         elif kind == K_EOA:
             box.eoa_seen = True
             box.eoa.set()
-        elif kind == K_FIN:
+        else:
             box.done = bool(frame[3])
             box.fin.set()
-        else:
-            raise ProtocolError(f"unknown frame kind {kind}")
 
     # ------------------------------------------------------------------
     # barriers
@@ -1144,9 +1167,11 @@ class WireNode(RoundHost):
     # the round: RoundBackend over TCP frames, and the pump that waits
     # ------------------------------------------------------------------
     def _mark_wave(self, kind: int, rnd: int, *rest) -> None:
-        """Tell every live peer this node's part of a wave is out."""
+        """Tell every live peer this node's part of a wave is out: one
+        frame, encoded once."""
+        body = encode((kind, self.current_run, rnd, *rest))
         for peer in self._live_peers():
-            self._send_frame(peer, (kind, self.current_run, rnd, *rest))
+            self._write_frame(peer, body)
 
     def run_hooks(
         self, hook: str, rnd: int, halted_now=(), seconds: float = 0.0
@@ -1165,11 +1190,19 @@ class WireNode(RoundHost):
                 self._mark_wave(K_FIN, rnd, int(self._active.all_done))
 
     def transmit(self, rnd: int, intents: list) -> int:
-        """One sealed envelope per link, then the end-of-data marker."""
-        per_target: Dict[NodeId, List[ProtocolMessage]] = {}
+        """One sealed envelope per link, then the end-of-data marker.
+        No piece is encoded twice in a round: each message once, not once
+        per link, and each link's DATA frame is spliced from the shared
+        pieces around its own counter."""
+        per_target: Dict[NodeId, List[bytes]] = {}
         for intent in intents:
+            body = encode(intent.message.to_tuple())
             for target in intent.targets:
-                per_target.setdefault(target, []).append(intent.message)
+                per_target.setdefault(target, []).append(body)
+        head = (encode(K_DATA), encode(self.current_run), encode(rnd))
+        shared: Dict[tuple, bytes] = {}
+        # Counters and counts repeat across links.
+        ints: Dict[int, bytes] = {}
         sent = 0
         for target in sorted(per_target):
             members = per_target[target]
@@ -1177,10 +1210,14 @@ class WireNode(RoundHost):
             if peer is None or not peer.alive:
                 self.stats.traffic.record_omissions(len(members))
                 continue
-            counter, count, body = self._seal_members(target, members)
-            self._send_frame(
-                peer, (K_DATA, self.current_run, rnd, counter, count, body)
-            )
+            counter, body = self._seal_members(target, members, shared)
+            count = len(members)
+            for value in (counter, count):
+                if value not in ints:
+                    ints[value] = encode(value)
+            self._write_frame(peer, compose_tuple((
+                *head, ints[counter], ints[count], body,
+            )))
             sent += count
         self._mark_wave(K_EOD, rnd)
         return sent
@@ -1224,7 +1261,9 @@ class WireNode(RoundHost):
         for dest in sorted(acks):
             peer = self._peers.get(dest)
             if peer is not None and peer.alive:
-                self._send_frame(peer, (K_ACK, run, rnd, tuple(acks[dest])))
+                self._write_frame(
+                    peer, encode((K_ACK, run, rnd, tuple(acks[dest])))
+                )
         self._mark_wave(K_EOA, rnd)
         return sum(map(len, acks.values()))
 
@@ -1334,13 +1373,8 @@ class WireNode(RoundHost):
         self._stop.set()
 
     async def _close(self, crashed: bool = False) -> None:
-        for peer in self._peers.values():
-            if peer.alive and peer.writer is not None and not crashed:
-                self._send_frame(
-                    peer,
-                    (K_BYE, self.current_run, self.current_round,
-                     "shutdown"),
-                )
+        if not crashed:
+            self._mark_wave(K_BYE, self.current_round, "shutdown")
         await self._drain_all()
         for peer in self._peers.values():
             if peer.writer is not None:

@@ -25,10 +25,17 @@ import pytest
 from repro.apps.beacon import RandomBeacon
 from repro.common.config import ChannelSecurity, SimulationConfig
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import decode, encode
 from repro.core.erb import run_erb
 from repro.core.erng import run_erng
 from repro.core.pb_erb import run_pb_erb
 from repro.net.wire import (
+    K_ACK,
+    K_BYE,
+    K_DATA,
+    K_EOA,
+    K_EOD,
+    K_FIN,
     WireNodeConfig,
     allocate_loopback_ports,
     calibrate_from_results,
@@ -271,6 +278,46 @@ def _run_with_hostile_sender(n, hostile, corrupt, **knobs):
     return asyncio.run(main())
 
 
+def _rewriting(rewrite):
+    """Rewire a node so that each frame it writes goes out as the frames
+    ``rewrite(frame)`` lists instead — its OS rewriting what the enclave
+    sealed, at the one framing site.  A frame added after the first goes
+    only to a peer still live."""
+    def corrupt(node):
+        write = node._write_frame
+
+        def write_rewritten(peer, body):
+            first, *added = rewrite(decode(body))
+            write(peer, encode(first))
+            for frame in added:
+                if peer.alive:
+                    write(peer, encode(frame))
+
+        node._write_frame = write_rewritten
+    return corrupt
+
+
+def _of_kind(kind, replace):
+    """A rewrite that replaces each frame of ``kind`` by ``replace(frame)``."""
+    return _rewriting(lambda f: [replace(f) if f[0] == kind else f])
+
+
+#: One malformed frame per control kind; node 4 sends it instead of the
+#: honest one (the BYE is slipped in after its round-1 EOD).
+MALFORMED_FRAMES = {
+    "eod-arity": _of_kind(K_EOD, lambda f: f + (0,)),
+    "ack-unhashable-digest": _of_kind(K_ACK, lambda f: f[:3] + (({},),)),
+    "ack-digests-not-a-tuple": _of_kind(K_ACK, lambda f: f[:3] + (b"d" * 8,)),
+    "ack-short-digest": _of_kind(K_ACK, lambda f: f[:3] + ((b"d" * 7,),)),
+    "eoa-arity": _of_kind(K_EOA, lambda f: f[:2]),
+    "fin-done-not-0-or-1": _of_kind(K_FIN, lambda f: f[:3] + (2,)),
+    "bye-reason-not-str": _rewriting(
+        lambda f: [f, (K_BYE, f[1], f[2], 7)]
+        if f[0] == K_EOD and f[2] == 1 else [f]
+    ),
+}
+
+
 class TestHostileFrames:
     @pytest.mark.parametrize("security, n", [("modeled", 7), ("full", 4)])
     def test_malformed_data_body_is_an_omission(self, security, n):
@@ -280,16 +327,7 @@ class TestHostileFrames:
         and everyone else still decides."""
         hostile = n - 1
         bodies = iter(HOSTILE_BODIES * n)
-
-        def corrupt(node):
-            seal = node._seal_members
-
-            def seal_garbage(peer_id, members):
-                counter, count, _ = seal(peer_id, members)
-                return (counter, count, next(bodies))
-
-            node._seal_members = seal_garbage
-
+        corrupt = _of_kind(K_DATA, lambda f: f[:5] + (next(bodies),))
         nodes, reports = _run_with_hostile_sender(
             n, hostile, corrupt, security=security
         )
@@ -304,17 +342,22 @@ class TestHostileFrames:
         """A DATA frame without its body cannot be attributed to a round
         envelope at all: the link is dropped (protocol-error ejection),
         as for any undecodable frame, and the survivors decide."""
-        from repro.net.wire import K_DATA
+        _, reports = _run_with_hostile_sender(
+            5, 4, _of_kind(K_DATA, lambda f: f[:-1])
+        )
+        for i in range(4):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert reports[i].ejected_peers == [4]
 
-        def corrupt(node):
-            send = node._send_frame
-
-            def send_short(peer, payload):
-                send(peer, payload[:-1] if payload[0] == K_DATA else payload)
-
-            node._send_frame = send_short
-
-        _, reports = _run_with_hostile_sender(5, 4, corrupt)
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_of_each_kind_is_link_death(self, case):
+        """Every field of every kind is checked where the frame is
+        routed: an ACK whose digests are not 8-byte strings (an
+        unhashable one used to crash every receiver's service), a FIN
+        whose doneness is not 0 or 1, a BYE without a reason, a marker
+        of the wrong arity — each kills the link, nobody crashes, and
+        the survivors decide."""
+        _, reports = _run_with_hostile_sender(5, 4, MALFORMED_FRAMES[case])
         for i in range(4):
             assert not reports[i].crashed and reports[i].output == b"x"
             assert reports[i].ejected_peers == [4]
@@ -323,24 +366,16 @@ class TestHostileFrames:
     def _injecting(after_kind, after_rnd, extra):
         """Rewire a node to send ``extra(run)`` right after each of its
         ``after_kind`` frames of round ``after_rnd``."""
-        def corrupt(node):
-            send = node._send_frame
-
-            def send_and_inject(peer, payload):
-                send(peer, payload)
-                if payload[0] == after_kind and payload[2] == after_rnd:
-                    send(peer, extra(payload[1]))
-
-            node._send_frame = send_and_inject
-        return corrupt
+        return _rewriting(
+            lambda f: [f, extra(f[1])]
+            if f[0] == after_kind and f[2] == after_rnd else [f]
+        )
 
     def test_replayed_frame_for_a_closed_round_is_dropped_and_counted(self):
         """Lockstep puts every receiver past round 1 by the time the
         sender's round-2 EOA leaves, so a round-1 EOD replayed behind it
         is late: dropped and counted, no inbox re-created for a round
         nothing will ever drop again, nobody ejected."""
-        from repro.net.wire import K_EOA, K_EOD
-
         nodes, reports = _run_with_hostile_sender(
             5, 4, self._injecting(K_EOA, 2, lambda run: (K_EOD, run, 1))
         )
@@ -359,8 +394,6 @@ class TestHostileFrames:
         round 1 of the next run): a frame claiming more — or a position
         that is no round at all — kills the link instead of allocating an
         inbox per claimed round, and the survivors decide."""
-        from repro.net.wire import K_DATA, K_EOD
-
         nodes, reports = _run_with_hostile_sender(
             5, 4, self._injecting(
                 K_EOD, 1, lambda run: (K_DATA, run + run_shift, rnd, 1, 1, b"")

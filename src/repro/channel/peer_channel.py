@@ -1,18 +1,18 @@
 """``PeerCh_sgx`` — the blinded channel between two enclaves (Fig. 4).
 
-Two security modes share one interface:
+:class:`SecureChannel` executes the construction byte-for-byte: attested
+DH key exchange at Init, SHA-256-CTR + HMAC encrypt-then-MAC at Write,
+MAC / measurement / counter verification at Read.  This is the FULL
+security level.  The MODELED level keeps the *semantics* — identical
+acceptance and rejection behaviour, identical wire sizes
+(:func:`modeled_wire_size`: serialized plaintext + constant channel
+overhead) — without paying per-message hashing; it lives in
+:class:`repro.net.transport.ModeledTransport`, where forgery attempts are
+flags on the wire object (an adversary without the keys can only ever
+produce a wire message that fails verification, so a flag is a faithful
+model).
 
-* ``FULL`` executes the construction byte-for-byte: attested DH key
-  exchange at Init, SHA-256-CTR + HMAC encrypt-then-MAC at Write, MAC /
-  measurement / counter verification at Read.
-* ``MODELED`` keeps the *semantics* — identical acceptance and rejection
-  behaviour, identical wire sizes (serialized plaintext + constant channel
-  overhead) — without paying per-message hashing, so million-message
-  simulations stay tractable.  Forgery attempts are represented by flags
-  on the wire object (an adversary without the keys can only ever produce
-  a wire message that fails verification, so a flag is a faithful model).
-
-The invariant both modes enforce: *the receiving enclave only ever sees a
+The invariant both levels enforce: *the receiving enclave only ever sees a
 message that the sending enclave's program actually wrote, in order, at
 most once* — everything else is surfaced as an omission.
 """
@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import CHANNEL_OVERHEAD_BYTES, ChannelSecurity
-from repro.common.errors import IntegrityError, ProtocolError
+from repro.common.errors import ConfigurationError, IntegrityError, ProtocolError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import compose_tuple, decode, encode
 from repro.common.types import NodeId, ProtocolMessage
@@ -111,24 +111,22 @@ class Envelope:
 
 
 class SecureChannel:
-    """A bidirectional blinded channel between enclaves ``a`` and ``b``."""
+    """A bidirectional blinded channel between enclaves ``a`` and ``b``
+    (FULL security; built by :meth:`establish`)."""
 
     def __init__(
         self,
         a: NodeId,
         b: NodeId,
-        security: ChannelSecurity,
         *,
-        key: Optional[AeadKey] = None,
-        measurement_a: Optional[bytes] = None,
-        measurement_b: Optional[bytes] = None,
-        initial_counters: Tuple[int, int] = (0, 0),
+        key: AeadKey,
+        measurement_a: bytes,
+        measurement_b: bytes,
+        initial_counters: Tuple[int, int],
     ) -> None:
         self.a = a
         self.b = b
-        self.security = security
-        self._key = key
-        self._aead = AEAD(key) if key is not None else None
+        self._aead = AEAD(key)
         self._measurements = {a: measurement_a, b: measurement_b}
         # Per-direction send counters and replay guards (P6).
         init_ab, init_ba = initial_counters
@@ -155,43 +153,43 @@ class SecureChannel:
         Both sides verify the other's attestation quote over its DH public
         value before deriving keys; a wrong program measurement aborts with
         :class:`AttestationError` (enforcing P1).  Initial per-direction
-        sequence numbers are drawn from enclave randomness (P6).
+        sequence numbers are drawn from enclave randomness (P6).  Only
+        ``ChannelSecurity.FULL`` has a channel to establish; the other
+        levels are :mod:`repro.net.transport` models.
         """
+        if security is not ChannelSecurity.FULL:
+            raise ConfigurationError(
+                f"a SecureChannel is FULL security, not {security.name}"
+            )
         enclave_a.guard()
         enclave_b.guard()
         rng_a = enclave_a.rdrand.rng()
         rng_b = enclave_b.rdrand.rng()
 
-        if security is ChannelSecurity.FULL:
-            dh_a = DiffieHellman(rng_a, group)
-            dh_b = DiffieHellman(rng_b, group)
-            pair_a = dh_a.generate_keypair()
-            pair_b = dh_b.generate_keypair()
-            width = group.byte_width
-            quote_a = enclave_a.quote(pair_a.public.to_bytes(width, "big"))
-            quote_b = enclave_b.quote(pair_b.public.to_bytes(width, "big"))
-            # Each side checks the peer runs the same program (P1/F3).
-            enclave_a.verify_peer_quote(quote_b, enclave_a.measurement)
-            enclave_b.verify_peer_quote(quote_a, enclave_b.measurement)
-            secret = dh_a.shared_secret(pair_a, pair_b.public)
-            secret_check = dh_b.shared_secret(pair_b, pair_a.public)
-            if secret != secret_check:
-                raise ProtocolError("DH exchange produced mismatched secrets")
-            label = f"channel|{min(enclave_a.node_id, enclave_b.node_id)}|" \
-                f"{max(enclave_a.node_id, enclave_b.node_id)}"
-            material = hkdf(secret, info=label.encode(), length=2 * KEY_SIZE)
-            key: Optional[AeadKey] = AeadKey(
-                enc_key=material[:KEY_SIZE], mac_key=material[KEY_SIZE:]
-            )
-        else:
-            key = None
+        dh_a = DiffieHellman(rng_a, group)
+        dh_b = DiffieHellman(rng_b, group)
+        pair_a = dh_a.generate_keypair()
+        pair_b = dh_b.generate_keypair()
+        width = group.byte_width
+        quote_a = enclave_a.quote(pair_a.public.to_bytes(width, "big"))
+        quote_b = enclave_b.quote(pair_b.public.to_bytes(width, "big"))
+        # Each side checks the peer runs the same program (P1/F3).
+        enclave_a.verify_peer_quote(quote_b, enclave_a.measurement)
+        enclave_b.verify_peer_quote(quote_a, enclave_b.measurement)
+        secret = dh_a.shared_secret(pair_a, pair_b.public)
+        secret_check = dh_b.shared_secret(pair_b, pair_a.public)
+        if secret != secret_check:
+            raise ProtocolError("DH exchange produced mismatched secrets")
+        label = f"channel|{min(enclave_a.node_id, enclave_b.node_id)}|" \
+            f"{max(enclave_a.node_id, enclave_b.node_id)}"
+        material = hkdf(secret, info=label.encode(), length=2 * KEY_SIZE)
+        key = AeadKey(enc_key=material[:KEY_SIZE], mac_key=material[KEY_SIZE:])
 
         init_ab = rng_a.randint(1, 2**31)
         init_ba = rng_b.randint(1, 2**31)
         return SecureChannel(
             enclave_a.node_id,
             enclave_b.node_id,
-            security,
             key=key,
             measurement_a=enclave_a.measurement,
             measurement_b=enclave_b.measurement,
@@ -227,54 +225,37 @@ class SecureChannel:
         message: ProtocolMessage,
         rng: DeterministicRNG,
         measurement: bytes,
-        precomputed_size: Optional[int] = None,
         encoded_message: Optional[bytes] = None,
     ) -> WireMessage:
         """Seal a protocol value for the peer (Fig. 4's Write).
 
         ``encoded_message`` may carry ``encode(message.to_tuple())``
-        computed once per multicast; the FULL-mode plaintext is then
-        composed from it instead of re-serializing the message for every
-        receiver (the counter and measurement still differ per channel).
+        computed once per multicast; the plaintext is then composed from
+        it instead of re-serializing the message for every receiver (the
+        counter and measurement still differ per channel).
         """
         receiver = self._peer_of(sender)
         counter = self.next_counter(sender)
-        if self.security is ChannelSecurity.FULL:
-            assert self._aead is not None
-            t0 = perf_counter() if PROFILER.enabled else None
-            if encoded_message is None:
-                plaintext = encode((counter, measurement, message.to_tuple()))
-            else:
-                plaintext = compose_tuple((
-                    encode(counter),
-                    self._encoded_measurement(sender, measurement),
-                    encoded_message,
-                ))
-            sealed = self._aead.seal(
-                plaintext, rng, associated_data=self._direction[sender]
-            )
-            if t0 is not None:
-                PROFILER.observe("channel.write_s", perf_counter() - t0)
-            size = len(sealed) + _FRAMING_BYTES
-            return WireMessage(
-                sender=sender,
-                receiver=receiver,
-                counter=counter,
-                size=size,
-                sealed=sealed,
-            )
-        size = (
-            precomputed_size
-            if precomputed_size is not None
-            else modeled_wire_size(message)
+        t0 = perf_counter() if PROFILER.enabled else None
+        if encoded_message is None:
+            plaintext = encode((counter, measurement, message.to_tuple()))
+        else:
+            plaintext = compose_tuple((
+                encode(counter),
+                self._encoded_measurement(sender, measurement),
+                encoded_message,
+            ))
+        sealed = self._aead.seal(
+            plaintext, rng, associated_data=self._direction[sender]
         )
+        if t0 is not None:
+            PROFILER.observe("channel.write_s", perf_counter() - t0)
         return WireMessage(
             sender=sender,
             receiver=receiver,
             counter=counter,
-            size=size,
-            plain=message,
-            plain_measurement=measurement,
+            size=len(sealed) + _FRAMING_BYTES,
+            sealed=sealed,
         )
 
     # ------------------------------------------------------------------
@@ -290,36 +271,20 @@ class SecureChannel:
         sender = self._peer_of(receiver)
         if wire.receiver != receiver or wire.sender != sender:
             raise IntegrityError("wire message routed to the wrong channel")
-        expected_measurement = self._measurements.get(sender)
-
-        if self.security is ChannelSecurity.FULL:
-            assert self._aead is not None
-            t0 = perf_counter() if PROFILER.enabled else None
-            plaintext = self._aead.open(
-                wire.sealed, associated_data=self._direction[sender]
-            )
-            counter, measurement, raw = decode(plaintext)
-            if t0 is not None:
-                PROFILER.observe("channel.read_s", perf_counter() - t0)
-            if expected_measurement is not None and measurement != expected_measurement:
-                raise IntegrityError("message bound to a different program (H(pi) mismatch)")
-            self._guards[sender].check_and_update(counter)
-            return ProtocolMessage.from_tuple(raw)
-
-        if wire.tampered:
-            raise IntegrityError("MAC verification failed (modeled tampering)")
-        if (
-            expected_measurement is not None
-            and wire.plain_measurement is not None
-            and wire.plain_measurement != expected_measurement
-        ):
+        t0 = perf_counter() if PROFILER.enabled else None
+        plaintext = self._aead.open(
+            wire.sealed, associated_data=self._direction[sender]
+        )
+        counter, measurement, raw = decode(plaintext)
+        if t0 is not None:
+            PROFILER.observe("channel.read_s", perf_counter() - t0)
+        if measurement != self._measurements[sender]:
             raise IntegrityError("message bound to a different program (H(pi) mismatch)")
-        self._guards[sender].check_and_update(wire.counter)
-        assert wire.plain is not None
-        return wire.plain
+        self._guards[sender].check_and_update(counter)
+        return ProtocolMessage.from_tuple(raw)
 
     # ------------------------------------------------------------------
-    # Envelope write/read — one AEAD call per link per round (FULL only)
+    # Envelope write/read — one AEAD call per link per round
     # ------------------------------------------------------------------
     def write_envelope(
         self,
@@ -339,9 +304,6 @@ class SecureChannel:
         only the AEAD seal (and hence the enclave's nonce draws) is
         amortized over the whole link.
         """
-        if self.security is not ChannelSecurity.FULL:
-            raise ProtocolError("write_envelope requires a FULL channel")
-        assert self._aead is not None
         receiver = self._peer_of(sender)
         t0 = perf_counter() if PROFILER.enabled else None
         measurement_enc = self._encoded_measurement(sender, measurement)
@@ -371,9 +333,6 @@ class SecureChannel:
     def read_envelope(self, receiver: NodeId, envelope: Envelope) -> Tuple[ProtocolMessage, ...]:
         """Verify and open an envelope: one AEAD open, then the per-member
         measurement and freshness checks of :meth:`read` in member order."""
-        if self.security is not ChannelSecurity.FULL:
-            raise ProtocolError("read_envelope requires a FULL channel")
-        assert self._aead is not None
         sender = self._peer_of(receiver)
         if envelope.receiver != receiver or envelope.sender != sender:
             raise IntegrityError("envelope routed to the wrong channel")
@@ -384,11 +343,11 @@ class SecureChannel:
         triples = decode(plaintext)
         if t0 is not None:
             PROFILER.observe("channel.read_s", perf_counter() - t0)
-        expected_measurement = self._measurements.get(sender)
+        expected_measurement = self._measurements[sender]
         guard = self._guards[sender]
         messages = []
         for counter, measurement, raw in triples:
-            if expected_measurement is not None and measurement != expected_measurement:
+            if measurement != expected_measurement:
                 raise IntegrityError(
                     "message bound to a different program (H(pi) mismatch)"
                 )

@@ -7,8 +7,8 @@ shared 128 MB/s link running up to 1000 peers):
   drives enclave programs, applies adversarial OS behaviours, and enforces
   the Multicast/ACK/Halt semantics of Algorithm 2;
 * :mod:`repro.net.transport` — the delivery layer (FULL crypto, MODELED
-  sizes, or NONE for strawman attack demos) plus the bandwidth model that
-  stretches a round beyond ``2*delta`` when the shared link saturates;
+  sizes, or NONE for strawman attack demos) that every back-end, the TCP
+  wire included, seals and opens through;
 * :mod:`repro.net.topology` — full mesh (assumption S5) and the sparse
   expander relaxation of Appendix G;
 * :mod:`repro.net.stats` — per-run traffic and round accounting, the raw

@@ -65,6 +65,7 @@ import traceback
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.channel.peer_channel import modeled_wire_size
 from repro.common.types import ProtocolMessage
 from repro.net.activeset import ActiveSet
 from repro.net import shm
@@ -141,7 +142,7 @@ def _pack_intent(
     into when the run is timed."""
     targets: Optional[Tuple[int, ...]] = intent.targets
     t0 = perf_counter() if tmb is not None else 0.0
-    size = net.transport.message_size(intent.message) if targets else 0
+    size = modeled_wire_size(intent.message) if targets else 0
     if tmb is not None:
         tmb["serialize"] = tmb.get("serialize", 0.0) + (perf_counter() - t0)
     if targets and targets is net._neighbour_cache.get(intent.sender):
@@ -703,7 +704,7 @@ class _Coordinator:
         t0 = perf_counter() if self.tm is not None else 0.0
         for intent in network._outbox_next:
             if intent.targets:
-                intent.size = network.transport.message_size(intent.message)
+                intent.size = modeled_wire_size(intent.message)
         if self.tm is not None:
             self.tm.add("serialize", perf_counter() - t0)
 

@@ -33,12 +33,13 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.adversary.behaviors import OSBehavior
 from repro.adversary.classification import ActionTrace, trace_from_wire_events
-from repro.channel.peer_channel import Envelope, WireMessage
+from repro.channel.peer_channel import Envelope, WireMessage, modeled_wire_size
 from repro.common.config import (
     CHANNEL_OVERHEAD_BYTES,
     ChannelSecurity,
@@ -61,12 +62,7 @@ from repro.net.stats import RoundRecord, RunStats, TrafficStats
 from repro.net.topology import Topology
 from repro.obs.events import RoundSpan, TimingEvent, WireEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.net.transport import (
-    FullTransport,
-    ModeledTransport,
-    PlainTransport,
-    Transport,
-)
+from repro.net.transport import Transport, build_transport
 from repro.sgx.attestation import AttestationAuthority
 from repro.sgx.enclave import Enclave, EnclaveState
 from repro.sgx.program import EnclaveProgram
@@ -724,13 +720,9 @@ class SynchronousNetwork(RoundHost):
         # an entry here (parallel-run re-integration) updates them too.
         self._enclaves = enclaves
 
-        self.transport: Transport
-        if config.channel_security is ChannelSecurity.FULL:
-            self.transport = FullTransport(enclaves, self._dh_group)
-        elif config.channel_security is ChannelSecurity.MODELED:
-            self.transport = ModeledTransport(enclaves)
-        else:
-            self.transport = PlainTransport(enclaves)
+        self.transport: Transport = build_transport(
+            config.channel_security, enclaves, self._dh_group
+        )
 
         self.stats = RunStats()
         self._init_round_state()
@@ -1349,7 +1341,7 @@ class SynchronousNetwork(RoundHost):
 
     def _ack_wire_size(self, rnd: Round) -> int:
         """Modeled wire size of every ACK of round ``rnd``."""
-        return self.transport.message_size(_ack_message(b"\x00" * 8, rnd))
+        return modeled_wire_size(_ack_message(b"\x00" * 8, rnd))
 
     def _settle_ack_wave(
         self,
@@ -1382,8 +1374,8 @@ class SynchronousNetwork(RoundHost):
         for (acker, dest), count in link_counts.items():
             env_size = ack_size * count - overhead * (count - 1)
             if seal:
-                env = transport.seal_envelope(
-                    acker, dest, None, count=count, size=env_size
+                (env,) = transport.seal_envelope(
+                    acker, (dest,), None, count=count, size=env_size
                 )
                 if nodes[dest].alive:
                     transport.open_envelope(dest, env)
@@ -1419,9 +1411,7 @@ class SynchronousNetwork(RoundHost):
                     body = encode(_ack_message(digest, rnd).to_tuple())
                     body_cache[digest] = body
                 bodies.append(body)
-            env = transport.seal_envelope(
-                acker, dest, None, encoded_bodies=bodies
-            )
+            (env,) = transport.seal_envelope(acker, (dest,), bodies)
             for msize in env.member_sizes:
                 traffic.record_send(MessageType.ACK, msize, rnd, physical=False)
             traffic.record_envelope(env.count, env.size)
@@ -1516,9 +1506,9 @@ class _PerWireRounds:
         for intent in intents:
             message = intent.message
             t0 = perf_counter() if tm is not None else 0.0
-            size_hint = transport.message_size(message)
+            size_hint = modeled_wire_size(message)
             t1 = perf_counter() if tm is not None else 0.0
-            wires = transport.write_fanout(
+            wires = transport.write(
                 intent.sender, intent.targets, message, size_hint
             )
             if tm is not None:
@@ -1606,9 +1596,9 @@ class _PerWireRounds:
             )
             size_hint = net._ack_size_cache.get(cache_key)
             if size_hint is None:
-                size_hint = transport.message_size(ack)
+                size_hint = modeled_wire_size(ack)
                 net._ack_size_cache[cache_key] = size_hint
-            wire = transport.write(acker, dest, ack, size_hint)
+            (wire,) = transport.write(acker, (dest,), ack, size_hint)
             behavior = acker_node.behavior
             if behavior is None:
                 traffic.record_send(
@@ -1674,7 +1664,7 @@ class _EnvelopeRounds:
             t0 = perf_counter() if tm is not None else 0.0
             sized = (
                 encode(message.to_tuple()) if full
-                else transport.message_size(message)
+                else modeled_wire_size(message)
             )
             if tm is not None:
                 serialize_s += perf_counter() - t0
@@ -1703,11 +1693,8 @@ class _EnvelopeRounds:
                     for receiver in targets:
                         buckets.setdefault(receiver, []).append((message, body))
                 for receiver, pairs in buckets.items():
-                    env = transport.seal_envelope(
-                        sender,
-                        receiver,
-                        None,
-                        encoded_bodies=[body for _, body in pairs],
+                    (env,) = transport.seal_envelope(
+                        sender, (receiver,), [body for _, body in pairs]
                     )
                     for (message, _), msize in zip(pairs, env.member_sizes):
                         traffic.record_send(
@@ -1717,11 +1704,10 @@ class _EnvelopeRounds:
                     envelopes.append(env)
                 continue
             for receivers, members, env_size in net._coalesce_links(entries):
-                # One vectorized seal pass per member list: the transport
-                # hoists the guard / measurement / row lookups out of the
-                # per-link loop.
+                # One seal call per member list: the transport hoists the
+                # guard / measurement / row lookups out of the per-link loop.
                 t1 = perf_counter() if tm is not None else 0.0
-                envelopes.extend(transport.seal_envelope_wave(
+                envelopes.extend(transport.seal_envelope(
                     sender, receivers, members, size=env_size
                 ))
                 if tm is not None:
@@ -1738,31 +1724,28 @@ class _EnvelopeRounds:
 
     def deliver(self, rnd: Round) -> int:
         """Open each live receiver's envelopes (the link-level integrity /
-        freshness checks, and for FULL the single AEAD open) grouped per
-        receiver — one guard / accepted-row borrow per receiver instead of
-        per envelope; every link appears at most once per round, so
-        regrouping cannot reorder any per-link counter sequence — then
+        freshness checks, and for FULL the single AEAD open), then
         dispatch members in plan order."""
         net = self.net
         nodes = net.nodes
         traffic = net.stats.traffic
         transport = net.transport
+        open_envelope = transport.open_envelope
         tracer = net.tracer
         traced = tracer.enabled
         full = transport.security is ChannelSecurity.FULL
         tm = net._timing
         t0 = perf_counter() if tm is not None else 0.0
         opened: Dict[Tuple[NodeId, NodeId], deque] = {}
-        inbound: Dict[NodeId, List[Envelope]] = {}
+        inbound: Set[NodeId] = set()
         for env in self._envelopes:
-            if not nodes[env.receiver].alive:
+            receiver = env.receiver
+            if not nodes[receiver].alive:
                 continue  # per-member omissions are recorded in dispatch
-            inbound.setdefault(env.receiver, []).append(env)
-        for receiver, batch in inbound.items():
-            opened_members = transport.open_envelope_wave(receiver, batch)
+            members = open_envelope(receiver, env)
+            inbound.add(receiver)
             if full:
-                for env, members in zip(batch, opened_members):
-                    opened[(env.sender, receiver)] = deque(members)
+                opened[(env.sender, receiver)] = deque(members)
         if tm is not None:
             tm.add("batch_crypto", perf_counter() - t0)
         # The dispatch table is static between program swaps (halts are

@@ -15,10 +15,10 @@ Design constraints, in order:
    :class:`WireNode` is its :class:`~repro.net.simulator.RoundHost`, so
    staging, ACK digests and the halt rule are the simulator's own),
    messages are the same :class:`~repro.common.types.ProtocolMessage`
-   tuples in the same deterministic serialization, and FULL-security
-   links reuse
-   :class:`~repro.channel.peer_channel.SecureChannel` envelopes —
-   per-link AEAD counter sequences included.
+   tuples in the same deterministic serialization, and every round
+   envelope is sealed and opened by the simulator's own
+   :class:`~repro.net.transport.Transport` — acceptance rule, per-link
+   counter sequences and rejection taxonomy included.
 
 2. **Decisions are identical to the simulator at the same seed.**  RNG
    forks are label-derived (``DeterministicRNG(("simulation", seed))
@@ -71,8 +71,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.beacon import BeaconRecord, RandomBeacon, epoch_seed
-from repro.channel.peer_channel import Envelope, SecureChannel
-from repro.channel.replay import ReplayGuard
+from repro.channel.peer_channel import Envelope
 from repro.common.config import ChannelSecurity, SimulationConfig
 from repro.common.errors import (
     ConfigurationError,
@@ -95,6 +94,7 @@ from repro.net.simulator import (
 )
 from repro.net.stats import RunStats
 from repro.net.topology import Topology
+from repro.net.transport import build_transport
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
 from repro.sgx.attestation import AttestationAuthority
@@ -126,6 +126,8 @@ K_BYE = 7     # (kind, run, rnd, reason)      graceful departure
 _ARITY = {K_DATA: 6, K_EOD: 3, K_ACK: 4, K_EOA: 3, K_FIN: 4, K_BYE: 4}
 #: Length of one aggregated ACK digest (``RoundHost._ack_digest``).
 _DIGEST_BYTES = 8
+#: Largest DATA counter or count (the transport's counters are int64).
+_MAX_COUNTER = 2**63 - 1
 
 #: What each read asks the socket for.  asyncio's selector transport
 #: defaults to 256 KiB, which glibc serves with a fresh mmap (plus an
@@ -529,31 +531,20 @@ def fit_round_model(samples: Sequence[Tuple[int, float]]) -> CalibrationFit:
     mean_b = sum(b for b, _ in pts) / n
     mean_w = sum(w for _, w in pts) / n
     var_b = sum((b - mean_b) ** 2 for b, _ in pts)
-    if var_b <= 0.0 or n < 2:
-        residual = (
-            sum((w - mean_w) ** 2 for _, w in pts) / n
-        ) ** 0.5
-        return CalibrationFit(
-            latency_s=mean_w,
-            bandwidth_bytes_per_s=None,
-            residual_s=residual,
-            samples=n,
-        )
     cov = sum((b - mean_b) * (w - mean_w) for b, w in pts)
-    slope = cov / var_b                      # seconds per byte
-    latency = mean_w - slope * mean_b
+    slope = cov / var_b if var_b > 0.0 else 0.0     # seconds per byte
     if slope <= 0.0:
-        # Faster with more bytes — loopback noise dominates; report the
-        # latency-only model rather than a negative bandwidth.
-        residual = (
-            sum((w - mean_w) ** 2 for _, w in pts) / n
-        ) ** 0.5
+        # One byte count, or faster with more bytes (loopback noise
+        # dominates): report the latency-only model rather than a
+        # negative bandwidth.
+        residual = (sum((w - mean_w) ** 2 for _, w in pts) / n) ** 0.5
         return CalibrationFit(
             latency_s=mean_w,
             bandwidth_bytes_per_s=None,
             residual_s=residual,
             samples=n,
         )
+    latency = mean_w - slope * mean_b
     residual = (
         sum((w - (latency + slope * b)) ** 2 for b, w in pts) / n
     ) ** 0.5
@@ -727,21 +718,16 @@ class WireNode(RoundHost):
         self._build_universe(cfg.seed)
 
     # ------------------------------------------------------------------
-    # deterministic universe: enclave, channels, measurements
+    # deterministic universe: enclaves and the transport over them
     # ------------------------------------------------------------------
     def _build_universe(self, seed: int) -> None:
-        """Build this node's enclave — and, because every RNG fork is
-        label-derived from the shared seed, the exact same enclave the
-        simulator would build.
-
-        Under FULL security the pairwise channel establishment of
-        :class:`~repro.net.transport.FullTransport` is replayed locally
-        over replica enclaves (same ascending pair order, same DH /
-        quote / counter draws); only the channels incident to this node
-        are kept.  No key material ever crosses the wire — the shared
-        simulation seed *is* the key agreement, which keeps the sealing
-        stack byte-identical to the simulator's.
-        """
+        """Build every node's enclave — because every RNG fork is
+        label-derived from the shared seed, exactly the enclaves the
+        simulator would build — and the simulator's own transport over
+        them, which seals and opens every round envelope this node sends
+        or receives.  Under FULL it runs every pairwise handshake locally:
+        no key material ever crosses the wire, the shared simulation seed
+        *is* the key agreement."""
         cfg = self.cfg
         #: The simulator-side view of ``cfg`` (what programs read as
         #: ``ctx.config``).
@@ -749,41 +735,22 @@ class WireNode(RoundHost):
         master = DeterministicRNG(("simulation", seed))
         clock = self.clock = SimulationClock()
         factory, self._max_rounds = _protocol_plan(cfg, seed)
-        full = cfg.security == "full"
-        authority = AttestationAuthority(master, MODP_2048) if full else None
-        enclaves: Dict[NodeId, Enclave] = {}
-        for node_id in range(cfg.n):
-            enclaves[node_id] = Enclave(
-                node_id, factory(node_id), master, clock, authority
-            )
+        security = self.config.channel_security
+        authority = (
+            AttestationAuthority(master, MODP_2048)
+            if security is ChannelSecurity.FULL else None
+        )
+        enclaves = {
+            node_id: Enclave(node_id, factory(node_id), master, clock, authority)
+            for node_id in range(cfg.n)
+        }
         self.enclave = enclaves[cfg.node_id]
         self.context = EnclaveContext(self, cfg.node_id)
         #: The RoundHost view: this daemon hosts exactly one node.
         self.nodes = {
             cfg.node_id: Node(cfg.node_id, self.enclave, None, self.context)
         }
-        self._measurements = {
-            node_id: enclave.measurement
-            for node_id, enclave in enclaves.items()
-        }
-        self._channels: Dict[NodeId, SecureChannel] = {}
-        self._send_counters: Dict[NodeId, int] = {}
-        self._recv_guards: Dict[NodeId, ReplayGuard] = {}
-        if full:
-            ids = sorted(enclaves)
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    channel = SecureChannel.establish(
-                        enclaves[a], enclaves[b],
-                        ChannelSecurity.FULL, MODP_2048,
-                    )
-                    if cfg.node_id in (a, b):
-                        peer = b if a == cfg.node_id else a
-                        self._channels[peer] = channel
-        else:
-            for pid in self._peers:
-                self._send_counters[pid] = 0
-                self._recv_guards[pid] = ReplayGuard(0)
+        self.transport = build_transport(security, enclaves, MODP_2048)
         # Fresh per-run state; the ledger's rounds restart with the run.
         self._init_round_state()
         self._ack_out: Dict[NodeId, List[bytes]] = {}
@@ -842,65 +809,52 @@ class WireNode(RoundHost):
         members: List[bytes],
         shared: Dict[tuple, bytes],
     ) -> Tuple[int, bytes]:
-        """(counter, encoded body) of one round envelope for one link;
-        ``members`` are the encoded message tuples.
-
-        FULL links go through :meth:`SecureChannel.write_envelope` —
-        real AEAD ciphertext, the channel's own counter sequence.
-        MODELED links carry the plaintext ``(measurement, members)`` plus
-        the link counter, enforcing the same acceptance semantics
-        (measurement binding, strictly increasing counters) at the
-        receiver; that body is the same on every link with the same
-        members, so it is composed once per round (``shared``).
-        """
-        me = self.cfg.node_id
-        if self.cfg.security == "full":
-            envelope = self._channels[peer_id].write_envelope(
-                me, members, self.enclave.rdrand.rng(),
-                self.enclave.measurement,
-            )
+        """(counter, frame body) of the envelope the transport seals for
+        one link from ``members``, the encoded message tuples: FULL's
+        ciphertext, or MODELED's ``(measurement, members)`` — composed
+        once per round per member list (``shared``)."""
+        (envelope,) = self.transport.seal_envelope(
+            self.cfg.node_id, (peer_id,), members
+        )
+        if envelope.sealed is not None:
             return envelope.counter, encode(envelope.sealed)
-        counter = self._send_counters[peer_id] + 1
-        self._send_counters[peer_id] = counter
         key = tuple(members)
         body = shared.get(key)
         if body is None:
             body = shared[key] = compose_tuple((
-                encode(self._measurements[me]), compose_tuple(members),
+                encode(envelope.member_measurement), compose_tuple(members),
             ))
-        return counter, body
+        return envelope.counter, body
 
     def _open_members(
         self, peer_id: NodeId, counter: int, count: int, body
     ) -> Tuple[ProtocolMessage, ...]:
+        """Open one DATA frame through the transport.  The body came off
+        a socket: whatever is not the shape this mode seals, or holds
+        other than ``count`` members, is a forgery, omitted like a failed
+        MAC."""
         me = self.cfg.node_id
-        # The body came off a socket: whatever is not the shape this mode
-        # seals is a forgery, to be omitted like a failed MAC.
-        if self.cfg.security == "full":
-            if not isinstance(body, bytes):
-                raise ProtocolError("malformed DATA body")
-            channel = self._channels[peer_id]
+        full = self.transport.security is ChannelSecurity.FULL
+        if full and isinstance(body, bytes):
+            envelope = Envelope(peer_id, me, counter, len(body), count, body)
+        elif not full and isinstance(body, tuple) and len(body) == 2:
             envelope = Envelope(
-                sender=peer_id,
-                receiver=me,
-                counter=counter,
-                size=len(body),
-                count=count,
-                sealed=body,
+                peer_id, me, counter, 0, count,
+                members=body[1], member_measurement=body[0],
             )
-            return channel.read_envelope(me, envelope)
-        if not (isinstance(body, tuple) and len(body) == 2):
+        else:
             raise ProtocolError("malformed DATA body")
-        measurement, raw_members = body
-        if measurement != self._measurements[peer_id]:
+        members = self.transport.open_envelope(me, envelope)
+        if not full:
+            try:
+                members = tuple(ProtocolMessage.from_tuple(m) for m in members)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"malformed DATA member: {exc}") from None
+        if len(members) != count:
             raise ProtocolError(
-                "message bound to a different program (H(pi) mismatch)"
+                f"DATA frame declares {count} members but holds {len(members)}"
             )
-        self._recv_guards[peer_id].check_and_update(counter)
-        try:
-            return tuple(ProtocolMessage.from_tuple(raw) for raw in raw_members)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed DATA member: {exc}") from None
+        return members
 
     # ------------------------------------------------------------------
     # connection management
@@ -1071,7 +1025,11 @@ class WireNode(RoundHost):
         if not (isinstance(run, int) and isinstance(rnd, int)):
             raise ProtocolError("malformed frame position")
         if kind == K_DATA:
-            valid = isinstance(frame[3], int) and isinstance(frame[4], int)
+            # (counter, count): the link counter the transport checks and
+            # the member count the opened envelope must hold.
+            valid = all(
+                type(v) is int and 1 <= v <= _MAX_COUNTER for v in frame[3:5]
+            )
         elif kind == K_ACK:
             digests = frame[3]
             valid = isinstance(digests, tuple) and all(
@@ -1239,6 +1197,8 @@ class WireNode(RoundHost):
                 traffic.record_omissions(sum(c for _, c, _ in box.data))
                 continue
             for counter, count, body in box.data:
+                if self.enclave.halted:
+                    continue    # a halted enclave opens nothing
                 try:
                     members = self._open_members(
                         peer.node_id, counter, count, body
@@ -1251,8 +1211,6 @@ class WireNode(RoundHost):
                         "node %d: rejected envelope from %d: %s",
                         cfg.node_id, peer.node_id, exc,
                     )
-                    continue
-                if self.enclave.halted:
                     continue
                 self._active.delivered.add(cfg.node_id)
                 for member in members:

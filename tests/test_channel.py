@@ -11,6 +11,7 @@ from repro.channel.replay import ReplayGuard
 from repro.common.config import CHANNEL_OVERHEAD_BYTES, ChannelSecurity
 from repro.common.errors import (
     AttestationError,
+    ConfigurationError,
     IntegrityError,
     ProtocolError,
     ReplayError,
@@ -167,35 +168,19 @@ class TestFullChannel:
             SecureChannel.establish(a, b, ChannelSecurity.FULL, group=MODP_768)
 
 
+    @pytest.mark.parametrize(
+        "security", [ChannelSecurity.MODELED, ChannelSecurity.NONE]
+    )
+    def test_only_full_security_establishes(self, security):
+        # The lower levels are transport models (repro.net.transport).
+        a, b = _enclaves()
+        with pytest.raises(ConfigurationError):
+            SecureChannel.establish(a, b, security)
+
+
 class TestModeledChannel:
-    def _channel(self):
-        a, b = _enclaves(label="modeled")
-        channel = SecureChannel.establish(a, b, ChannelSecurity.MODELED)
-        return a, b, channel
-
-    def test_roundtrip(self):
-        a, b, channel = self._channel()
-        wire = channel.write(0, _message(), a.rdrand.rng(), a.measurement)
-        assert channel.read(1, wire) == _message()
-
-    def test_modeled_tamper_rejected(self):
-        a, b, channel = self._channel()
-        wire = channel.write(0, _message(), a.rdrand.rng(), a.measurement)
-        with pytest.raises(IntegrityError):
-            channel.read(1, wire.tampered_copy())
-
-    def test_modeled_replay_rejected(self):
-        a, b, channel = self._channel()
-        wire = channel.write(0, _message(), a.rdrand.rng(), a.measurement)
-        channel.read(1, wire)
-        with pytest.raises(ReplayError):
-            channel.read(1, wire)
-
-    def test_modeled_size_formula(self):
-        msg = _message()
-        a, b, channel = self._channel()
-        wire = channel.write(0, msg, a.rdrand.rng(), a.measurement)
-        assert wire.size == modeled_wire_size(msg)
+    """The MODELED level's wire-size model; its accept/reject rule is
+    ``ModeledTransport``'s (tests/test_transport_stats.py)."""
 
     def test_size_calibration_near_paper_values(self):
         # Section 6.1: INIT ~100 B, ACK ~80 B.

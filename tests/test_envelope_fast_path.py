@@ -10,7 +10,7 @@ paths, on seeded honest and adversarial ERB *and* ERNG runs over all
 three channel fidelities — plus traced-run event identity, the dual
 physical ledger invariants, the transport seal/open semantics, and the
 satellite fixes that rode along (neighbour-tuple caching, skipping
-``message_size`` for empty fan-outs, the per-round ACK-size cache and the
+``modeled_wire_size`` for empty fan-outs, the per-round ACK-size cache and the
 per-network ACK-digest LRU).
 """
 
@@ -22,10 +22,13 @@ from hypothesis import strategies as st
 
 from repro import ChannelSecurity, SimulationConfig, run_erb, run_erng
 from repro.adversary.omission import RandomOmission, SelectiveOmission
+from repro.channel.peer_channel import modeled_wire_size
 from repro.common.errors import ReplayError
 from repro.common.rng import DeterministicRNG
+from repro.common.serialization import encode
 from repro.common.types import MessageType, ProtocolMessage
 from repro.core.erb import ErbProgram
+from repro.net import simulator
 from repro.net.simulator import _DIGEST_CACHE_LIMIT, SynchronousNetwork
 from repro.net.transport import ModeledTransport, PlainTransport
 from repro.obs.events import EnvelopeEvent
@@ -283,16 +286,19 @@ def _message(seq):
 
 @pytest.mark.parametrize("transport_cls", [ModeledTransport, PlainTransport])
 def test_write_fanout_matches_sequential_writes(transport_cls):
-    """The per-wire path's batched multicast write is exactly one
+    """The per-wire path's multicast write is exactly one single-target
     ``write`` per target, in order, on one continuing counter sequence."""
     message = _message(1)
     sequential = transport_cls(_enclaves(5, 7))
     batched = transport_cls(_enclaves(5, 7))
     targets = [1, 2, 3, 4]
-    size = sequential.message_size(message)
+    size = modeled_wire_size(message)
     for _ in range(2):
-        expected = [sequential.write(0, r, message, size) for r in targets]
-        assert batched.write_fanout(0, targets, message, size) == expected
+        expected = [
+            wire for r in targets
+            for wire in sequential.write(0, (r,), message, size)
+        ]
+        assert batched.write(0, targets, message, size) == expected
 
 
 @pytest.mark.parametrize("transport_cls", [ModeledTransport, PlainTransport])
@@ -300,22 +306,22 @@ def test_seal_envelope_advances_counters_like_writes(transport_cls):
     sequential = transport_cls(_enclaves(4, 7))
     coalesced = transport_cls(_enclaves(4, 7))
     members = [_message(seq) for seq in range(1, 4)]
-    size = sum(sequential.message_size(m) for m in members)
+    size = sum(modeled_wire_size(m) for m in members)
     for member in members:
-        sequential.write(0, 1, member, sequential.message_size(member))
-    env = coalesced.seal_envelope(0, 1, members, size=size)
+        sequential.write(0, (1,), member, modeled_wire_size(member))
+    (env,) = coalesced.seal_envelope(0, (1,), members, size=size)
     assert env.count == len(members)
     assert env.size == size
     # One more write on each side lands on the same counter.
-    follow_a = sequential.write(0, 1, _message(9), 10)
-    follow_b = coalesced.write(0, 1, _message(9), 10)
+    (follow_a,) = sequential.write(0, (1,), _message(9), 10)
+    (follow_b,) = coalesced.write(0, (1,), _message(9), 10)
     assert follow_a.counter == follow_b.counter
 
 
 def test_modeled_open_envelope_rejects_replay():
     transport = ModeledTransport(_enclaves(3, 11))
     members = [_message(1)]
-    env = transport.seal_envelope(0, 1, members, size=100)
+    (env,) = transport.seal_envelope(0, (1,), members, size=100)
     assert transport.open_envelope(1, env) == members
     with pytest.raises(ReplayError):
         transport.open_envelope(1, env)
@@ -347,10 +353,12 @@ def test_full_envelope_member_sizes_match_per_wire_writes():
 
     members = [_message(seq) for seq in range(1, 5)]
     sequential = full_transport(5)
-    per_wire_sizes = [sequential.write(0, 1, m).size for m in members]
+    per_wire_sizes = [sequential.write(0, (1,), m)[0].size for m in members]
 
     coalesced = full_transport(5)
-    env = coalesced.seal_envelope(0, 1, members)
+    (env,) = coalesced.seal_envelope(
+        0, (1,), [encode(m.to_tuple()) for m in members]
+    )
     assert env.member_sizes == per_wire_sizes
     # One seal for the whole link: physically smaller than the sum.
     assert env.size < sum(per_wire_sizes)
@@ -419,22 +427,21 @@ def test_context_halt_invalidates_neighbour_cache():
     assert network.nodes[2].alive is False
 
 
-def test_empty_fanout_skips_message_size():
+def test_empty_fanout_skips_message_size(monkeypatch):
     """A multicast with no targets (n == 1, or an explicit empty list)
     must not compute a wire size on either engine path."""
+    calls = []
+
+    def counting(message):
+        calls.append(message)
+        return modeled_wire_size(message)
+
+    monkeypatch.setattr(simulator, "modeled_wire_size", counting)
     for extra in ({}, {"disable_envelope_fast_path": True}):
         config = SimulationConfig(n=2, seed=6, extra=dict(extra))
         # A no-op program: nothing is staged except the empty-target
         # multicast injected below.
         network = SynchronousNetwork(config, lambda node_id: _SilentProgram())
-        calls = []
-        original = network.transport.message_size
-
-        def counting(message):
-            calls.append(message)
-            return original(message)
-
-        network.transport.message_size = counting
         # Staged outside on_round_begin: transmits at the start of round 1.
         network.nodes[0].context.multicast(_message(1), targets=())
         network.run(1)

@@ -5,7 +5,7 @@ shared-memory ring buffers, batched the per-wave crypto, and streamed
 staged intents through the barrier.  None of that may show: these tests
 pin the ring's framing discipline, the byte-identity of the shm data
 plane against serial (results, dual ledgers, traced event streams, timed
-vs untimed), the batched transport verbs against their per-link loops,
+vs untimed), a many-link envelope seal against one seal per link,
 the one-line fallback warnings (an ineligible run; a host without
 shared memory), and the coordinator's barrier attribution (< 0.3 of
 wall at workers = 2 — the number that was 0.96 under the v1 protocol).
@@ -279,7 +279,7 @@ def test_explicit_disable_does_not_warn(caplog):
 
 
 # ---------------------------------------------------------------------------
-# batched transport verbs == their per-link loops
+# one seal call for many links == one call per link
 # ---------------------------------------------------------------------------
 
 class _WaveProgram(EnclaveProgram):
@@ -304,62 +304,38 @@ def _members(sender: int, count: int):
 
 @pytest.mark.parametrize("transport_cls", [ModeledTransport, PlainTransport])
 def test_seal_wave_equals_per_receiver_loop(transport_cls):
-    """One wave call and the per-receiver loop must leave identical
-    counter state and produce identical envelopes."""
+    """Sealing for many receivers in one call and one receiver per call
+    must leave identical counter state and produce identical envelopes."""
     batched = transport_cls(_enclaves(6))
     looped = transport_cls(_enclaves(6))
     members = _members(0, 3)
     receivers = [1, 2, 4, 5]
 
-    wave = batched.seal_envelope_wave(0, receivers, members, size=96)
-    singles = [
-        looped.seal_envelope(0, r, members, size=96) for r in receivers
-    ]
-    assert wave == singles
+    def one_by_one():
+        return [
+            env for r in receivers
+            for env in looped.seal_envelope(0, (r,), members, size=96)
+        ]
 
-    # A second wave on the same links continues the same counter runs.
-    wave2 = batched.seal_envelope_wave(0, receivers, members, size=96)
-    singles2 = [
-        looped.seal_envelope(0, r, members, size=96) for r in receivers
-    ]
-    assert wave2 == singles2
-    if transport_cls is ModeledTransport:  # per-link counters, not global
-        assert all(b.counter == 2 * len(members) for b in wave2)
-
-
-def test_open_wave_equals_per_envelope_loop():
-    batched = ModeledTransport(_enclaves(5))
-    looped = ModeledTransport(_enclaves(5))
-    envelopes = []
-    for sender in (0, 2, 3):
-        envelopes.append(
-            batched.seal_envelope(sender, 1, _members(sender, 2), size=64)
-        )
-        looped.seal_envelope(sender, 1, _members(sender, 2), size=64)
-    assert batched.open_envelope_wave(1, envelopes) == [
-        looped.open_envelope(1, env) for env in envelopes
-    ]
-
-
-def test_open_wave_raises_on_replay_like_the_loop():
-    from repro.common.errors import ReplayError
-
-    transport = ModeledTransport(_enclaves(3))
-    env = transport.seal_envelope(0, 1, _members(0, 2), size=64)
-    assert transport.open_envelope_wave(1, [env]) == [env.members]
-    with pytest.raises(ReplayError):
-        transport.open_envelope_wave(1, [env])
+    assert batched.seal_envelope(0, receivers, members, size=96) == one_by_one()
+    # A second wave on the same links continues the same counter runs,
+    # per link: each advanced by the member count twice.
+    wave2 = batched.seal_envelope(0, receivers, members, size=96)
+    assert wave2 == one_by_one()
+    assert all(env.counter == 2 * len(members) for env in wave2)
 
 
 def test_seal_wave_with_count_only_matches_loop():
     """The modeled ACK wave seals members=None with an explicit count."""
     batched = ModeledTransport(_enclaves(4))
     looped = ModeledTransport(_enclaves(4))
-    wave = batched.seal_envelope_wave(0, [1, 2, 3], None, count=5, size=40)
+    wave = batched.seal_envelope(0, [1, 2, 3], None, count=5, size=40)
     singles = [
-        looped.seal_envelope(0, r, None, count=5, size=40) for r in (1, 2, 3)
+        env for r in (1, 2, 3)
+        for env in looped.seal_envelope(0, (r,), None, count=5, size=40)
     ]
     assert wave == singles
+    assert [env.counter for env in wave] == [5, 5, 5]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.channel.peer_channel import modeled_wire_size
 from repro.common.errors import (
     EnclaveHaltedError,
     IntegrityError,
@@ -49,41 +50,41 @@ def _msg(payload=b"p", rnd=1, initiator=0):
 class TestModeledTransport:
     def test_roundtrip(self):
         transport = ModeledTransport(_enclaves())
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         assert transport.read(1, wire) == _msg()
 
     def test_counter_monotone_per_pair(self):
         transport = ModeledTransport(_enclaves())
-        w1 = transport.write(0, 1, _msg())
-        w2 = transport.write(0, 1, _msg())
-        w3 = transport.write(0, 2, _msg())
+        w1 = transport.write(0, (1,), _msg())[0]
+        w2 = transport.write(0, (1,), _msg())[0]
+        w3 = transport.write(0, (2,), _msg())[0]
         assert w2.counter == w1.counter + 1
         assert w3.counter == 1  # independent pair
 
     def test_replay_rejected(self):
         transport = ModeledTransport(_enclaves())
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         transport.read(1, wire)
         with pytest.raises(ReplayError):
             transport.read(1, wire)
 
     def test_out_of_order_old_counter_rejected(self):
         transport = ModeledTransport(_enclaves())
-        old = transport.write(0, 1, _msg(b"old"))
-        new = transport.write(0, 1, _msg(b"new"))
+        old = transport.write(0, (1,), _msg(b"old"))[0]
+        new = transport.write(0, (1,), _msg(b"new"))[0]
         transport.read(1, new)
         with pytest.raises(ReplayError):
             transport.read(1, old)
 
     def test_tampered_rejected(self):
         transport = ModeledTransport(_enclaves())
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         with pytest.raises(IntegrityError):
             transport.read(1, wire.tampered_copy())
 
     def test_misrouted_rejected(self):
         transport = ModeledTransport(_enclaves())
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         with pytest.raises(IntegrityError):
             transport.read(2, wire)
 
@@ -91,7 +92,7 @@ class TestModeledTransport:
         transport = ModeledTransport(
             _enclaves(count=3, odd_program=_Other)
         )
-        wire = transport.write(2, 1, _msg())  # node 2 runs _Other
+        wire = transport.write(2, (1,), _msg())[0]  # node 2 runs _Other
         with pytest.raises(IntegrityError, match="H\\(pi\\)"):
             transport.read(1, wire)
 
@@ -100,30 +101,35 @@ class TestModeledTransport:
         transport = ModeledTransport(enclaves)
         enclaves[0].halt()
         with pytest.raises(EnclaveHaltedError):
-            transport.write(0, 1, _msg())
+            transport.write(0, (1,), _msg())[0]
 
     def test_halted_receiver_refused(self):
         enclaves = _enclaves()
         transport = ModeledTransport(enclaves)
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         enclaves[1].halt()
         with pytest.raises(EnclaveHaltedError):
             transport.read(1, wire)
 
     def test_size_hint_respected(self):
         transport = ModeledTransport(_enclaves())
-        wire = transport.write(0, 1, _msg(), size_hint=1234)
+        wire = transport.write(0, (1,), _msg(), size_hint=1234)[0]
         assert wire.size == 1234
+
+    def test_modeled_size_formula(self):
+        transport = ModeledTransport(_enclaves())
+        wire = transport.write(0, (1,), _msg())[0]
+        assert wire.size == modeled_wire_size(_msg())
 
     def test_wires_are_opaque(self):
         transport = ModeledTransport(_enclaves())
-        assert transport.write(0, 1, _msg()).opaque
+        assert transport.write(0, (1,), _msg())[0].opaque
 
 
 class TestPlainTransport:
     def test_no_replay_protection(self):
         transport = PlainTransport(_enclaves())
-        wire = transport.write(0, 1, _msg())
+        wire = transport.write(0, (1,), _msg())[0]
         assert transport.read(1, wire) == _msg()
         assert transport.read(1, wire) == _msg()  # replays sail through
 
@@ -131,13 +137,13 @@ class TestPlainTransport:
         from dataclasses import replace
 
         transport = PlainTransport(_enclaves())
-        wire = transport.write(0, 1, _msg(b"real"))
+        wire = transport.write(0, (1,), _msg(b"real"))[0]
         forged = replace(wire, plain=replace(wire.plain, payload=b"fake"))
         assert transport.read(1, forged).payload == b"fake"
 
     def test_wires_are_transparent(self):
         transport = PlainTransport(_enclaves())
-        assert not transport.write(0, 1, _msg()).opaque
+        assert not transport.write(0, (1,), _msg())[0].opaque
 
 
 class TestFullTransport:
@@ -148,13 +154,13 @@ class TestFullTransport:
             for b in range(4):
                 if a == b:
                     continue
-                wire = transport.write(a, b, _msg(initiator=a))
+                wire = transport.write(a, (b,), _msg(initiator=a))[0]
                 assert transport.read(b, wire) == _msg(initiator=a)
 
     def test_wire_carries_ciphertext(self):
         enclaves = _enclaves(count=2, authority_needed=True, label="ct")
         transport = FullTransport(enclaves, MODP_768)
-        wire = transport.write(0, 1, _msg(b"secret-payload"))
+        wire = transport.write(0, (1,), _msg(b"secret-payload"))[0]
         assert wire.sealed is not None
         assert b"secret-payload" not in wire.sealed
 

@@ -302,9 +302,18 @@ def _of_kind(kind, replace):
     return _rewriting(lambda f: [replace(f) if f[0] == kind else f])
 
 
-#: One malformed frame per control kind; node 4 sends it instead of the
-#: honest one (the BYE is slipped in after its round-1 EOD).
+#: One malformed frame per control kind, and DATA frames whose member
+#: count is no count (a negative one used to crash every receiver's
+#: service when its junk body was rejected; a zero one hid the
+#: rejection) or whose counter no transport counter can hold; node 4
+#: sends it instead of the honest one (the BYE is slipped in after its
+#: round-1 EOD).
 MALFORMED_FRAMES = {
+    "data-count-negative": _of_kind(K_DATA, lambda f: f[:4] + (-1, 7)),
+    "data-count-zero": _of_kind(K_DATA, lambda f: f[:4] + (0, 7)),
+    "data-counter-past-int64": _of_kind(
+        K_DATA, lambda f: f[:3] + (2**63,) + f[4:]
+    ),
     "eod-arity": _of_kind(K_EOD, lambda f: f + (0,)),
     "ack-unhashable-digest": _of_kind(K_ACK, lambda f: f[:3] + (({},),)),
     "ack-digests-not-a-tuple": _of_kind(K_ACK, lambda f: f[:3] + (b"d" * 8,)),
@@ -337,6 +346,50 @@ class TestHostileFrames:
             assert nodes[i].stats.rejections >= 1
             assert nodes[i].stats.omissions >= nodes[i].stats.rejections
         assert reports[hostile].halted
+
+    @pytest.mark.parametrize("security", ["modeled", "full"])
+    def test_data_frame_sent_twice_is_rejected_as_stale(self, security):
+        """The last node's OS sends each of its DATA frames twice.  The
+        copy's counter is one the receiver has already accepted, so the
+        transport's freshness check rejects it (an omission); the
+        original got through, so nobody is ejected and everyone
+        decides."""
+        nodes, reports = _run_with_hostile_sender(
+            5, 4, _rewriting(lambda f: [f, f] if f[0] == K_DATA else [f]),
+            security=security,
+        )
+        for i in range(5):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert reports[i].ejected_peers == []
+        for node in nodes[:4]:
+            assert node.stats.rejections == node.stats.omissions == 1
+
+    @pytest.mark.parametrize("security", ["modeled", "full"])
+    def test_data_frame_miscounting_its_members_is_rejected(self, security):
+        """The last node's OS declares one member more than each of its
+        DATA frames holds.  The opened envelope does not match: each
+        receiver rejects it (charged at the declared count), so the
+        sender — never ACKed — halts (P4) and the others decide."""
+        corrupt = _of_kind(K_DATA, lambda f: f[:4] + (f[4] + 1, f[5]))
+        nodes, reports = _run_with_hostile_sender(
+            5, 4, corrupt, security=security
+        )
+        for i in range(4):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert nodes[i].stats.rejections == 2
+        assert reports[4].halted
+
+    def test_data_bound_to_a_foreign_measurement_is_rejected(self):
+        """A MODELED DATA body names the sender's program measurement;
+        the last node's OS swaps in another program's.  Each receiver
+        counts a rejection, the sender — never ACKed — halts (P4), and
+        the others decide."""
+        corrupt = _of_kind(K_DATA, lambda f: f[:5] + ((bytes(32), f[5][1]),))
+        nodes, reports = _run_with_hostile_sender(5, 4, corrupt)
+        for i in range(4):
+            assert not reports[i].crashed and reports[i].output == b"x"
+            assert nodes[i].stats.rejections == 1
+        assert reports[4].halted
 
     def test_data_frame_of_the_wrong_arity_is_link_death(self):
         """A DATA frame without its body cannot be attributed to a round

@@ -1,7 +1,9 @@
 """Fuzzing the wire's frame router: whatever a peer's OS writes into a
 frame must fail closed — ``SerializationError`` from the decoder or
 ``ProtocolError`` from :meth:`WireNode._route`, never another exception
-— and must never allocate an inbox outside the lockstep window.
+— must never allocate an inbox outside the lockstep window, and must
+never file a DATA frame whose counter or member count is not a
+positive integer.
 
 The seeds are the real frames pinned in
 ``tests/data/serialization_golden.json``; the router runs on a
@@ -67,7 +69,8 @@ def _route_fails_closed(data: bytes):
     assert set(peer._inboxes) <= WINDOW
     for box in peer._inboxes.values():
         for counter, count, _ in box.data:
-            assert isinstance(counter, int) and isinstance(count, int)
+            assert type(counter) is int and counter >= 1
+            assert type(count) is int and count >= 1
         assert all(
             isinstance(d, bytes) and len(d) == 8 for d in box.acks
         )

@@ -132,6 +132,24 @@ def test_wire_erb_frames(seed):
         ) == (2, 40, 1992)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wire_beacon_frames(seed):
+    """Loopback TCP, N = 5, two chained MODELED beacon epochs, where a
+    link's round envelope carries one member per ERB instance: every
+    node sends 88 frames — to each of its four peers one HELLO and BYE
+    and, per epoch and round, one DATA, EOD, ACK, EOA and FIN — carrying
+    7,408 bytes.  Recorded at commit 8d7c86e."""
+    result = run_cluster(cluster_configs(5, "beacon", seed=seed, epochs=2))
+    assert result.halted == [] and len(result.records) == 2
+    for report in result.reports.values():
+        stats = report.stats
+        assert (
+            report.rounds_executed,
+            sum(stats.frames_sent.values()),
+            sum(stats.bytes_sent.values()),
+        ) == (2, 88, 7408)
+
+
 def test_adversarial_campaign_cell():
     """One omission-strategy cell of the campaign grid (ERNG, N = 16,
     t = 7): the OS of node 2 drops traffic, P4 halts it, and the run

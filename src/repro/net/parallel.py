@@ -26,10 +26,10 @@ shipped down so every replica observes the same liveness and clock.
 Which owned nodes a worker visits is decided by its replica's
 :class:`~repro.net.activeset.ActiveSet`.
 
-While the coordinator is blocked on a ring, the wall where at least one
-shard was busy is charged to the ``overlap`` timing bucket (that is
-parallelized compute, not coordination overhead); only the residual —
-true protocol latency — stays in ``barrier``.
+A timed run's clock is the kernel's; each wave adds only what this
+back-end alone has — the coordinator's wait beyond the slowest shard
+(``barrier``), that shard's streaming time (``shm``), and every shard's
+busy / idle split (:meth:`~repro.obs.timing.TimingCollector.record_shard`).
 
 Determinism: per-node RNG streams live in the enclaves, which are
 sharded wholesale; shard assignment is a pure function of ``node_id``;
@@ -121,6 +121,8 @@ class _WorkerState:
     events: Optional[List[object]]
     traced: bool
     timed: bool
+    #: Seconds the current op has spent streaming chunks home (timed runs).
+    shm_s: float
 
 
 # A staged send intent, as shipped from workers to the coordinator:
@@ -133,18 +135,12 @@ _PackedIntent = Tuple[int, Optional[Tuple[int, ...]], ProtocolMessage, int,
                       bytes, bool, int]
 
 
-def _pack_intent(
-    intent: _SendIntent, net: SynchronousNetwork, tmb: Optional[dict] = None,
-) -> _PackedIntent:
+def _pack_intent(intent: _SendIntent, net: SynchronousNetwork) -> _PackedIntent:
     """Size one staged intent (work the serial transmit does inline, here
     parallelized into the worker that ran the emitting hook) and pack it
-    for the ring.  ``tmb`` is a timing-bucket dict the sizing cost accrues
-    into when the run is timed."""
+    for the ring."""
     targets: Optional[Tuple[int, ...]] = intent.targets
-    t0 = perf_counter() if tmb is not None else 0.0
     size = modeled_wire_size(intent.message) if targets else 0
-    if tmb is not None:
-        tmb["serialize"] = tmb.get("serialize", 0.0) + (perf_counter() - t0)
     if targets and targets is net._neighbour_cache.get(intent.sender):
         targets = None
     return (
@@ -183,8 +179,8 @@ def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
     """Apply the worker-side observability policy to the replica."""
     net = st.net
     st.traced = traced
-    # The worker replica's hooks are timed from the op handlers, not by
-    # the engine; buckets ship back per exchange as plain dicts.
+    # The replica's own kernel clock stays off: a timed worker reports
+    # each wave op's busy and streaming seconds in its done frame.
     st.timed = timed
     net._timing = None
     if PROFILER.enabled:
@@ -246,47 +242,31 @@ def _check_no_stray_acks(net: SynchronousNetwork, hook: str) -> None:
         )
 
 
-def _flush_staged(channel, staged: List[tuple], timed: bool) -> float:
-    """Stream one chunk of keyed staged intents home; returns the send
-    seconds (0.0 on untimed runs)."""
-    if timed:
+def _flush_staged(channel, staged: List[tuple]) -> None:
+    """Stream one chunk of keyed staged intents home; a timed run adds
+    the send to the shard's streaming seconds."""
+    st = _STATE
+    if st.timed:
         t0 = perf_counter()
         channel.send(("s", staged))
-        return perf_counter() - t0
-    channel.send(("s", staged))
-    return 0.0
-
-
-def _handler_timing(
-    tmb: Optional[dict], handler_s: float, send_s: float, t_start: float,
-) -> Optional[tuple]:
-    """A handler's timing payload, ``(busy_seconds, buckets)``: hook time
-    under ``handler``, streaming time under ``shm``.  ``None`` on untimed
-    runs."""
-    if tmb is None:
-        return None
-    tmb["handler"] = tmb.get("handler", 0.0) + handler_s
-    tmb["shm"] = tmb.get("shm", 0.0) + send_s
-    return perf_counter() - t_start, tmb
+        st.shm_s += perf_counter() - t0
+    else:
+        channel.send(("s", staged))
 
 
 def _run_hooks(
-    channel, visit_ids: List[int], hook: str, outbox: list,
-    tmb: Optional[dict],
-) -> tuple:
+    channel, visit_ids: List[int], hook: str, outbox: list
+) -> Tuple[List[int], List[tuple]]:
     """Run one round hook (``on_round_begin`` / ``on_round_end``) for the
     visited live nodes, in node order.
 
     Intents the hooks stage land in ``outbox`` and stream home in keyed
-    chunks as nodes produce them.  Returns ``(halted, batches, handler_s,
-    send_s)``: voluntary halts, traced event batches per node, and the
-    hook / streaming seconds (0.0 on untimed runs).
+    chunks as nodes produce them.  Returns ``(halted, batches)``:
+    voluntary halts and traced event batches per node.
     """
     st = _STATE
     net = st.net
-    timed = st.timed
     events = st.events
-    handler_s = send_s = 0.0
     halted: List[int] = []
     staged: List[tuple] = []
     batches: List[tuple] = []
@@ -296,18 +276,15 @@ def _run_hooks(
             continue
         obase = len(outbox)
         ebase = len(events) if events is not None else 0
-        t0 = perf_counter() if timed else 0.0
         getattr(node.program, hook)(node.context)
-        if timed:
-            handler_s += perf_counter() - t0
         if node.enclave.halted:
             halted.append(node_id)
         for idx in range(obase, len(outbox)):
             staged.append(
-                ((node_id, idx - obase), _pack_intent(outbox[idx], net, tmb))
+                ((node_id, idx - obase), _pack_intent(outbox[idx], net))
             )
         if len(staged) >= _FLUSH_INTENTS:
-            send_s += _flush_staged(channel, staged, timed)
+            _flush_staged(channel, staged)
             staged = []
         if events is not None and len(events) > ebase:
             batches.append((node_id, events[ebase:]))
@@ -316,52 +293,39 @@ def _run_hooks(
         events.clear()
     _check_no_stray_acks(net, hook)
     if staged:
-        send_s += _flush_staged(channel, staged, timed)
-    return halted, batches, handler_s, send_s
+        _flush_staged(channel, staged)
+    return halted, batches
 
 
-def _worker_begin(channel, rnd: int) -> None:
+def _worker_begin(channel, rnd: int) -> tuple:
     """Op ``"b"``: on_round_begin for the owned nodes due this round.
 
-    The closing ``done`` frame carries voluntary halts, traced event
-    batches, the visit counts and the shard's timing payload —
-    ``(busy_seconds, buckets)`` when the run is timed, else ``None``.
+    The reply carries voluntary halts, traced event batches and the
+    visit counts.
     """
-    st = _STATE
-    net = st.net
-    timed = st.timed
-    t_start = perf_counter() if timed else 0.0
-    tmb: Optional[dict] = {} if timed else None
+    net = _STATE.net
     net.current_round = rnd
     active = net._active
     visit_ids = active.begin(rnd)
     counts = (len(visit_ids), len(active.owned) - len(visit_ids))
-    if timed:
-        tmb["scheduler"] = perf_counter() - t_start
     net._in_round_begin = True
-    halted, batches, handler_s, send_s = _run_hooks(
-        channel, visit_ids, "on_round_begin", net._outbox_now, tmb
+    halted, batches = _run_hooks(
+        channel, visit_ids, "on_round_begin", net._outbox_now
     )
     net._in_round_begin = False
-    timing = _handler_timing(tmb, handler_s, send_s, t_start)
-    channel.send(("d", (halted, batches, counts, timing)))
+    return halted, batches, counts
 
 
-def _worker_deliver(channel, rnd: int, packed: list) -> None:
+def _worker_deliver(channel, rnd: int, packed: list) -> tuple:
     """Op ``"v"``: dispatch the plan's members to owned receivers.
 
-    Next-round intents stream home in keyed chunks; the ``done`` frame
-    carries voluntary halts, per-(plan, target) omission keys for dead
-    owned receivers and the ACK wave (raw and keyed when traced, else
+    Next-round intents stream home in keyed chunks; the reply carries
+    voluntary halts, per-(plan, target) omission keys for dead owned
+    receivers and the ACK wave (raw and keyed when traced, else
     pre-aggregated link/credit counters).
     """
     st = _STATE
     net = st.net
-    timed = st.timed
-    t_start = perf_counter() if timed else 0.0
-    tmb: Optional[dict] = {} if timed else None
-    handler_s = 0.0
-    send_s = 0.0
     digest_by_id = net._ack_digest_by_id
     digest_by_id.clear()
     plan = []
@@ -397,12 +361,7 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
             obase = len(outbox)
             ebase = len(events) if traced else 0
             delivered.add(receiver)
-            if timed:
-                t0 = perf_counter()
-                node.program.on_message(node.context, sender, message)
-                handler_s += perf_counter() - t0
-            else:
-                node.program.on_message(node.context, sender, message)
+            node.program.on_message(node.context, sender, message)
             if enclave.state is halted_state:
                 halted.append(receiver)
             if traced and len(ackq) > abase:
@@ -410,10 +369,10 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
                     raw_acks.append(((i, j, k - abase), ackq[k]))
             for idx in range(obase, len(outbox)):
                 staged.append(
-                    ((i, j, idx - obase), _pack_intent(outbox[idx], net, tmb))
+                    ((i, j, idx - obase), _pack_intent(outbox[idx], net))
                 )
             if len(staged) >= _FLUSH_INTENTS:
-                send_s += _flush_staged(channel, staged, timed)
+                _flush_staged(channel, staged)
                 staged = []
             if traced and len(events) > ebase:
                 batches.append(((i, j), events[ebase:]))
@@ -437,49 +396,30 @@ def _worker_deliver(channel, rnd: int, packed: list) -> None:
     if traced:
         events.clear()
     if staged:
-        send_s += _flush_staged(channel, staged, timed)
-    timing = _handler_timing(tmb, handler_s, send_s, t_start)
-    channel.send((
-        "d",
-        (halted, omitted, link_counts, credits, total, raw_acks, batches,
-         timing),
-    ))
+        _flush_staged(channel, staged)
+    return halted, omitted, link_counts, credits, total, raw_acks, batches
 
 
 def _worker_end(
     channel, rnd: int, halted_now: List[int], seconds: float
-) -> None:
+) -> tuple:
     """Op ``"e"``: apply divergence halts, run on_round_end, advance the
     shard's clock replica, and report decided / all-done state."""
-    st = _STATE
-    net = st.net
-    timed = st.timed
-    t_start = perf_counter() if timed else 0.0
-    tmb: Optional[dict] = {} if timed else None
+    net = _STATE.net
     for node_id in halted_now:
         net._halt_node(node_id, rnd)
     active = net._active
-    t0 = perf_counter() if timed else 0.0
     end_visit = active.end()
     counts = (len(end_visit), len(active.owned) - len(end_visit))
-    if timed:
-        tmb["scheduler"] = perf_counter() - t0
-    halted, batches, handler_s, send_s = _run_hooks(
-        channel, end_visit, "on_round_end", net._outbox_next, tmb
+    halted, batches = _run_hooks(
+        channel, end_visit, "on_round_end", net._outbox_next
     )
     net.clock.advance(seconds)
-    t0 = perf_counter() if timed else 0.0
     active.after_end(rnd, end_visit, halted_now)
-    if timed:
-        tmb["scheduler"] += perf_counter() - t0
-    timing = _handler_timing(tmb, handler_s, send_s, t_start)
-    channel.send((
-        "d",
-        (halted, batches, active.decided, active.all_done, counts, timing),
-    ))
+    return halted, batches, active.decided, active.all_done, counts
 
 
-def _worker_finish(channel) -> None:
+def _worker_finish(channel) -> tuple:
     """Op ``"f"``: on_protocol_end, then ship the terminal per-node
     state back as plain tuples.
 
@@ -489,9 +429,6 @@ def _worker_finish(channel) -> None:
     """
     st = _STATE
     net = st.net
-    timed = st.timed
-    t_start = perf_counter() if timed else 0.0
-    handler_s = 0.0
     events = st.events
     traced = st.traced
     batches: List[tuple] = []
@@ -501,12 +438,7 @@ def _worker_finish(channel) -> None:
         if not node.alive:
             continue
         ebase = len(events) if traced else 0
-        if timed:
-            t0 = perf_counter()
-            node.program.on_protocol_end(node.context)
-            handler_s += perf_counter() - t0
-        else:
-            node.program.on_protocol_end(node.context)
+        node.program.on_protocol_end(node.context)
         if traced and len(events) > ebase:
             batches.append((node_id, events[ebase:]))
     final = []
@@ -534,9 +466,16 @@ def _worker_finish(channel) -> None:
         # this same process; a fresh registry keeps the next run's dump
         # from re-shipping (double-counting) this run's observations.
         PROFILER.registry = MetricsRegistry()
-    timing = (perf_counter() - t_start, {"handler": handler_s}) \
-        if timed else None
-    channel.send(("d", (batches, final, profile, timing)))
+    return batches, final, profile
+
+
+#: The ops that answer with a ``("d", reply, timing)`` frame.
+_WAVE_OPS = {
+    "b": _worker_begin,
+    "v": _worker_deliver,
+    "e": _worker_end,
+    "f": _worker_finish,
+}
 
 
 def _worker_main(shard: int, nshards: int, channel) -> None:
@@ -544,7 +483,10 @@ def _worker_main(shard: int, nshards: int, channel) -> None:
     on command frames until told to quit.  Any failure ships one ``"x"``
     frame (the formatted traceback) home and exits non-zero; exit is via
     ``os._exit`` so inherited file handles and shared mappings are never
-    double-flushed or double-closed by the child's teardown."""
+    double-flushed or double-closed by the child's teardown.
+
+    A wave op's ``done`` frame carries ``(busy_seconds, streaming
+    seconds)`` when the run is timed, else ``None``."""
     status = 0
     try:
         channel.bind_worker()
@@ -559,14 +501,17 @@ def _worker_main(shard: int, nshards: int, channel) -> None:
         while True:
             cmd = channel.recv(_parent_alive)
             op = cmd[0]
-            if op == "b":
-                _worker_begin(channel, cmd[1])
-            elif op == "v":
-                _worker_deliver(channel, cmd[1], cmd[2])
-            elif op == "e":
-                _worker_end(channel, cmd[1], cmd[2], cmd[3])
-            elif op == "f":
-                _worker_finish(channel)
+            handler = _WAVE_OPS.get(op)
+            if handler is not None:
+                st = _STATE
+                if st.timed:
+                    st.shm_s = 0.0
+                    t0 = perf_counter()
+                    reply = handler(channel, *cmd[1:])
+                    timing = (perf_counter() - t0, st.shm_s)
+                else:
+                    reply, timing = handler(channel, *cmd[1:]), None
+                channel.send(("d", reply, timing))
             elif op == "n":
                 _worker_recycle(channel, cmd[1])
             elif op == "q":
@@ -691,37 +636,26 @@ class _Coordinator:
     engine would.
     """
 
+    engine = "parallel"
+
     def __init__(self, network: SynchronousNetwork, crew: _ShardCrew) -> None:
         self.net = network
         self.crew = crew
         self.traced = network.tracer.enabled
         self.tm = network._timing
-        self.wave_wall = 0.0
         self.tally = network._active = _ShardTally()
         self.result: Optional[RunResult] = None
         # Setup ran in the main process before the fork, so the round-1
         # emissions are staged here, not in any worker: size them here.
-        t0 = perf_counter() if self.tm is not None else 0.0
         for intent in network._outbox_next:
             if intent.targets:
                 intent.size = modeled_wire_size(intent.message)
-        if self.tm is not None:
-            self.tm.add("serialize", perf_counter() - t0)
 
     # -- helpers -------------------------------------------------------
 
     def _apply_halts(self, node_ids: List[int], rnd: int) -> None:
         for node_id in node_ids:
             self.net._halt_node(node_id, rnd)
-
-    def _absorb_timing(self, shard: int, w_timing: tuple) -> None:
-        """Fold one worker handler's ``(busy_seconds, buckets)`` into the
-        round's per-shard totals."""
-        busy, buckets = w_timing
-        self.shard_busy[shard] += busy
-        sb = self.shard_buckets[shard]
-        for bucket, seconds in buckets.items():
-            sb[bucket] = sb.get(bucket, 0.0) + seconds
 
     def _emit_batches(self, batches: List[tuple]) -> None:
         """Splice per-node event batches back in serial (key) order."""
@@ -754,21 +688,19 @@ class _Coordinator:
         arrive — the incremental merge that replaces v1's
         wait-then-merge barrier.
 
-        Timed runs split the wave wall four ways: channel time (send +
-        frame decode) into ``shm``, splice time into ``merge``, and the
-        *blocked* residual into ``overlap`` up to the busiest shard's
-        in-handler busy time (that much of the wait bought parallel
-        compute) with only the remainder — true coordination latency —
-        charged to ``barrier``.
+        A timed run reads the clock twice, around the whole exchange.
+        The slowest shard bounds the wave: the coordinator's wait beyond
+        that shard's busy time is ``barrier`` (coordination latency), the
+        shard's streaming time is ``shm``, and the rest of its busy time —
+        work done in parallel — stays in the phase the wave served.
         """
         channels = self.crew.channels
         done: List[Optional[tuple]] = [None] * len(channels)
+        timings: List[Optional[tuple]] = [None] * len(channels)
         remaining = len(channels)
         tm = self.tm
-        t_wave = perf_counter() if tm is not None else 0.0
+        t0 = perf_counter() if tm is not None else 0.0
         self.crew.broadcast_frame(blob)
-        chan_s = perf_counter() - t_wave if tm is not None else 0.0
-        merge_s = 0.0
         step = 0
         while remaining:
             progress = False
@@ -776,21 +708,16 @@ class _Coordinator:
                 if done[shard] is not None:
                     continue
                 while True:
-                    t0 = perf_counter() if tm is not None else 0.0
                     msg = channel.try_recv()
                     if msg is _NOTHING:
-                        break  # empty-poll cost stays in the blocked wall
-                    if tm is not None:
-                        t1 = perf_counter()
-                        chan_s += t1 - t0
+                        break
                     progress = True
                     tag = msg[0]
                     if tag == "s":
                         sink.extend(msg[1])
-                        if tm is not None:
-                            merge_s += perf_counter() - t1
                     elif tag == "d":
                         done[shard] = msg[1]
+                        timings[shard] = msg[2]
                         remaining -= 1
                         break
                     else:
@@ -803,19 +730,13 @@ class _Coordinator:
                 _wait_spin(step)
                 step += 1
         if tm is not None:
-            wall = perf_counter() - t_wave
-            self.wave_wall += wall
-            busy_max = 0.0
-            for payload in done:
-                w_timing = payload[-1]
-                if w_timing is not None and w_timing[0] > busy_max:
-                    busy_max = w_timing[0]
-            blocked = max(0.0, wall - chan_s - merge_s)
-            overlap = min(blocked, busy_max)
-            tm.add("shm", chan_s)
-            tm.add("merge", merge_s)
-            tm.add("overlap", overlap)
-            tm.add("barrier", blocked - overlap)
+            wall = perf_counter() - t0
+            busy, streaming = max(timings)
+            barrier = max(0.0, wall - busy)
+            tm.add("barrier", barrier)
+            tm.add("shm", min(streaming, wall - barrier))
+            for shard, (busy, streaming) in enumerate(timings):
+                tm.record_shard(shard, busy, max(0.0, wall - busy), streaming)
         return done
 
     # -- where hooks run: in the workers --------------------------------
@@ -835,39 +756,23 @@ class _Coordinator:
         the mirror's outbox, after them — exactly as the serial outbox
         orders them."""
         net = self.net
-        tm = self.tm
-        if tm is not None:
-            # Coordinator buckets cover the coordinator's own wall only;
-            # the workers' in-handler breakdowns accumulate here and
-            # attach per shard (busy + idle) when the round closes.
-            nshards = len(self.crew.channels)
-            self.shard_busy = [0.0] * nshards
-            self.shard_buckets: List[dict] = [{} for _ in range(nshards)]
-            self.wave_wall = 0.0
         staged: List[tuple] = []
         responses = self._wave(pickle.dumps(("b", rnd), _PKL), staged)
-        t0 = perf_counter() if tm is not None else 0.0
         events: List[tuple] = []
         sched_counters = net.sched_counters
-        for shard, (halted, batches, w_counts, w_timing) in \
-                enumerate(responses):
+        for halted, batches, w_counts in responses:
             self._apply_halts(halted, rnd)
             events.extend(batches)
             sched_counters["begin_visited"] += w_counts[0]
             sched_counters["begin_skipped"] += w_counts[1]
-            if w_timing is not None:
-                self._absorb_timing(shard, w_timing)
         if self.traced:
             self._emit_batches(events)
         net._outbox_now.extend(self._merge(staged))
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
 
     def _end_hooks(self, rnd: int, halted_now: List[int], seconds: float) -> None:
         """Divergence halts and the round's duration ship down so every
         replica observes the same liveness and clock."""
         net = self.net
-        tm = self.tm
         staged: List[tuple] = []
         events: List[tuple] = []
         decided = 0
@@ -875,30 +780,19 @@ class _Coordinator:
         responses = self._wave(
             pickle.dumps(("e", rnd, halted_now, seconds), _PKL), staged
         )
-        t0 = perf_counter() if tm is not None else 0.0
         sched_counters = net.sched_counters
-        for shard, (halted, batches, w_decided, w_done, w_counts,
-                    w_timing) in enumerate(responses):
+        for halted, batches, w_decided, w_done, w_counts in responses:
             self._apply_halts(halted, rnd)
             events.extend(batches)
             decided += w_decided
             all_done = all_done and w_done
             sched_counters["end_visited"] += w_counts[0]
             sched_counters["end_skipped"] += w_counts[1]
-            if w_timing is not None:
-                self._absorb_timing(shard, w_timing)
         if self.traced:
             self._emit_batches(events)
         net._outbox_next.extend(self._merge(staged))
         self.tally.decided = decided
         self.tally.all_done = all_done
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
-            for shard, busy in enumerate(self.shard_busy):
-                tm.record_shard(
-                    shard, busy, max(0.0, self.wave_wall - busy),
-                    self.shard_buckets[shard],
-                )
 
     def _finish_hooks(self) -> None:
         """on_protocol_end in the workers, then their terminal per-node
@@ -907,9 +801,9 @@ class _Coordinator:
         batches: List[tuple] = []
         final: Dict[int, tuple] = {}
         # No round is open any more, so the wave's buckets land at run
-        # level: the finish handoff is engine overhead, like the fork.
+        # level.
         responses = self._wave(pickle.dumps(("f",), _PKL), [])
-        for w_batches, w_final, w_profile, _w_timing in responses:
+        for w_batches, w_final, w_profile in responses:
             batches.extend(w_batches)
             for record in w_final:
                 final[record[0]] = record
@@ -951,8 +845,6 @@ class _Coordinator:
         seal/open — on MODELED/NONE those only bump internal counters
         nothing on the eligible domain observes."""
         net = self.net
-        tm = self.tm
-        t0 = perf_counter() if tm is not None else 0.0
         cached = net._neighbour_cache
         plan: List[tuple] = []
         per_sender: Dict[int, List[tuple]] = {}
@@ -974,8 +866,6 @@ class _Coordinator:
                 net._charge_envelopes(
                     rnd, sender, receivers, len(members), env_size
                 )
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
         self.plan = plan
         return logical_count
 
@@ -986,15 +876,11 @@ class _Coordinator:
         traffic = net.stats.traffic
         tracer = net.tracer
         traced = self.traced
-        tm = self.tm
         plan = self.plan
-        t0 = perf_counter() if tm is not None else 0.0
         blob = pickle.dumps(
             ("v", rnd, [(s, raw, m, d) for s, raw, _res, m, _sz, d in plan]),
             _PKL,
         )
-        if tm is not None:
-            tm.add("serialize", perf_counter() - t0)
         staged: List[tuple] = []
         omitted: List[tuple] = []
         raw_acks: List[tuple] = []
@@ -1003,14 +889,10 @@ class _Coordinator:
         ack_total = 0
         deliver_events: Dict[tuple, list] = {}
         responses = self._wave(blob, staged)
-        t0 = perf_counter() if tm is not None else 0.0
-        for shard, response in enumerate(responses):
-            (halted, w_omitted, w_links, w_credits, w_total, w_raw,
-             batches, w_timing) = response
+        for (halted, w_omitted, w_links, w_credits, w_total, w_raw,
+             batches) in responses:
             self._apply_halts(halted, rnd)
             omitted.extend(w_omitted)
-            if w_timing is not None:
-                self._absorb_timing(shard, w_timing)
             if traced:
                 raw_acks.extend(w_raw)
                 for key, events in batches:
@@ -1047,8 +929,6 @@ class _Coordinator:
                         ))
             raw_acks.sort(key=lambda kv: kv[0])
         net._outbox_next.extend(self._merge(staged))
-        if tm is not None:
-            tm.add("merge", perf_counter() - t0)
         # Traced: the raw, keyed wave.  Untraced: the workers
         # pre-aggregated it.
         self.acks = (
@@ -1058,9 +938,7 @@ class _Coordinator:
 
     def ack_wave(self, rnd: int) -> None:
         net = self.net
-        tm = self.tm
         queue, link_counts, credits, ack_total = self.acks
-        t0 = perf_counter() if tm is not None else 0.0
         if queue:
             net._ack_wave_envelope(queue, rnd)
         elif ack_total or credits:
@@ -1069,8 +947,6 @@ class _Coordinator:
                 rnd, net._ack_wire_size(rnd), link_counts, credits,
                 ack_total, seal=False,
             )
-        if tm is not None:
-            tm.add("ack_wave", perf_counter() - t0)
 
 
 def run_parallel(
@@ -1089,8 +965,6 @@ def run_parallel(
         )
         return None  # pragma: no cover
     nshards = min(network.config.workers, network.config.n)
-    tm = network._timing
-    t0 = perf_counter() if tm is not None else 0.0
     # Engine sessions (repro.net.session) keep the forked crew alive
     # across runs: fork once, run many.  A reusable crew must match this
     # run's shape and come with a recycle payload prepared by the
@@ -1129,25 +1003,15 @@ def run_parallel(
             network._session_crew = crew
     # Recorded for stamps and tests: the run reached the sharded engine.
     network.parallel_data_plane = DATA_PLANE_SHM
-    if tm is not None:
-        # Forking P replicas is the dominant fixed cost of a parallel
-        # run; charge it to the run-level barrier bucket so short runs
-        # still account for their measured wall.  Session reuse turns
-        # this into a cheap recycle handshake — same bucket, so timing
-        # dumps show exactly what the session saved.
-        tm.add("barrier", perf_counter() - t0)
+    # A timed run charges the fork (or a session's recycle handshake) to
+    # ``setup``: the kernel's clock has been running since _setup.
     try:
         coordinator = _Coordinator(network, crew)
         for _wave in network._rounds(max_rounds, coordinator):
             pass  # every wave is awaited inside the coordinator's calls
         return coordinator.result
     finally:
-        # Joining the workers is the tail half of the engine's fixed
-        # cost; like the fork it lands in the run-level barrier bucket.
         # A session-owned crew stays warm for the next run; the session's
         # close() joins it instead.
-        t0 = perf_counter() if tm is not None else 0.0
         if network._session_crew is not crew:
             crew.shutdown()
-        if tm is not None:
-            tm.add("barrier", perf_counter() - t0)

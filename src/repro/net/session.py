@@ -29,7 +29,7 @@ Observability scoping: ``config.tracer`` and ``config.timing`` belong to
 the *session* — one tracer sees every run's events (with per-run round
 numbering restarting at 1), and one TimingCollector accumulates
 `start_run`/`end_run` records per run, which is exactly what a sustained
--load service wants (`barrier` buckets show fork cost collapsing to a
+-load service wants (the `setup` bucket shows fork cost collapsing to a
 recycle handshake after the first run).  Per-run traffic/round stats stay
 per-run via ``RunResult.stats``.
 """

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -156,6 +155,9 @@ class RoundBackend(Protocol):
     sequences the calls; between them it yields wherever a back-end whose
     messages take time has to wait for its peers."""
 
+    #: The name a timed run reports (``TimingCollector.engine``).
+    engine: str
+
     def run_hooks(
         self,
         hook: str,
@@ -195,6 +197,11 @@ class RoundHost:
     """
 
     config: SimulationConfig
+    #: Observers a host may install, kept across runs: the
+    #: phase-attributed wall-clock collector (:mod:`repro.obs.timing`)
+    #: and the per-round observation hook.
+    _timing = None
+    _round_hook = None
 
     def _init_round_state(self) -> None:
         self.current_round: Round = 0
@@ -219,10 +226,6 @@ class RoundHost:
             "end_visited": 0,
             "end_skipped": 0,
         }
-        # Observers a host may install: the phase-attributed wall-clock
-        # collector and the per-round observation hook.
-        self._timing = None
-        self._round_hook = None
 
     # ------------------------------------------------------------------
     # queueing API used by EnclaveContext
@@ -285,19 +288,14 @@ class RoundHost:
         round scheduler over the nodes this process schedules — all of
         them, unless it is a shard worker holding a replica."""
         self.current_round = 0
-        tm = self._timing
-        t0 = perf_counter() if tm is not None else 0.0
+        if self._timing is not None:
+            self._timing.start_run()
         for node in self.nodes.values():
             if node.alive:
                 node.program.on_setup(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
         self._active = ActiveSet(
             self.nodes, self.nodes if owned is None else owned
         )
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
 
     def _rounds(self, max_rounds: int, backend: RoundBackend):
         """The lockstep round of Algorithms 2 and 3 (P5) — begin, transmit,
@@ -311,6 +309,12 @@ class RoundHost:
         for its peers before the next step.  A back-end that moves
         messages inside its calls has nothing to wait for: its driver
         exhausts the generator with a ``for`` loop.
+
+        The clock of a timed run (:mod:`repro.obs.timing`) is read here
+        and nowhere else in a back-end but the sharded coordinator's
+        waves: once at each phase boundary, and once when the generator
+        resumes after a wave (``wait``).  The run clock opened in
+        :meth:`_setup`; everything before round 1 is ``setup``.
         """
         nodes = self.nodes
         tracer = self.tracer
@@ -318,6 +322,9 @@ class RoundHost:
         tm = self._timing
         traffic = self.stats.traffic
         handles = self._pending_handles
+        if tm is not None:
+            tm.engine = backend.engine
+            tm.lap("setup")
         for rnd in range(1, max_rounds + 1):
             self.current_round = rnd
             if tm is not None:
@@ -332,6 +339,8 @@ class RoundHost:
             self._in_round_begin = True
             backend.run_hooks("on_round_begin", rnd)
             self._in_round_begin = False
+            if tm is not None:
+                tm.lap("begin")
 
             outbox, self._outbox_now = self._outbox_now, []
             if traced:
@@ -355,30 +364,46 @@ class RoundHost:
                 if intent.targets:
                     due.append(intent)
             count = backend.transmit(rnd, due)
-            yield "eod"
+            yield from self._await(tm, "transmit", "eod")
 
             if traced:
                 tracer.phase(rnd, "deliver", count=count)
             count = backend.deliver(rnd)
-            yield "eoa"
+            yield from self._await(tm, "deliver", "eoa")
 
             # The ACK wave closes the same round trip.
             if traced:
                 tracer.phase(rnd, "ack_wave", count=count)
             backend.ack_wave(rnd)
+            if tm is not None:
+                tm.lap("ack_wave")
 
             halted_now = self._phase_halt_check(rnd)
+            if tm is not None:
+                tm.lap("halt_check")
             live, seconds = self._open_phase_end(rnd)
             backend.run_hooks("on_round_end", rnd, halted_now, seconds)
             self._close_round(
                 rnd, seconds, halted_now, live, self._active.decided, before
             )
+            yield from self._await(tm, "end", "fin")
             if tm is not None:
                 self._finish_round_timing(tm, rnd)
-            yield "fin"
             if self._everyone_done():
                 break
         backend.run_hooks("on_protocol_end", self.current_round)
+        if tm is not None:
+            tm.end_run()
+
+    @staticmethod
+    def _await(tm, phase: str, wave: str):
+        """Close ``phase`` on the clock, yield ``wave``, and charge the
+        time until the generator resumes to ``wait``."""
+        if tm is not None:
+            tm.lap(phase)
+        yield wave
+        if tm is not None:
+            tm.lap("wait")
 
     def run_hooks(
         self,
@@ -393,8 +418,6 @@ class RoundHost:
         nodes = self.nodes
         active = self._active
         counters = self.sched_counters
-        tm = self._timing
-        t0 = perf_counter() if tm is not None else 0.0
         if hook == "on_round_begin":
             visit = active.begin(rnd)
             counters["begin_visited"] += len(visit)
@@ -405,9 +428,6 @@ class RoundHost:
             counters["end_skipped"] += len(active.owned) - len(visit)
         else:
             visit = active.owned
-        if tm is not None:
-            tm.add("scheduler", perf_counter() - t0)
-        t0 = perf_counter() if tm is not None else 0.0
         for node_id in visit:
             node = nodes[node_id]
             if not node.alive:
@@ -418,13 +438,8 @@ class RoundHost:
                 node.program.on_round_end(node.context)
             else:
                 node.program.on_protocol_end(node.context)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
         if hook == "on_round_end":
-            t0 = perf_counter() if tm is not None else 0.0
             active.after_end(rnd, visit, halted_now)
-            if tm is not None:
-                tm.add("scheduler", perf_counter() - t0)
 
     def _everyone_done(self) -> bool:
         """Whether the run can stop early: every hosted node has decided
@@ -540,6 +555,7 @@ class RoundHost:
                 wall=record["wall"],
                 buckets=dict(record["buckets"]),
                 shards=list(record["shards"]),
+                engine=tm.engine,
             ))
 
 
@@ -785,10 +801,8 @@ class SynchronousNetwork(RoundHost):
                 else NULL_TRACER
             )
         self.tracer: Tracer = tracer
-        # Phase-attributed wall-clock collector (repro.obs.timing).  Same
-        # zero-cost-when-off contract as the tracer: the engine caches
-        # this in a local and checks `is not None` per instrumentation
-        # point; None (the default) adds a handful of predicted branches.
+        # Phase-attributed wall-clock collector (repro.obs.timing), read
+        # by the round kernel only; None (the default) reads no clock.
         self._timing = config.timing
         self._honest = not self._behavior_nodes
         self._homogeneous = len(
@@ -1034,44 +1048,31 @@ class SynchronousNetwork(RoundHost):
         """
         if max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
-        tm = self._timing
-        if tm is not None:
-            tm.start_run()
-        try:
-            self._setup()
-            if self._parallel_requested():
-                reason = self._parallel_fallback_reason()
-                if reason is None:
-                    t0 = perf_counter() if tm is not None else 0.0
-                    from repro.net.parallel import run_parallel
+        self._setup()
+        if self._parallel_requested():
+            reason = self._parallel_fallback_reason()
+            if reason is None:
+                from repro.net.parallel import run_parallel
 
-                    if tm is not None:
-                        # First use pays the module import; make the timed
-                        # wall account for it instead of leaking coverage.
-                        tm.add("other", perf_counter() - t0)
-                        tm.set_engine("parallel")
-                    result = run_parallel(self, max_rounds)
-                    if result is not None:
-                        return result
-                elif not self._warned_parallel_fallback:
-                    # workers>1 was requested but the run cannot shard:
-                    # say why, once, instead of silently going serial.
-                    self._warned_parallel_fallback = True
-                    _LOG.warning(
-                        "parallel engine disabled for this run (%s); "
-                        "running serial despite workers=%d",
-                        reason, self.config.workers,
-                    )
-            envelope = self._envelope_fast_path
-            if tm is not None:
-                tm.set_engine("envelope" if envelope else "serial")
-            backend = _EnvelopeRounds(self) if envelope else _PerWireRounds(self)
-            for _wave in self._rounds(max_rounds, backend):
-                pass  # both move messages inside their calls
-            return self._result()
-        finally:
-            if tm is not None:
-                tm.end_run()
+                result = run_parallel(self, max_rounds)
+                if result is not None:
+                    return result
+            elif not self._warned_parallel_fallback:
+                # workers>1 was requested but the run cannot shard:
+                # say why, once, instead of silently going serial.
+                self._warned_parallel_fallback = True
+                _LOG.warning(
+                    "parallel engine disabled for this run (%s); "
+                    "running serial despite workers=%d",
+                    reason, self.config.workers,
+                )
+        if self._envelope_fast_path:
+            backend = _EnvelopeRounds(self)
+        else:
+            backend = _PerWireRounds(self)
+        for _wave in self._rounds(max_rounds, backend):
+            pass  # both move messages inside their calls
+        return self._result()
 
     def _parallel_requested(self) -> bool:
         """Whether the caller asked for the sharded engine at all: more
@@ -1432,8 +1433,6 @@ class SynchronousNetwork(RoundHost):
         tracer = self.tracer
         traced = tracer.enabled
         delivered = self._active.delivered
-        tm = self._timing
-        open_s = handler_s = 0.0
         for wire in wires:
             receiver_node = nodes.get(wire.receiver)
             if receiver_node is None or not receiver_node.alive:
@@ -1447,32 +1446,21 @@ class SynchronousNetwork(RoundHost):
                 if traced:
                     tracer.wire(rnd, wire, "drop_recv", actor=wire.receiver)
                 continue
-            t0 = perf_counter() if tm is not None else 0.0
             try:
                 message = transport.read(wire.receiver, wire)
             except (IntegrityError, ReplayError, StaleRoundError,
                     ProtocolError):
-                if tm is not None:
-                    open_s += perf_counter() - t0
                 traffic.record_rejection()
                 if traced:
                     tracer.wire(rnd, wire, "reject")
                 continue
-            if tm is not None:
-                open_s += perf_counter() - t0
             if message.type is MessageType.ACK:
                 self._credit_ack(wire.receiver, message.payload)
                 continue
             delivered.add(wire.receiver)
-            t0 = perf_counter() if tm is not None else 0.0
             receiver_node.program.on_message(
                 receiver_node.context, wire.sender, message
             )
-            if tm is not None:
-                handler_s += perf_counter() - t0
-        if tm is not None:
-            tm.add("open", open_s)
-            tm.add("handler", handler_s)
 
 
 class _PerWireRounds:
@@ -1480,6 +1468,8 @@ class _PerWireRounds:
     (adversarial, traced-FULL and heterogeneous runs — OS behaviours act
     on individual wires) and the reference the envelope back-end is tested
     against."""
+
+    engine = "serial"
 
     def __init__(self, net: SynchronousNetwork) -> None:
         self.net = net
@@ -1496,24 +1486,17 @@ class _PerWireRounds:
         transport = net.transport
         tracer = net.tracer
         traced = tracer.enabled
-        tm = net._timing
         # With envelope accounting, per-wire sends are logical-only; the
         # physical ledger gets one coalesced crossing per link below.
         physical = not net._envelope_accounting
         net._ack_size_cache.clear()
-        serialize_s = seal_s = 0.0
         transmissions: List[WireMessage] = []
         for intent in intents:
             message = intent.message
-            t0 = perf_counter() if tm is not None else 0.0
-            size_hint = modeled_wire_size(message)
-            t1 = perf_counter() if tm is not None else 0.0
             wires = transport.write(
-                intent.sender, intent.targets, message, size_hint
+                intent.sender, intent.targets, message,
+                modeled_wire_size(message),
             )
-            if tm is not None:
-                serialize_s += t1 - t0
-                seal_s += perf_counter() - t1
             behavior = nodes[intent.sender].behavior
             if behavior is None:
                 for wire in wires:
@@ -1528,9 +1511,6 @@ class _PerWireRounds:
                     net._apply_send_filter(
                         behavior, intent.sender, wire, rnd, transmissions
                     )
-        if tm is not None:
-            tm.add("serialize", serialize_s)
-            tm.add("seal", seal_s)
 
         # Injected (replayed / forged) wires and previously delayed wires
         # (only OS behaviours produce either).
@@ -1573,18 +1553,15 @@ class _PerWireRounds:
 
     def ack_wave(self, rnd: Round) -> None:
         """Write the queued ACKs back through the acker's OS behaviour and
-        deliver them.  The write loop is charged to ``ack_wave``; the
-        delivery attributes its own open / handler time."""
+        deliver them."""
         net = self.net
         nodes = net.nodes
         traffic = net.stats.traffic
         transport = net.transport
         tracer = net.tracer
         traced = tracer.enabled
-        tm = net._timing
         physical = not net._envelope_accounting
         ack_queue, net._ack_queue = net._ack_queue, []
-        t0 = perf_counter() if tm is not None else 0.0
         ack_wires: List[WireMessage] = []
         for acker, dest, digest in ack_queue:
             acker_node = nodes[acker]
@@ -1611,8 +1588,6 @@ class _PerWireRounds:
             net._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
         if not physical and ack_wires:
             net._record_physical_links(ack_wires, rnd, "ack")
-        if tm is not None:
-            tm.add("ack_wave", perf_counter() - t0)
         net._deliver(ack_wires, rnd)
         # Behaviours tick every round regardless of program activity
         # (delay queues and injection schedules advance on rounds, not on
@@ -1632,6 +1607,8 @@ class _EnvelopeRounds:
     semantics match), same ACK credits, halts and round summaries.
     """
 
+    engine = "envelope"
+
     def __init__(self, net: SynchronousNetwork) -> None:
         self.net = net
         self.run_hooks = net.run_hooks
@@ -1647,13 +1624,11 @@ class _EnvelopeRounds:
         traffic = net.stats.traffic
         transport = net.transport
         full = transport.security is ChannelSecurity.FULL
-        tm = net._timing
         digest_by_id = net._ack_digest_by_id
         digest_by_id.clear()
         plan: List[Tuple[NodeId, Tuple[NodeId, ...], ProtocolMessage, int]] = []
         per_sender: Dict[NodeId, List[tuple]] = {}
         logical_count = 0
-        serialize_s = 0.0
         for intent in intents:
             message = intent.message
             digest_by_id[id(message)] = intent.digest
@@ -1661,13 +1636,10 @@ class _EnvelopeRounds:
             # FULL charges the real per-member sealed sizes, known only
             # after sealing, and carries the body (encoded once per
             # fan-out) where the modeled transports carry the size.
-            t0 = perf_counter() if tm is not None else 0.0
             sized = (
                 encode(message.to_tuple()) if full
                 else modeled_wire_size(message)
             )
-            if tm is not None:
-                serialize_s += perf_counter() - t0
             plan.append(
                 (intent.sender, intent.targets, message, 0 if full else sized)
             )
@@ -1678,13 +1650,9 @@ class _EnvelopeRounds:
                 net._charge_multicast(
                     rnd, intent.sender, intent.targets, message, sized
                 )
-        if tm is not None:
-            tm.add("serialize", serialize_s)
 
         # Counters advance per member, so channel state stays
         # interchangeable with the per-wire back-end.
-        t0 = perf_counter() if tm is not None else 0.0
-        batch_s = 0.0
         envelopes: List[Envelope] = []
         for sender, entries in per_sender.items():
             if full:
@@ -1706,18 +1674,12 @@ class _EnvelopeRounds:
             for receivers, members, env_size in net._coalesce_links(entries):
                 # One seal call per member list: the transport hoists the
                 # guard / measurement / row lookups out of the per-link loop.
-                t1 = perf_counter() if tm is not None else 0.0
                 envelopes.extend(transport.seal_envelope(
                     sender, receivers, members, size=env_size
                 ))
-                if tm is not None:
-                    batch_s += perf_counter() - t1
                 net._charge_envelopes(
                     rnd, sender, receivers, len(members), env_size
                 )
-        if tm is not None:
-            tm.add("seal", perf_counter() - t0 - batch_s)
-            tm.add("batch_crypto", batch_s)
         self._plan = plan
         self._envelopes = envelopes
         return logical_count
@@ -1734,8 +1696,6 @@ class _EnvelopeRounds:
         tracer = net.tracer
         traced = tracer.enabled
         full = transport.security is ChannelSecurity.FULL
-        tm = net._timing
-        t0 = perf_counter() if tm is not None else 0.0
         opened: Dict[Tuple[NodeId, NodeId], deque] = {}
         inbound: Set[NodeId] = set()
         for env in self._envelopes:
@@ -1746,8 +1706,6 @@ class _EnvelopeRounds:
             inbound.add(receiver)
             if full:
                 opened[(env.sender, receiver)] = deque(members)
-        if tm is not None:
-            tm.add("batch_crypto", perf_counter() - t0)
         # The dispatch table is static between program swaps (halts are
         # read live off the enclave below), so it is built once per run
         # instead of once per round.
@@ -1761,7 +1719,6 @@ class _EnvelopeRounds:
                 )
             net._dispatch_cache = dispatch
         halted = EnclaveState.HALTED
-        t0 = perf_counter() if tm is not None else 0.0
         for sender, targets, message, size_hint in self._plan:
             mtype = message.type.value if traced else None
             for receiver in targets:
@@ -1784,8 +1741,6 @@ class _EnvelopeRounds:
                     )
                 else:
                     on_message(context, sender, message)
-        if tm is not None:
-            tm.add("handler", perf_counter() - t0)
         # Every receiver that had an envelope opened got at least one
         # on_message dispatch — deliveries re-wake for the round's end.
         net._active.delivered.update(inbound)
@@ -1795,11 +1750,7 @@ class _EnvelopeRounds:
     def ack_wave(self, rnd: Round) -> None:
         net = self.net
         if self._queue:
-            tm = net._timing
-            t0 = perf_counter() if tm is not None else 0.0
             if net.transport.security is ChannelSecurity.FULL:
                 net._ack_wave_envelope_full(self._queue, rnd)
             else:
                 net._ack_wave_envelope(self._queue, rnd)
-            if tm is not None:
-                tm.add("ack_wave", perf_counter() - t0)

@@ -695,6 +695,8 @@ class WireNode(RoundHost):
     clean shutdown leaves no orphan tasks.
     """
 
+    engine = "wire"
+
     def __init__(self, cfg: WireNodeConfig, tracer=None) -> None:
         self.cfg = cfg
         self.tracer = tracer if tracer is not None else NULL_TRACER

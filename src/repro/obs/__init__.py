@@ -9,8 +9,8 @@ Six pieces:
 * :mod:`repro.obs.metrics` — counters / gauges / histograms plus the
   wall-clock :data:`PROFILER` hooks around crypto and serialization;
 * :mod:`repro.obs.timing` — the :class:`TimingCollector` that attributes
-  per-round wall clock to engine phases (``--timing-out``), including
-  per-shard busy/idle on the parallel engine;
+  per-round wall clock to the round kernel's phases (``--timing-out``)
+  on every back-end, including per-shard busy/idle on the sharded one;
 * :mod:`repro.obs.machine` — machine provenance stamps (git rev, CPU
   count, workers) attached to every persisted measurement;
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — JSONL persistence,

@@ -207,9 +207,10 @@ class TimingEvent:
     """One round's phase-attributed wall-clock breakdown.
 
     ``buckets`` maps the :data:`repro.obs.timing.PHASE_BUCKETS` names to
-    seconds; their sum covers the round's measured ``wall`` (the
-    collector charges the residual to ``other``).  ``shards`` carries
-    the parallel engine's per-shard busy/idle split when present.
+    seconds; their sum is the round's measured ``wall``.  ``shards``
+    carries the sharded engine's per-shard busy/idle split when present;
+    ``engine`` names the back-end that ran the round ("" in traces
+    written before it was recorded).
     """
 
     kind: ClassVar[str] = "timing"
@@ -217,6 +218,7 @@ class TimingEvent:
     wall: float
     buckets: Dict[str, float] = field(default_factory=dict)
     shards: List[dict] = field(default_factory=list)
+    engine: str = ""
 
 
 @dataclass

@@ -77,6 +77,7 @@ def _timing_from_trace_lines(lines: List[str]) -> Optional[Dict]:
     payload, or None when the trace carries no timing."""
     rounds: List[dict] = []
     machine: Optional[dict] = None
+    engine = ""
     for line in lines:
         line = line.strip()
         if not line:
@@ -95,6 +96,7 @@ def _timing_from_trace_lines(lines: List[str]) -> Optional[Dict]:
                 "buckets": dict(record.get("buckets", {})),
                 "shards": list(record.get("shards", [])),
             })
+            engine = engine or record.get("engine") or ""
         elif kind == "meta" and machine is None:
             machine = record.get("machine")
     if not rounds:
@@ -105,7 +107,7 @@ def _timing_from_trace_lines(lines: List[str]) -> Optional[Dict]:
             totals[bucket] = totals.get(bucket, 0.0) + seconds
     payload: Dict = {
         "kind": "timing",
-        "engine": "",
+        "engine": engine,
         "wall_seconds": sum(r["wall"] for r in rounds),
         "bucket_order": list(PHASE_BUCKETS),
         "totals": totals,

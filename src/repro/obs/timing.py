@@ -1,49 +1,39 @@
-"""Phase-attributed wall-clock timing for the round engine.
+"""Phase-attributed wall-clock timing, read by the round kernel.
 
 A :class:`TimingCollector` attaches to a run through
-``SimulationConfig.timing`` and buckets each round's wall time into the
-engine's cost centres:
+``SimulationConfig.timing`` (or a wire daemon's ``_timing``).  One clock
+runs it: :meth:`repro.net.simulator.RoundHost._rounds` takes one reading
+at each boundary of the round and charges the time since the previous
+reading to the phase that just ended, so every back-end — per-wire,
+envelope, sharded and the TCP daemon — is timed by the same instrument.
+The buckets, in report order:
 
-``seal``       transport writes / envelope sealing (AEAD or counter pass)
-``open``       transport reads / envelope opening and verification
-``serialize``  message sizing, body encoding, and cross-process pickling
-``handler``    protocol hook execution (``on_round_begin`` /
-               ``on_message`` / ``on_round_end`` / setup and finish),
-               stamping what the hooks stage (round + ACK digest)
-               included
-``ack_wave``   the ACK wave's aggregation and crediting
-``batch_crypto``  wave-batched envelope sealing / opening (the
-               vectorized fast path; per-link crypto stays in
-               ``seal``/``open``)
-``shm``        parallel engine only: shared-memory data-plane traffic —
-               frame writes, polls that landed a frame, and frame
-               decode
-``barrier``    parallel engine only: coordinator wall blocked on worker
-               phases *beyond* any shard's concurrent busy time (true
-               coordination latency; worker fork/join included)
-``overlap``    parallel engine only: coordinator wall blocked on worker
-               phases *while* at least one shard was computing — the
-               parallelized work the coordinator was waiting for, not
-               coordination overhead
-``merge``      parallel engine only: splicing staged intents / events
-               back into serial order and replaying the transmit plan
-``scheduler``  the round scheduler (:mod:`repro.net.activeset`):
-               computing the per-round visit lists, wake-hint
-               bookkeeping and the incremental doneness tracking
-``other``      the round's measured residual (engine bookkeeping not
-               covered by a named bucket)
+``begin`` … ``end``  the six round phases of
+               :data:`repro.obs.events.ROUND_PHASES` — the same names the
+               trace's phase events carry
+``wait``       how long the kernel stayed suspended at a wave it yielded:
+               ≈0 on the in-process back-ends, the barrier wait on the
+               wire
+``setup``      before round 1: ``on_setup`` hooks, the shard fork
+``shm``        sharded engine only: the slowest shard's streaming time on
+               the shared-memory rings, netted out of its phase
+``barrier``    sharded engine only: the coordinator's wait on a wave
+               beyond its slowest shard's busy time (true coordination
+               latency), netted out of its phase
+``other``      a shard's busy time outside ``shm`` (per-shard records)
+
+Sub-buckets (:meth:`TimingCollector.add`) are netted out of the phase
+they fell in at its next reading, so each round's bucket sums equal its
+wall.  Per-layer cost (crypto, serialization, transport, core) is what
+``perfbench/run.py --traced`` spans measure; the collector answers which
+phase, which round, which shard, and how long it waited.
 
 Like the tracer and :data:`~repro.obs.metrics.PROFILER`, the collector
-is **zero-cost when absent**: the engine caches ``self._timing`` in a
-local and checks ``is not None`` once per instrumentation point, so the
-default (untimed) run pays a handful of predicted branches per round.
-
-On the parallel engine the coordinator's buckets account its own wall
-clock (bucket sums still cover the measured round wall); the workers'
-in-barrier buckets are shipped back through the staged-intent merge and
-recorded per shard, including per-barrier idle time — the imbalance the
-coordinator's ``barrier`` bucket hides.  ``as_dict()`` is the sidecar
-payload ``python -m repro report`` renders.
+is **zero-cost when absent**: the kernel caches ``self._timing`` in a
+local and tests it at each boundary, so an untimed run pays a handful of
+predicted branches per round and reads no clock.  A timed run reads it
+about ten times per round, plus twice per sharded wave.  ``as_dict()``
+is the sidecar payload ``python -m repro report`` renders.
 """
 
 from __future__ import annotations
@@ -51,29 +41,19 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional
 
+from repro.obs.events import ROUND_PHASES
+
 #: The attribution buckets, in report order.
-PHASE_BUCKETS = (
-    "seal",
-    "open",
-    "serialize",
-    "handler",
-    "ack_wave",
-    "batch_crypto",
-    "shm",
-    "barrier",
-    "overlap",
-    "merge",
-    "scheduler",
-    "other",
-)
+PHASE_BUCKETS = ROUND_PHASES + ("wait", "setup", "shm", "barrier", "other")
 
 
 class TimingCollector:
     """Accumulates per-round and per-run phase attribution.
 
-    One collector may span several ``run()`` calls (multi-instance
-    drivers like churn reuse one config): wall time and buckets
-    accumulate, and the round list keeps growing in execution order.
+    One collector may span several runs (multi-instance runs like churn
+    reuse one config, a beacon session runs one per epoch): wall
+    time and buckets accumulate, and the round list keeps growing in
+    execution order.
     """
 
     __slots__ = (
@@ -82,7 +62,8 @@ class TimingCollector:
         "totals",
         "rounds",
         "_run_t0",
-        "_round_t0",
+        "_mark",
+        "_netted",
         "_round",
     )
 
@@ -91,80 +72,79 @@ class TimingCollector:
         self.wall_seconds = 0.0
         self.totals: Dict[str, float] = {}
         self.rounds: List[dict] = []
-        self._run_t0: Optional[float] = None
-        self._round_t0: Optional[float] = None
+        self._run_t0 = 0.0
+        self._mark = 0.0
+        self._netted = 0.0
         self._round: Optional[dict] = None
 
-    # ---- run / round lifecycle ---------------------------------------
-    def start_run(self, engine: str = "") -> None:
-        if engine:
-            self.engine = engine
-        self._run_t0 = perf_counter()
+    # ---- the clock ----------------------------------------------------
+    def start_run(self) -> None:
+        self._run_t0 = self._mark = perf_counter()
+        self._netted = 0.0
+        self._round = None
+
+    def lap(self, phase: str) -> None:
+        """Charge the time since the previous reading to ``phase``, less
+        whatever was :meth:`add`-ed to sub-buckets meanwhile."""
+        now = perf_counter()
+        self._charge(phase, now - self._mark - self._netted)
+        self._mark = now
+        self._netted = 0.0
+
+    def add(self, bucket: str, seconds: float) -> None:
+        """Charge ``seconds`` of the current phase to ``bucket`` instead."""
+        self._charge(bucket, seconds)
+        self._netted += seconds
 
     def end_run(self) -> None:
-        if self._run_t0 is not None:
-            self.wall_seconds += perf_counter() - self._run_t0
-            self._run_t0 = None
+        """Close the run: what followed the last round is ``end``."""
+        self.lap("end")
+        self.wall_seconds += self._mark - self._run_t0
 
-    def set_engine(self, engine: str) -> None:
-        self.engine = engine
-
-    def start_round(self, rnd: int) -> None:
-        self._round = {"rnd": rnd, "wall": 0.0, "buckets": {}, "shards": []}
-        self._round_t0 = perf_counter()
-
-    def end_round(self) -> dict:
-        """Close the round: measure its wall, attribute the residual to
-        ``other``, and return the finished record (for TimingEvent)."""
-        record = self._round
-        assert record is not None, "start_round() first"
-        wall = perf_counter() - self._round_t0
-        record["wall"] = wall
-        buckets = record["buckets"]
-        residual = wall - sum(buckets.values())
-        if residual > 0:
-            buckets["other"] = buckets.get("other", 0.0) + residual
-            self.totals["other"] = self.totals.get("other", 0.0) + residual
-        self.rounds.append(record)
-        self._round = None
-        self._round_t0 = None
-        return record
-
-    # ---- attribution --------------------------------------------------
-    def add(self, bucket: str, seconds: float) -> None:
-        """Charge ``seconds`` to ``bucket`` (round-level when a round is
-        open, else run-level only — setup/finish hooks, worker spawn)."""
+    def _charge(self, bucket: str, seconds: float) -> None:
         self.totals[bucket] = self.totals.get(bucket, 0.0) + seconds
         record = self._round
         if record is not None:
-            b = record["buckets"]
-            b[bucket] = b.get(bucket, 0.0) + seconds
+            buckets = record["buckets"]
+            buckets[bucket] = buckets.get(bucket, 0.0) + seconds
+            record["wall"] += seconds
+
+    # ---- rounds ---------------------------------------------------------
+    def start_round(self, rnd: int) -> None:
+        """Open round ``rnd`` at the previous reading (no clock read)."""
+        self._round = {"rnd": rnd, "wall": 0.0, "buckets": {}, "shards": {}}
+
+    def end_round(self) -> dict:
+        """Close the open round and return its record (for TimingEvent)."""
+        record = self._round
+        assert record is not None, "start_round() first"
+        record["shards"] = list(record["shards"].values())
+        self.rounds.append(record)
+        self._round = None
+        return record
 
     def record_shard(
-        self,
-        shard: int,
-        busy: float,
-        idle: float,
-        buckets: Dict[str, float],
+        self, shard: int, busy: float, idle: float, shm: float
     ) -> None:
-        """Attach one shard's in-barrier breakdown to the open round.
+        """Add one sharded wave to ``shard``'s record in the open round.
 
-        ``busy`` is the shard's total wall inside this round's barriers,
-        ``idle`` the time it sat at barriers waiting for slower shards
-        (coordinator barrier wall minus shard busy) — the per-round
-        imbalance signal.  ``buckets`` are the worker-side cost centres;
-        any un-attributed busy time lands in the shard's ``other``.
+        ``busy`` is the shard's wall inside the wave, ``idle`` the time it
+        sat waiting for slower shards, ``shm`` its streaming time; the
+        rest of its busy time is its ``other``.
         """
         record = self._round
         if record is None:
             return
-        buckets = dict(buckets)
-        residual = busy - sum(buckets.values())
-        if residual > 0:
-            buckets["other"] = buckets.get("other", 0.0) + residual
-        record["shards"].append(
-            {"shard": shard, "busy": busy, "idle": idle, "buckets": buckets}
-        )
+        entry = record["shards"].get(shard)
+        if entry is None:
+            entry = record["shards"][shard] = {
+                "shard": shard, "busy": 0.0, "idle": 0.0,
+                "buckets": {"shm": 0.0, "other": 0.0},
+            }
+        entry["busy"] += busy
+        entry["idle"] += idle
+        entry["buckets"]["shm"] += shm
+        entry["buckets"]["other"] += busy - shm
 
     # ---- summaries ----------------------------------------------------
     @property

@@ -144,6 +144,9 @@ class TestTimingOut:
         timeline = capsys.readouterr().out
         assert "machine:" in timeline
         assert "timing (top buckets per round" in timeline
+        # the trace names the back-end that ran its rounds
+        assert main(["report", trace_path]) == 0
+        assert "timing: engine=envelope" in capsys.readouterr().out
 
     def test_beacon_honours_observability_flags(self, tmp_path, capsys):
         """The beacon service threads --timing-out through its engine

@@ -1,13 +1,14 @@
-"""Phase-attributed timing must be complete, faithful, and invisible.
+"""Phase-attributed timing must be complete, faithful, cheap and invisible.
 
-Three claims pinned here, matching the acceptance criteria of the
-performance-observatory PR:
+Four claims pinned here:
 
-* **complete** — on every engine path (serial per-wire, envelope,
-  sharded parallel) the phase buckets account for at least 90% of the
-  measured run wall clock (the collector charges each round's residual
-  to ``other``, so the only way to lose coverage is unattributed
-  *between*-round time);
+* **complete** — on every back-end (serial per-wire, envelope, sharded
+  parallel, the TCP daemon) the phase buckets account for at least 90%
+  of the measured run wall clock, and each round's buckets sum to its
+  wall;
+* **cheap** — the round kernel owns the clock: an untimed run reads it
+  never, a timed run a bounded number of times per round, however many
+  messages the round carries;
 * **invisible** — a timed (and traced) run produces byte-identical
   protocol observables to an untimed run: timing is observational only;
 * **merged** — worker-side ``PROFILER`` observations survive the fork:
@@ -17,9 +18,16 @@ performance-observatory PR:
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 
+import repro.net.parallel
+import repro.net.simulator
+import repro.obs.timing
 from repro import ChannelSecurity, SimulationConfig, run_erb, run_erng
+from repro.net.wire import WireNode, cluster_configs
 from repro.obs.events import MetaEvent, TimingEvent
 from repro.obs.metrics import PROFILER
 from repro.obs.timing import PHASE_BUCKETS, TimingCollector
@@ -87,6 +95,40 @@ class TestCoverage:
             # exact up to float noise
             assert bucket_sum == pytest.approx(record["wall"], rel=1e-6)
 
+    def test_wire_nodes_cover_their_wall_and_wait(self):
+        """The TCP daemon is timed by the same kernel clock: each node's
+        barrier waits land in ``wait``."""
+        configs = cluster_configs(5, "erb", seed=3, message=b"timed")
+        timings = [TimingCollector() for _ in configs]
+
+        async def main():
+            nodes = [WireNode(cfg) for cfg in configs]
+            for node, timing in zip(nodes, timings):
+                node._timing = timing
+            ports = {}
+            for node in nodes:
+                _, ports[node.cfg.node_id] = await node.start_server()
+            for node in nodes:
+                node.cfg.peers = {
+                    pid: ("127.0.0.1", port) for pid, port in ports.items()
+                    if pid != node.cfg.node_id
+                }
+            return await asyncio.wait_for(
+                asyncio.gather(*(node.run_service() for node in nodes)), 60
+            )
+
+        reports = asyncio.run(main())
+        assert all(report.output == b"timed" for report in reports)
+        for timing in timings:
+            assert timing.engine == "wire"
+            assert timing.coverage() >= 0.9
+            assert timing.totals["wait"] > 0
+            assert set(timing.totals) <= set(PHASE_BUCKETS)
+            for record in timing.rounds:
+                assert sum(record["buckets"].values()) == pytest.approx(
+                    record["wall"], rel=1e-6
+                )
+
     def test_parallel_records_per_shard_breakdown(self):
         timing = TimingCollector()
         _run("erng", timing=timing, n=12, seed=8, workers=2)
@@ -105,6 +147,46 @@ class TestCoverage:
                 assert sum(shard["buckets"].values()) == pytest.approx(
                     shard["busy"], rel=1e-6
                 )
+
+
+#: Config knobs that select each simulator back-end.
+BACKENDS = {
+    "serial": {"extra": {"disable_envelope_fast_path": True}},
+    "envelope": {},
+    "parallel": {"workers": 2},
+}
+
+
+class TestClockReads:
+    """Exact counts of clock reads through every binding the engine and
+    the collector time with: none when untimed, and a fixed number per
+    round — not per message — when timed."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        clock = time.perf_counter
+
+        def counting():
+            calls.append(None)
+            return clock()
+
+        for module in (repro.net.simulator, repro.net.parallel,
+                       repro.obs.timing):
+            monkeypatch.setattr(module, "perf_counter", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_untimed_run_reads_no_clock(self, reads, backend):
+        _run("erb", n=12, seed=3, **BACKENDS[backend])
+        assert len(reads) == 0
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_timed_run_reads_the_clock_per_round(self, reads, backend):
+        timing = TimingCollector()
+        result = _run("erb", timing=timing, n=12, seed=3, **BACKENDS[backend])
+        assert timing.engine == backend
+        assert len(reads) <= 16 * result.rounds_executed + 8
 
 
 class TestInvisibility:

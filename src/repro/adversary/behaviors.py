@@ -14,14 +14,17 @@ A behaviour's powers mirror what a malicious OS can do with SGX traffic:
 
 Behaviours never see decrypted payloads unless the simulation runs with
 ``ChannelSecurity.NONE`` (the strawman demos): under FULL the payload is
-ciphertext, and under MODELED the convention is that behaviours only read
-routing metadata and flags, mirroring exactly what a real OS observes.
+ciphertext, and under MODELED reading ``wire.plain`` raises
+:class:`~repro.common.errors.OpaqueWireError` — behaviours read routing
+metadata, counters, sizes and flags, exactly what a real OS observes.
 
-Attaching *any* behaviour to a node makes the engine route that node's
-traffic through the per-wire path (the envelope and parallel fast paths
-require homogeneous honest rounds — see ``docs/ARCHITECTURE.md``), so
-adversarial semantics never depend on which fast path a run would
-otherwise take.
+Each method is called on the same wires, in the same order, whichever
+back-end runs the round, so adversarial semantics never depend on it.
+An untraced MODELED run keeps the envelope back-end and runs a node's
+behaviour as a mask on the links it ends (Thm A.2: a drop bit per
+member plus the extra copies, which the channel checks); NONE, FULL and
+traced runs take the per-wire path, and the sharded engine is honest
+only (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

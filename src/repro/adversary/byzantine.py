@@ -102,21 +102,18 @@ class LookaheadBiasAdversary(OSBehavior):
         if wire.mtype is MessageType.INIT:
             # Withhold our own contribution (possible in any mode)...
             self._withheld.append(wire)
-            plain = wire.plain
-            if not wire.opaque and plain is not None and isinstance(
-                plain.payload, int
-            ):
-                # ...but *reading* it requires a plaintext channel (P3
-                # denies this against the blinded channel).
+            # ...but *reading* it requires a plaintext channel (P3
+            # denies this against the blinded channel).
+            plain = None if wire.opaque else wire.plain
+            if plain is not None and isinstance(plain.payload, int):
                 self._own_value = plain.payload
             return ()
         return ((0, wire),)
 
     def filter_receive(self, wire: WireMessage, rnd: int) -> bool:
-        plain = wire.plain
+        plain = None if wire.opaque else wire.plain
         if (
-            not wire.opaque
-            and plain is not None
+            plain is not None
             and plain.type is MessageType.INIT
             and isinstance(plain.payload, int)
             and not wire.tampered

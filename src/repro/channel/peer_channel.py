@@ -19,12 +19,18 @@ most once* — everything else is surfaced as an omission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import CHANNEL_OVERHEAD_BYTES, ChannelSecurity
-from repro.common.errors import ConfigurationError, IntegrityError, ProtocolError
+from repro.common.errors import (
+    ConfigurationError,
+    IntegrityError,
+    OpaqueWireError,
+    ProtocolError,
+)
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import compose_tuple, decode, encode
 from repro.common.types import NodeId, ProtocolMessage
@@ -40,15 +46,41 @@ from repro.sgx.enclave import Enclave
 _FRAMING_BYTES = 8
 
 
+class _SealedBody:
+    """:attr:`WireMessage.plain`: the modeled plaintext, which only a
+    transparent wire lets the OS read.
+
+    On an opaque wire that carries a body (MODELED) reading ``plain``
+    raises :class:`OpaqueWireError`; the receiving enclave's transport
+    reads its own copy, ``_plain``.  A FULL wire has no plaintext to
+    hide (``plain`` is None).  ``dataclasses.replace`` reads every field,
+    so OS code copies an opaque wire with :func:`copy.copy` or
+    :meth:`WireMessage.tampered_copy` instead.
+    """
+
+    def __get__(self, wire, owner=None):
+        if wire is None:
+            return self     # the dataclass default: see __set__
+        body = wire._plain
+        if body is not None and wire.opaque:
+            raise OpaqueWireError(
+                f"wire {wire.sender}->{wire.receiver} #{wire.counter} is "
+                "opaque: the OS sees ciphertext, not the message"
+            )
+        return body
+
+    def __set__(self, wire, body) -> None:
+        wire._plain = None if body is self else body
+
+
 @dataclass
 class WireMessage:
     """The unit the untrusted OS layer moves around.
 
     In FULL mode ``sealed`` holds real ciphertext bytes; in MODELED mode
-    ``plain`` holds the plaintext object (which the *simulated* OS layer is
-    trusted-by-construction not to inspect — adversary implementations only
-    ever touch the flags and routing metadata, mirroring what a real OS can
-    do with ciphertext).
+    ``plain`` holds the plaintext object, sealed from the OS: only the
+    routing metadata, counter, size and flags are readable on an opaque
+    wire, mirroring what a real OS can do with ciphertext.
     """
 
     sender: NodeId
@@ -56,7 +88,9 @@ class WireMessage:
     counter: int
     size: int
     sealed: Optional[bytes] = None
-    plain: Optional[ProtocolMessage] = None
+    plain: Optional[ProtocolMessage] = field(
+        default=_SealedBody(), repr=False, compare=False
+    )
     plain_measurement: Optional[bytes] = None
     tampered: bool = False
     # Message type exposed for *accounting only* (the traffic statistics
@@ -70,11 +104,13 @@ class WireMessage:
 
     def tampered_copy(self) -> "WireMessage":
         """What an adversary flipping ciphertext bits produces (attack A2)."""
+        tampered = copy(self)
+        tampered.tampered = True
         if self.sealed is not None:
             body = bytearray(self.sealed)
             body[0] ^= 0xFF
-            return replace(self, sealed=bytes(body), tampered=True)
-        return replace(self, tampered=True)
+            tampered.sealed = bytes(body)
+        return tampered
 
 
 @dataclass

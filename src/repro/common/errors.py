@@ -55,3 +55,14 @@ class EnclaveHaltedError(ProtocolError):
     Raised when the untrusted OS layer tries to keep driving an enclave that
     executed :func:`Halt` (halt-on-divergence, property P4).
     """
+
+
+class OpaqueWireError(ReproError):
+    """Untrusted OS code read the body of an opaque wire.
+
+    Over a blinded channel the OS sees ciphertext (P3): what it may act
+    on is a wire's routing metadata, counter, size and flags.  The
+    MODELED transport carries the plaintext object in place of the
+    ciphertext, so reading it is a breach of the leakage model every
+    reduction (Thm A.2) assumes, not a power the OS has.
+    """

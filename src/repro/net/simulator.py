@@ -11,12 +11,14 @@ output, or ``on_protocol_end`` (⊥ for the undecided) at the round bound —
 is written once, in :meth:`RoundHost._rounds`.  An execution environment
 is a :class:`RoundBackend`: where hooks run and how messages move.  Two
 live here: :class:`_PerWireRounds` (one wire per message; OS behaviours
-filter each) and :class:`_EnvelopeRounds` (honest untraced-or-non-FULL
-runs: all messages sharing a ``(sender, receiver, round)`` triple cross
-as one :class:`~repro.channel.peer_channel.Envelope`, with logical
-traffic statistics, outputs, halted sets and decided rounds byte-identical
-to per-wire).  The sharded coordinator (:mod:`repro.net.parallel`) and
-the TCP daemon (:mod:`repro.net.wire`) are the other two.
+filter each) and :class:`_EnvelopeRounds` (untraced-or-non-FULL runs:
+all messages sharing a ``(sender, receiver, round)`` triple cross as one
+:class:`~repro.channel.peer_channel.Envelope`, with logical traffic
+statistics, outputs, halted sets and decided rounds byte-identical to
+per-wire).  On an untraced MODELED run its subclass
+:class:`_MaskedEnvelopeRounds` runs OS behaviours as per-link omission
+masks (Thm A.2).  The sharded coordinator (:mod:`repro.net.parallel`)
+and the TCP daemon (:mod:`repro.net.wire`) are the other two.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import logging
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -810,36 +813,47 @@ class SynchronousNetwork(RoundHost):
         ) <= 1
         # The round-envelope path coalesces every (sender, receiver, round)
         # triple into one link crossing.  It applies when a run can never
-        # diverge from the per-wire path: no OS behaviours anywhere (no
-        # drops, delays, injections or future wires) and homogeneous
-        # program measurements (so channel reads cannot reject).  It
-        # tolerates a tracer for MODELED/NONE runs (it replays the
-        # per-wire event stream exactly, plus envelope events); traced
-        # FULL runs fall back: their per-wire events carry real
-        # per-message sealed sizes, which only per-message sealing
-        # produces.  ``extra["disable_envelope_fast_path"]`` forces the
-        # per-wire path (the reference the equivalence tests compare
-        # against).
+        # diverge from the per-wire path: homogeneous program
+        # measurements (so channel reads cannot reject) and, if any node
+        # has an OS behaviour, an untraced MODELED run — there the
+        # behaviours act as per-link omission masks (Thm A.2:
+        # _MaskedEnvelopeRounds).  Behaviours stay per-wire where they
+        # read plaintext (NONE), where the link is real AEAD (FULL) and
+        # where the Definition A.5 classification reads the per-wire
+        # OS actions (traced).  An honest run tolerates a tracer for
+        # MODELED/NONE (it replays the per-wire event stream exactly,
+        # plus envelope events); traced FULL runs fall back: their
+        # per-wire events carry real per-message sealed sizes, which
+        # only per-message sealing produces.
+        # ``extra["disable_envelope_fast_path"]`` forces the per-wire
+        # path (the reference the equivalence tests compare against).
         envelope_disabled = bool(
             config.extra.get("disable_envelope_fast_path", False)
         )
+        traced = self.tracer.enabled
         self._envelope_fast_path = (
-            self._honest
-            and self._homogeneous
-            and not (
-                self.tracer.enabled
-                and config.channel_security is ChannelSecurity.FULL
+            (
+                self._honest
+                or (
+                    config.channel_security is ChannelSecurity.MODELED
+                    and not traced
+                )
             )
+            and self._homogeneous
+            and not (traced and config.channel_security is ChannelSecurity.FULL)
             and not envelope_disabled
         )
-        # Runs that fall back to per-wire processing (adversarial, traced
-        # FULL, heterogeneous measurements) still keep the dual ledger
-        # honest: per-message sends are recorded as logical-only and the
-        # physical ledger gets one coalesced crossing per link afterwards.
-        # With the envelope layer explicitly disabled, per-wire sends
-        # mirror 1:1 into the physical ledger (the pre-envelope meaning).
-        self._envelope_accounting = (
-            not envelope_disabled and not self._envelope_fast_path
+        self._masked = self._envelope_fast_path and not self._honest
+        # Runs with OS behaviours (on either back-end) and runs that fall
+        # back to per-wire processing (traced FULL, heterogeneous
+        # measurements) keep the dual ledger honest: per-message sends
+        # are recorded as logical-only and the physical ledger gets one
+        # crossing per link afterwards (crossings coalesce, bytes do
+        # not).  With the envelope layer explicitly disabled, per-wire
+        # sends mirror 1:1 into the physical ledger (the pre-envelope
+        # meaning).
+        self._envelope_accounting = not envelope_disabled and not (
+            self._envelope_fast_path and self._honest
         )
         # Per-round observation hook: ``extra["round_hook"]`` is called as
         # ``hook(network, rnd, halted_now)`` when a round closes, whatever
@@ -1066,12 +1080,14 @@ class SynchronousNetwork(RoundHost):
                     "running serial despite workers=%d",
                     reason, self.config.workers,
                 )
-        if self._envelope_fast_path:
+        if self._masked:
+            backend = _MaskedEnvelopeRounds(self)
+        elif self._envelope_fast_path:
             backend = _EnvelopeRounds(self)
         else:
             backend = _PerWireRounds(self)
         for _wave in self._rounds(max_rounds, backend):
-            pass  # both move messages inside their calls
+            pass  # all three move messages inside their calls
         return self._result()
 
     def _parallel_requested(self) -> bool:
@@ -1098,15 +1114,16 @@ class SynchronousNetwork(RoundHost):
         ``None`` when it may shard.
 
         The parallel path inherits every activation condition of the
-        round-envelope path (honest — so ROD/byzantine schedules that act
-        on individual wires fall back automatically — homogeneous
-        measurements, not explicitly disabled) and additionally requires
-        a non-FULL transport and usable shared memory for the rings.  A
-        failure to fork, or to create the rings after all, is reported by
-        :func:`run_parallel` itself, which can observe it.
+        round-envelope path (homogeneous measurements, not explicitly
+        disabled), is honest — OS behaviours and their masks live in one
+        process, so adversarial schedules fall back automatically — and
+        additionally requires a non-FULL transport and usable shared
+        memory for the rings.  A failure to fork, or to create the rings
+        after all, is reported by :func:`run_parallel` itself, which can
+        observe it.
         """
         if not self._honest:
-            return "adversarial OS behaviours require per-wire processing"
+            return "adversarial OS behaviours run serially, as masks or per-wire"
         if not self._homogeneous:
             return "heterogeneous program measurements"
         if self.transport.security is ChannelSecurity.FULL:
@@ -1353,6 +1370,7 @@ class SynchronousNetwork(RoundHost):
         total: int,
         *,
         seal: bool,
+        charge: bool = True,
     ) -> None:
         """Charge and credit one aggregated MODELED/NONE ACK wave of
         ``total`` ACKs, ``ack_size`` bytes each: ``link_counts[(acker,
@@ -1363,6 +1381,7 @@ class SynchronousNetwork(RoundHost):
         ``seal`` moves each link's envelope through the transport so the
         channel counters advance as per-ACK writes would; the sharded
         coordinator passes False — its mirror carries no link state.
+        ``charge=False`` leaves the physical ledger to the caller.
         """
         nodes = self.nodes
         traffic = self.stats.traffic
@@ -1380,9 +1399,10 @@ class SynchronousNetwork(RoundHost):
                 )
                 if nodes[dest].alive:
                     transport.open_envelope(dest, env)
-            self._charge_envelopes(
-                rnd, acker, (dest,), count, env_size, wave="ack"
-            )
+            if charge:
+                self._charge_envelopes(
+                    rnd, acker, (dest,), count, env_size, wave="ack"
+                )
         for (dest, digest), count in credits.items():
             self._credit_ack(dest, digest, count)
 
@@ -1422,52 +1442,96 @@ class SynchronousNetwork(RoundHost):
             for message in transport.open_envelope(dest, env):
                 self._credit_ack(dest, message.payload)
 
-    def _deliver(self, wires: List[WireMessage], rnd: Round) -> None:
-        """Receive per-wire: each wire passes the receiver's OS behaviour,
-        then the channel read (integrity / program / freshness checks;
-        failures count as omissions per Theorem A.2), then credits its
-        handle (an ACK) or dispatches to the program."""
+    def _drain_os_wires(self, rnd: Round, out: List[WireMessage]) -> None:
+        """The wires only OS behaviours put on a round, appended to
+        ``out`` in per-wire order and charged like any send: each live
+        behaviour's injections (replayed / forged copies), in node order
+        (one an injection delays joins the future wires), then the wires
+        delayed to this round."""
         nodes = self.nodes
         traffic = self.stats.traffic
-        transport = self.transport
         tracer = self.tracer
         traced = tracer.enabled
-        delivered = self._active.delivered
+        physical = not self._envelope_accounting
+        for behavior_id in self._behavior_nodes:
+            node = nodes[behavior_id]
+            if not node.alive:
+                continue
+            for delay, wire in node.behavior.drain_injections(rnd):
+                if delay <= 0:
+                    traffic.record_send(
+                        wire.mtype, wire.size, rnd, physical=physical
+                    )
+                    if traced:
+                        tracer.wire(
+                            rnd, wire, "replay", actor=behavior_id,
+                            charged=True,
+                        )
+                    out.append(wire)
+                else:
+                    if traced:
+                        tracer.wire(rnd, wire, "replay", actor=behavior_id)
+                    self._future_wires.setdefault(rnd + delay, []).append(wire)
+        for wire in self._future_wires.pop(rnd, ()):  # delayed arrivals
+            traffic.record_send(wire.mtype, wire.size, rnd, physical=physical)
+            if traced:
+                tracer.wire(rnd, wire, "flush", charged=True)
+            out.append(wire)
+
+    def _receive(self, wire: WireMessage, rnd: Round) -> None:
+        """Receive one wire: it passes the receiver's OS behaviour, then
+        the channel read (integrity / program / freshness checks;
+        failures count as omissions per Theorem A.2), then credits its
+        handle (an ACK) or is dispatched to the program."""
+        traffic = self.stats.traffic
+        tracer = self.tracer
+        receiver_node = self.nodes.get(wire.receiver)
+        if receiver_node is None or not receiver_node.alive:
+            traffic.record_omission()
+            if tracer.enabled:
+                tracer.wire(rnd, wire, "omit_dead")
+            return
+        behavior = receiver_node.behavior
+        if behavior is not None and not behavior.filter_receive(wire, rnd):
+            traffic.record_omission()
+            if tracer.enabled:
+                tracer.wire(rnd, wire, "drop_recv", actor=wire.receiver)
+            return
+        try:
+            message = self.transport.read(wire.receiver, wire)
+        except (IntegrityError, ReplayError, StaleRoundError, ProtocolError):
+            traffic.record_rejection()
+            if tracer.enabled:
+                tracer.wire(rnd, wire, "reject")
+            return
+        if message.type is MessageType.ACK:
+            self._credit_ack(wire.receiver, message.payload)
+            return
+        self._active.delivered.add(wire.receiver)
+        receiver_node.program.on_message(
+            receiver_node.context, wire.sender, message
+        )
+
+    def _deliver(self, wires: List[WireMessage], rnd: Round) -> None:
+        """Receive per-wire, in order."""
+        receive = self._receive
         for wire in wires:
-            receiver_node = nodes.get(wire.receiver)
-            if receiver_node is None or not receiver_node.alive:
-                traffic.record_omission()
-                if traced:
-                    tracer.wire(rnd, wire, "omit_dead")
-                continue
-            behavior = receiver_node.behavior
-            if behavior is not None and not behavior.filter_receive(wire, rnd):
-                traffic.record_omission()
-                if traced:
-                    tracer.wire(rnd, wire, "drop_recv", actor=wire.receiver)
-                continue
-            try:
-                message = transport.read(wire.receiver, wire)
-            except (IntegrityError, ReplayError, StaleRoundError,
-                    ProtocolError):
-                traffic.record_rejection()
-                if traced:
-                    tracer.wire(rnd, wire, "reject")
-                continue
-            if message.type is MessageType.ACK:
-                self._credit_ack(wire.receiver, message.payload)
-                continue
-            delivered.add(wire.receiver)
-            receiver_node.program.on_message(
-                receiver_node.context, wire.sender, message
-            )
+            receive(wire, rnd)
+
+    def _end_os_round(self, rnd: Round) -> None:
+        """Behaviours tick every round regardless of program activity
+        (delay queues and injection schedules advance on rounds, not on
+        deliveries); they never interact with program hooks."""
+        nodes = self.nodes
+        for behavior_id in self._behavior_nodes:
+            nodes[behavior_id].behavior.on_round_end(rnd)
 
 
 class _PerWireRounds:
     """The per-wire back-end: one wire per message.  The general one
-    (adversarial, traced-FULL and heterogeneous runs — OS behaviours act
-    on individual wires) and the reference the envelope back-end is tested
-    against."""
+    (NONE, FULL and traced adversarial runs, traced-FULL and
+    heterogeneous runs) and the reference the envelope back-ends are
+    tested against."""
 
     engine = "serial"
 
@@ -1514,32 +1578,7 @@ class _PerWireRounds:
 
         # Injected (replayed / forged) wires and previously delayed wires
         # (only OS behaviours produce either).
-        for behavior_id in net._behavior_nodes:
-            node = nodes[behavior_id]
-            behavior = node.behavior
-            if not node.alive:
-                continue
-            for delay, out in behavior.drain_injections(rnd):
-                if delay <= 0:
-                    traffic.record_send(
-                        out.mtype, out.size, rnd, physical=physical
-                    )
-                    if traced:
-                        tracer.wire(
-                            rnd, out, "replay", actor=node.node_id, charged=True
-                        )
-                    transmissions.append(out)
-                else:
-                    if traced:
-                        tracer.wire(rnd, out, "replay", actor=node.node_id)
-                    net._future_wires.setdefault(rnd + delay, []).append(out)
-        for out in net._future_wires.pop(rnd, ()):  # delayed arrivals
-            traffic.record_send(
-                out.mtype, out.size, rnd, physical=physical
-            )
-            if traced:
-                tracer.wire(rnd, out, "flush", charged=True)
-            transmissions.append(out)
+        net._drain_os_wires(rnd, transmissions)
 
         if not physical and transmissions:
             net._record_physical_links(transmissions, rnd, "transmit")
@@ -1589,11 +1628,7 @@ class _PerWireRounds:
         if not physical and ack_wires:
             net._record_physical_links(ack_wires, rnd, "ack")
         net._deliver(ack_wires, rnd)
-        # Behaviours tick every round regardless of program activity
-        # (delay queues and injection schedules advance on rounds, not on
-        # deliveries); they never interact with program hooks.
-        for behavior_id in net._behavior_nodes:
-            nodes[behavior_id].behavior.on_round_end(rnd)
+        net._end_os_round(rnd)
 
 
 class _EnvelopeRounds:
@@ -1621,9 +1656,7 @@ class _EnvelopeRounds:
         order, so dispatch replays the per-wire delivery order exactly —
         then seal one envelope per (sender, receiver) link."""
         net = self.net
-        traffic = net.stats.traffic
-        transport = net.transport
-        full = transport.security is ChannelSecurity.FULL
+        full = net.transport.security is ChannelSecurity.FULL
         digest_by_id = net._ack_digest_by_id
         digest_by_id.clear()
         plan: List[Tuple[NodeId, Tuple[NodeId, ...], ProtocolMessage, int]] = []
@@ -1650,9 +1683,25 @@ class _EnvelopeRounds:
                 net._charge_multicast(
                     rnd, intent.sender, intent.targets, message, sized
                 )
+        self._plan = plan
+        self._envelopes = self._seal(rnd, per_sender, full)
+        return logical_count
 
-        # Counters advance per member, so channel state stays
-        # interchangeable with the per-wire back-end.
+    def _seal(
+        self,
+        rnd: Round,
+        per_sender: Dict[NodeId, List[tuple]],
+        full: bool,
+        charge: bool = True,
+    ) -> List[Envelope]:
+        """Seal each sender's ``(targets, message, size-or-body)``
+        entries as one envelope per link; ``charge`` puts the coalesced
+        crossings on the physical ledger.  Counters advance per member,
+        so channel state stays interchangeable with the per-wire
+        back-end."""
+        net = self.net
+        traffic = net.stats.traffic
+        transport = net.transport
         envelopes: List[Envelope] = []
         for sender, entries in per_sender.items():
             if full:
@@ -1677,25 +1726,19 @@ class _EnvelopeRounds:
                 envelopes.extend(transport.seal_envelope(
                     sender, receivers, members, size=env_size
                 ))
-                net._charge_envelopes(
-                    rnd, sender, receivers, len(members), env_size
-                )
-        self._plan = plan
-        self._envelopes = envelopes
-        return logical_count
+                if charge:
+                    net._charge_envelopes(
+                        rnd, sender, receivers, len(members), env_size
+                    )
+        return envelopes
 
-    def deliver(self, rnd: Round) -> int:
+    def _open(self, full: bool) -> Tuple[Set[NodeId], Dict]:
         """Open each live receiver's envelopes (the link-level integrity /
-        freshness checks, and for FULL the single AEAD open), then
-        dispatch members in plan order."""
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        transport = net.transport
-        open_envelope = transport.open_envelope
-        tracer = net.tracer
-        traced = tracer.enabled
-        full = transport.security is ChannelSecurity.FULL
+        freshness checks, and for FULL the single AEAD open).  Returns
+        the receivers that had one, and for FULL the opened members by
+        link."""
+        nodes = self.net.nodes
+        open_envelope = self.net.transport.open_envelope
         opened: Dict[Tuple[NodeId, NodeId], deque] = {}
         inbound: Set[NodeId] = set()
         for env in self._envelopes:
@@ -1706,18 +1749,34 @@ class _EnvelopeRounds:
             inbound.add(receiver)
             if full:
                 opened[(env.sender, receiver)] = deque(members)
-        # The dispatch table is static between program swaps (halts are
-        # read live off the enclave below), so it is built once per run
-        # instead of once per round.
+        return inbound, opened
+
+    def _dispatch_table(self) -> List[tuple]:
+        """``(enclave, on_message, context)`` by node id.  Static between
+        program swaps (halts are read live off the enclave), so it is
+        built once per run instead of once per round."""
+        net = self.net
         dispatch = net._dispatch_cache
         if dispatch is None:
             dispatch = [None] * net.config.n
             for node_id in range(net.config.n):
-                node = nodes[node_id]
+                node = net.nodes[node_id]
                 dispatch[node_id] = (
                     node.enclave, node.program.on_message, node.context
                 )
             net._dispatch_cache = dispatch
+        return dispatch
+
+    def deliver(self, rnd: Round) -> int:
+        """Open the round's envelopes, then dispatch members in plan
+        order."""
+        net = self.net
+        traffic = net.stats.traffic
+        tracer = net.tracer
+        traced = tracer.enabled
+        full = net.transport.security is ChannelSecurity.FULL
+        inbound, opened = self._open(full)
+        dispatch = self._dispatch_table()
         halted = EnclaveState.HALTED
         for sender, targets, message, size_hint in self._plan:
             mtype = message.type.value if traced else None
@@ -1754,3 +1813,183 @@ class _EnvelopeRounds:
                 net._ack_wave_envelope_full(self._queue, rnd)
             else:
                 net._ack_wave_envelope(self._queue, rnd)
+
+
+#: The mask of a plan entry whose links all coalesce: no member of it
+#: goes per wire.
+_CLEAN = repeat(None)
+
+
+class _MaskedEnvelopeRounds(_EnvelopeRounds):
+    """The envelope back-end with OS behaviours as per-link omission
+    masks, for untraced MODELED runs.  Theorem A.2: over a blinded
+    channel an OS only chooses which of its enclave's messages arrive;
+    the extra copies it sends (replayed, tampered, delayed) meet the
+    channel's counter and MAC checks.
+
+    Links with no behaviour at either end coalesce as in an honest run.
+    On a link with a faulty end each member is a wire through
+    :meth:`SynchronousNetwork._apply_send_filter` and
+    :meth:`SynchronousNetwork._receive`, the calls the per-wire back-end
+    makes, on the same wires in the same order, so every adversary coin
+    repeats.  The copies the send filter lets through this round are the
+    member's mask (none is a drop), received at the member's plan
+    position; injected and delayed copies follow the plan, as per wire.
+    Each receiver thus sees the per-wire order, and the outbox and the
+    ACK queue fill in it.  The physical ledger keeps the per-wire
+    adversarial rule (:meth:`SynchronousNetwork._record_physical_links`):
+    one crossing per link that carried anything, bytes uncoalesced.
+    """
+
+    def __init__(self, net: SynchronousNetwork) -> None:
+        super().__init__(net)
+        self._faulty = frozenset(net._behavior_nodes)
+        self._extras: List[WireMessage] = []
+
+    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        write = net.transport.write
+        faulty = self._faulty
+        start = traffic.bytes_sent
+        digest_by_id = net._ack_digest_by_id
+        digest_by_id.clear()
+        plan: List[tuple] = []
+        per_sender: Dict[NodeId, List[tuple]] = {}
+        wires: List[WireMessage] = []  # every copy on a faulty link
+        logical_count = 0
+        for intent in intents:
+            sender, targets, message = (
+                intent.sender, intent.targets, intent.message
+            )
+            digest_by_id[id(message)] = intent.digest
+            logical_count += len(targets)
+            size = modeled_wire_size(message)
+            behavior = nodes[sender].behavior
+            clean, mask = targets, None
+            if behavior is not None:
+                clean, mask = (), []
+                for wire in write(sender, targets, message, size):
+                    copies: List[WireMessage] = []
+                    net._apply_send_filter(behavior, sender, wire, rnd, copies)
+                    mask.append(copies)
+                    wires.extend(copies)
+            else:
+                # An honest sending OS: every member leaves.
+                net._charge_multicast(rnd, sender, targets, message, size)
+                if not faulty.isdisjoint(targets):
+                    clean = tuple(r for r in targets if r not in faulty)
+                    mask = []
+                    for receiver in targets:
+                        if receiver in faulty:
+                            (wire,) = write(sender, (receiver,), message, size)
+                            mask.append([wire])
+                            wires.append(wire)
+                        else:
+                            mask.append(None)
+            plan.append((sender, targets, message, mask))
+            if clean:
+                per_sender.setdefault(sender, []).append(
+                    (clean, message, size)
+                )
+        extras: List[WireMessage] = []
+        net._drain_os_wires(rnd, extras)
+        self._plan = plan
+        self._extras = extras
+        self._envelopes = self._seal(rnd, per_sender, False, charge=False)
+        self._charge_crossings(
+            [(env.sender, env.receiver) for env in self._envelopes],
+            wires + extras, start,
+        )
+        return logical_count
+
+    def _charge_crossings(
+        self, clean: Iterable[Tuple[NodeId, NodeId]],
+        wires: List[WireMessage], start: int,
+    ) -> None:
+        """The physical ledger of one wave, charged as per-wire's
+        :meth:`~SynchronousNetwork._record_physical_links` charges the
+        same traffic: one crossing per link that carried anything, and
+        all the logical bytes the wave charged since ``start``."""
+        faulty = self._faulty
+        links = set(clean)
+        for wire in wires:
+            if wire.sender not in faulty and wire.receiver not in faulty:
+                # Only a MAC the OS lacks tells such a copy apart; the
+                # modeled channel has none to check.
+                raise ConfigurationError(
+                    f"an OS put a wire on link {wire.sender}->"
+                    f"{wire.receiver}, neither end of which it runs"
+                )
+            links.add((wire.sender, wire.receiver))
+        traffic = self.net.stats.traffic
+        traffic.record_envelopes(len(links), traffic.bytes_sent - start)
+
+    def deliver(self, rnd: Round) -> int:
+        """Open the clean links' envelopes, then dispatch in plan order:
+        a clean member straight to the program, a masked one as the
+        copies its mask lets through, then the extra copies."""
+        net = self.net
+        traffic = net.stats.traffic
+        receive = net._receive
+        inbound, _ = self._open(False)
+        dispatch = self._dispatch_table()
+        halted = EnclaveState.HALTED
+        for sender, targets, message, mask in self._plan:
+            for receiver, copies in zip(targets, mask or _CLEAN):
+                if copies is not None:
+                    for wire in copies:
+                        receive(wire, rnd)
+                    continue
+                enclave, on_message, context = dispatch[receiver]
+                if enclave.state is halted:
+                    traffic.record_omission()
+                else:
+                    on_message(context, sender, message)
+        for wire in self._extras:
+            receive(wire, rnd)
+        net._active.delivered.update(inbound)
+        self._queue, net._ack_queue = net._ack_queue, []
+        return len(self._queue)
+
+    def ack_wave(self, rnd: Round) -> None:
+        """Clean links' ACKs aggregate as in an honest run; an ACK on a
+        faulty link is a wire through the same filters as per-wire."""
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        write = net.transport.write
+        faulty = self._faulty
+        start = traffic.bytes_sent
+        ack_size = net._ack_wire_size(rnd)
+        link_counts: Counter = Counter()
+        credits: Counter = Counter()
+        total = 0
+        wires: List[WireMessage] = []
+        # Nothing halts while the ACKs leave: read liveness once.
+        halted = {node_id for node_id, node in nodes.items() if not node.alive}
+        for acker, dest, digest in self._queue:
+            if acker in halted:
+                continue
+            if acker not in faulty and dest not in faulty:
+                total += 1
+                link_counts[(acker, dest)] += 1
+                credits[(dest, digest)] += 1
+                continue
+            (wire,) = write(acker, (dest,), _ack_message(digest, rnd), ack_size)
+            behavior = nodes[acker].behavior
+            if behavior is None:
+                traffic.record_send(
+                    MessageType.ACK, ack_size, rnd, physical=False
+                )
+                wires.append(wire)
+            else:
+                net._apply_send_filter(behavior, acker, wire, rnd, wires)
+        net._settle_ack_wave(
+            rnd, ack_size, link_counts, credits, total,
+            seal=True, charge=False,
+        )
+        self._charge_crossings(link_counts, wires, start)
+        net._deliver(wires, rnd)
+        net._end_os_round(rnd)

@@ -281,9 +281,11 @@ class ModeledTransport(Transport):
                 f"(highest accepted {accepted[sender]})"
             )
         accepted[sender] = wire.counter
-        if wire.plain is None:
+        # The enclave's own copy: the OS-facing ``plain`` is sealed.
+        plain = wire._plain
+        if plain is None:
             raise ProtocolError("modeled wire message without plaintext")
-        return wire.plain
+        return plain
 
     def seal_envelope(
         self,
@@ -347,12 +349,13 @@ class PlainTransport(ModeledTransport):
 
     def read(self, receiver: NodeId, wire: WireMessage) -> ProtocolMessage:
         self._enclaves[receiver].guard()
-        if wire.plain is None:
+        plain = wire._plain
+        if plain is None:
             raise ProtocolError("plain wire message without plaintext")
         # Forged, replayed and misrouted messages sail through: this is
         # the point (even the strawman's TCP layer delivers to the
         # addressee).
-        return wire.plain
+        return plain
 
     def open_envelope(
         self, receiver: NodeId, envelope: Envelope

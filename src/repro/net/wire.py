@@ -610,10 +610,16 @@ class _Peer:
         self._inboxes: Dict[Tuple[int, int], _RoundInbox] = {}
 
     def inbox(self, run: int, rnd: int) -> _RoundInbox:
+        """The (run, round) inbox.  A dead link's comes back already
+        woken, as :meth:`mark_dead` wakes the ones it finds: whoever asks
+        for it after the death — a barrier that snapshotted the live
+        peers before it — must not wait for a marker that cannot come."""
         key = (run, rnd)
         box = self._inboxes.get(key)
         if box is None:
             box = _RoundInbox()
+            if self.goodbye is not None:
+                box.wake_all()
             self._inboxes[key] = box
         return box
 

@@ -146,7 +146,9 @@ def test_adversarial_erb_falls_back_and_matches():
         )
 
     network = SynchronousNetwork(config, factory, behaviors=_omission_behaviors())
-    assert network._envelope_fast_path is False
+    # Untraced MODELED: the behaviours run as per-link masks on the
+    # envelope back-end (Thm A.2).
+    assert network._masked is True
     adv = network.run(config.t + 2)
 
     legacy = run_erb(

@@ -36,6 +36,7 @@ from repro.net.wire import (
     K_EOA,
     K_EOD,
     K_FIN,
+    DEFAULT_ROUND_TIMEOUT_S,
     WireNodeConfig,
     allocate_loopback_ports,
     calibrate_from_results,
@@ -165,6 +166,15 @@ class TestDecisionIdentity:
 # dead/slow peer handling
 # ----------------------------------------------------------------------
 
+def _assert_no_deadline_paid(reports):
+    """A peer whose link dies costs the survivors no barrier deadline:
+    the ejection wakes every wave that waits on it, so no round comes
+    near the 1.5 x ``round_timeout_s`` a hung peer costs."""
+    for report in reports:
+        assert report.round_walls
+        assert max(report.round_walls) < DEFAULT_ROUND_TIMEOUT_S / 4
+
+
 class TestDeadPeers:
     def test_crashed_peer_is_ejected_and_survivors_decide(self):
         result = run_cluster(
@@ -175,6 +185,7 @@ class TestDeadPeers:
         assert result.reports[4].crashed
         for survivor in (0, 1, 2, 3):
             assert result.reports[survivor].ejected_peers == [4]
+        _assert_no_deadline_paid([result.reports[i] for i in range(4)])
 
     def test_silent_peer_ejected_on_barrier_timeout(self):
         """A hung peer (sockets open, nothing sent) must be ejected
@@ -401,6 +412,7 @@ class TestHostileFrames:
         for i in range(4):
             assert not reports[i].crashed and reports[i].output == b"x"
             assert reports[i].ejected_peers == [4]
+        _assert_no_deadline_paid(reports[:4])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
     def test_malformed_frame_of_each_kind_is_link_death(self, case):
@@ -414,6 +426,7 @@ class TestHostileFrames:
         for i in range(4):
             assert not reports[i].crashed and reports[i].output == b"x"
             assert reports[i].ejected_peers == [4]
+        _assert_no_deadline_paid(reports[:4])
 
     @staticmethod
     def _injecting(after_kind, after_rnd, extra):
@@ -456,6 +469,7 @@ class TestHostileFrames:
             assert not reports[i].crashed and reports[i].output == b"x"
             assert reports[i].ejected_peers == [4]
             assert len(nodes[i]._peers[4]._inboxes) <= 1
+        _assert_no_deadline_paid(reports[:4])
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,13 @@ ciphertext, and under MODELED reading ``wire.plain`` raises
 :class:`~repro.common.errors.OpaqueWireError` — behaviours read routing
 metadata, counters, sizes and flags, exactly what a real OS observes.
 
-Each method is called on the same wires, in the same order, whichever
-back-end runs the round, so adversarial semantics never depend on it.
-An untraced MODELED run keeps the envelope back-end and runs a node's
-behaviour as a mask on the links it ends (Thm A.2: a drop bit per
-member plus the extra copies, which the channel checks); NONE, FULL and
-traced runs take the per-wire path, and the sharded engine is honest
-only (see ``docs/ARCHITECTURE.md``).
+Each method is called on the same wires, in the same order, as if every
+message were its own wire, so adversarial semantics never depend on
+how the round batches its links.  The simulator runs a node's
+behaviour as a mask on the links it ends, each one per wire (Thm A.2: a
+drop bit per member plus the extra copies, which the channel checks);
+links without a behaviour at either end coalesce, and the sharded
+engine is honest only (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

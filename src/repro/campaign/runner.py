@@ -19,12 +19,11 @@ Churn patterns window the faults (always-on, intermittent, late-onset),
 matching the Appendix D process where byzantine nodes misbehave only in
 some instances.
 
-An adversarial MODELED case runs on the serial envelope back-end, its
-faults executed as per-link omission masks (Thm A.2); FULL and NONE
-cases run per wire.  The optional engine cross-check re-runs a case at
-``workers=2`` (the sharded engine itself on honest cells, its serial
-fallback on the rest) and, for a case with faults, on the per-wire
-back-end, and asserts the results are identical.
+A case runs on the simulator's round back-end, the links at a faulty
+node per wire with the faults as their omission masks (Thm A.2).  The
+optional engine cross-check re-runs a case at ``workers=2`` (the sharded
+engine itself on honest MODELED/NONE cells, its serial fallback on the
+rest) and asserts the results are identical.
 """
 
 from __future__ import annotations
@@ -210,18 +209,12 @@ def _apply_inject(spec: CaseSpec, result: RunResult) -> RunResult:
 
 
 def run_case(
-    spec: CaseSpec,
-    probe_rounds: bool = True,
-    workers: Optional[int] = None,
-    per_wire: bool = False,
+    spec: CaseSpec, probe_rounds: bool = True, workers: Optional[int] = None
 ) -> CaseOutcome:
-    """Execute one case and check every per-run invariant.  ``per_wire``
-    runs it on the per-wire back-end, the engines' common reference."""
+    """Execute one case and check every per-run invariant."""
     spec.validate()
     round_log: List[Tuple[int, int]] = []
     extra: Dict[str, object] = {}
-    if per_wire:
-        extra["disable_envelope_fast_path"] = True
     if probe_rounds:
         def hook(network, rnd, halted_now) -> None:
             live = sum(1 for node in network.nodes.values() if node.alive)
@@ -275,42 +268,22 @@ def case_fails(spec: CaseSpec) -> bool:
 
 
 def cross_check_engines(spec: CaseSpec) -> List[Violation]:
-    """Differential check of one case across the engines.
+    """Differential check: serial vs ``workers=2`` must match exactly.
 
-    The serial run must match a ``workers=2`` run — the sharded engine on
-    honest MODELED/NONE cells, its serial fallback on the rest — on
-    outputs, halts, decided rounds, round count and the whole traffic
-    ledger.  A cell with faults is also re-run on the per-wire back-end:
-    on a MODELED cell the serial run executed its faults as omission
-    masks on the envelope back-end (Thm A.2), and the two must agree on
-    the same observables with the logical ledger — messages and bytes
-    by type and by round, omissions, rejections — since the per-wire
-    reference charges its physical ledger per message.
+    Honest MODELED/NONE cells exercise the sharded parallel engine; the
+    other cells exercise its fallback to the serial back-end — either way
+    the outputs, halts, decided rounds, round count and the whole traffic
+    ledger must be identical to the serial run's.
     """
     serial = run_case(spec, probe_rounds=False, workers=1).result
     sharded = run_case(spec, probe_rounds=False, workers=2).result
-    violations = _divergence(serial, sharded, "workers=2", physical=True)
-    if spec.adversarial:
-        per_wire = run_case(
-            spec, probe_rounds=False, workers=1, per_wire=True
-        ).result
-        violations += _divergence(
-            serial, per_wire, "the per-wire back-end", physical=False
-        )
-    return violations
-
-
-def _divergence(
-    serial: RunResult, other: RunResult, label: str, physical: bool
-) -> List[Violation]:
     mismatches = [
         name for name, a, b in (
-            ("outputs", serial.outputs, other.outputs),
-            ("halted", serial.halted, other.halted),
-            ("decided_rounds", serial.decided_rounds, other.decided_rounds),
-            ("rounds", serial.rounds_executed, other.rounds_executed),
-            ("traffic", _ledger(serial.traffic, physical),
-             _ledger(other.traffic, physical)),
+            ("outputs", serial.outputs, sharded.outputs),
+            ("halted", serial.halted, sharded.halted),
+            ("decided_rounds", serial.decided_rounds, sharded.decided_rounds),
+            ("rounds", serial.rounds_executed, sharded.rounds_executed),
+            ("traffic", serial.traffic, sharded.traffic),
         )
         if a != b
     ]
@@ -318,23 +291,8 @@ def _divergence(
         return []
     return [Violation(
         "engine_cross_check",
-        f"{label} diverged from serial on: {', '.join(mismatches)}",
+        f"workers=2 diverged from serial on: {', '.join(mismatches)}",
     )]
-
-
-def _ledger(traffic, physical: bool) -> tuple:
-    logical = (
-        traffic.messages_sent,
-        traffic.bytes_sent,
-        dict(traffic.messages_by_type),
-        dict(traffic.bytes_by_type),
-        dict(traffic.bytes_by_round),
-        traffic.omissions,
-        traffic.rejections,
-    )
-    if physical:
-        return logical + (traffic.envelopes_sent, traffic.envelope_bytes_sent)
-    return logical
 
 
 # ----------------------------------------------------------------------

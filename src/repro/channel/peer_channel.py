@@ -101,6 +101,11 @@ class WireMessage:
     # must treat `plain` as unreadable.  Only the NONE-security transport
     # produces transparent wires.
     opaque: bool = True
+    # The link a modeled channel sealed the message on, sender and
+    # receiver: the identity of the MAC key, which FULL's real MAC binds.
+    # The OS-facing routing fields above can be rewritten; these cannot.
+    sealed_by: Optional[NodeId] = None
+    sealed_for: Optional[NodeId] = None
 
     def tampered_copy(self) -> "WireMessage":
         """What an adversary flipping ciphertext bits produces (attack A2)."""
@@ -144,6 +149,9 @@ class Envelope:
     member_measurement: Optional[bytes] = None
     member_sizes: Optional[List[int]] = None
     opaque: bool = True
+    #: The link a modeled channel sealed it on (see WireMessage).
+    sealed_by: Optional[NodeId] = None
+    sealed_for: Optional[NodeId] = None
 
 
 class SecureChannel:

@@ -9,16 +9,14 @@ The round itself — Algorithm 2's begin, transmit, deliver, ack wave,
 halt check (P4) and end, then the early stop once every live node has an
 output, or ``on_protocol_end`` (⊥ for the undecided) at the round bound —
 is written once, in :meth:`RoundHost._rounds`.  An execution environment
-is a :class:`RoundBackend`: where hooks run and how messages move.  Two
-live here: :class:`_PerWireRounds` (one wire per message; OS behaviours
-filter each) and :class:`_EnvelopeRounds` (untraced-or-non-FULL runs:
-all messages sharing a ``(sender, receiver, round)`` triple cross as one
-:class:`~repro.channel.peer_channel.Envelope`, with logical traffic
-statistics, outputs, halted sets and decided rounds byte-identical to
-per-wire).  On an untraced MODELED run its subclass
-:class:`_MaskedEnvelopeRounds` runs OS behaviours as per-link omission
-masks (Thm A.2).  The sharded coordinator (:mod:`repro.net.parallel`)
-and the TCP daemon (:mod:`repro.net.wire`) are the other two.
+is a :class:`RoundBackend`: where hooks run and how messages move.  One
+lives here, :class:`_EnvelopeRounds`: all messages sharing a clean
+``(sender, receiver, round)`` link cross as one
+:class:`~repro.channel.peer_channel.Envelope`, and a link with an OS
+behaviour or a measurement mismatch at an end goes one wire per message,
+the behaviours acting as per-link omission masks (Thm A.2).  The sharded
+coordinator (:mod:`repro.net.parallel`) and the TCP daemon
+(:mod:`repro.net.wire`) are the other two.
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from __future__ import annotations
 import logging
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -749,7 +747,7 @@ class SynchronousNetwork(RoundHost):
         # bounded — see _ack_digest.  OrderedDict: the policy is LRU.
         self._digest_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
         # This round's ACKs as (acker, dest, digest) triples — the digest
-        # is all an ACK carries; only the per-wire back-end ever builds
+        # is all an ACK carries; only a per-wire link ever builds
         # ProtocolMessage objects from them.
         self._ack_queue: List[Tuple[NodeId, NodeId, bytes]] = []
         # Multicast digest by message object identity, valid for one round
@@ -760,10 +758,6 @@ class SynchronousNetwork(RoundHost):
         # churn/halt events) — see neighbour_tuple().
         self._neighbour_cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self._future_wires: Dict[Round, List[WireMessage]] = {}
-        # Per-round wire-size cache for ACKs (keys embed the round number,
-        # so entries die with the round — cleared at every round start and
-        # on instance swap).
-        self._ack_size_cache: Dict[tuple, int] = {}
         # Nodes with OS behaviours, ascending (static for the network's
         # lifetime): phase-2 injection drains and phase-6 behaviour ticks
         # iterate this instead of scanning all N nodes.
@@ -786,9 +780,9 @@ class SynchronousNetwork(RoundHost):
         """(Re)resolve every per-run engine decision from live state.
 
         Called once by ``__init__`` and again by every
-        :meth:`begin_session_run`: the envelope-path eligibility depends
-        on the installed programs' measurements and the dispatch table on
-        their bound methods — both of which a session recycle may change.
+        :meth:`begin_session_run`: the per-link predicate depends on the
+        installed programs' measurements and the dispatch table on their
+        bound methods — both of which a session recycle may change.
         """
         config = self.config
         # The observability hub.  config.tracer wins; the legacy
@@ -807,54 +801,7 @@ class SynchronousNetwork(RoundHost):
         # Phase-attributed wall-clock collector (repro.obs.timing), read
         # by the round kernel only; None (the default) reads no clock.
         self._timing = config.timing
-        self._honest = not self._behavior_nodes
-        self._homogeneous = len(
-            {node.enclave.measurement for node in self.nodes.values()}
-        ) <= 1
-        # The round-envelope path coalesces every (sender, receiver, round)
-        # triple into one link crossing.  It applies when a run can never
-        # diverge from the per-wire path: homogeneous program
-        # measurements (so channel reads cannot reject) and, if any node
-        # has an OS behaviour, an untraced MODELED run — there the
-        # behaviours act as per-link omission masks (Thm A.2:
-        # _MaskedEnvelopeRounds).  Behaviours stay per-wire where they
-        # read plaintext (NONE), where the link is real AEAD (FULL) and
-        # where the Definition A.5 classification reads the per-wire
-        # OS actions (traced).  An honest run tolerates a tracer for
-        # MODELED/NONE (it replays the per-wire event stream exactly,
-        # plus envelope events); traced FULL runs fall back: their
-        # per-wire events carry real per-message sealed sizes, which
-        # only per-message sealing produces.
-        # ``extra["disable_envelope_fast_path"]`` forces the per-wire
-        # path (the reference the equivalence tests compare against).
-        envelope_disabled = bool(
-            config.extra.get("disable_envelope_fast_path", False)
-        )
-        traced = self.tracer.enabled
-        self._envelope_fast_path = (
-            (
-                self._honest
-                or (
-                    config.channel_security is ChannelSecurity.MODELED
-                    and not traced
-                )
-            )
-            and self._homogeneous
-            and not (traced and config.channel_security is ChannelSecurity.FULL)
-            and not envelope_disabled
-        )
-        self._masked = self._envelope_fast_path and not self._honest
-        # Runs with OS behaviours (on either back-end) and runs that fall
-        # back to per-wire processing (traced FULL, heterogeneous
-        # measurements) keep the dual ledger honest: per-message sends
-        # are recorded as logical-only and the physical ledger gets one
-        # crossing per link afterwards (crossings coalesce, bytes do
-        # not).  With the envelope layer explicitly disabled, per-wire
-        # sends mirror 1:1 into the physical ledger (the pre-envelope
-        # meaning).
-        self._envelope_accounting = not envelope_disabled and not (
-            self._envelope_fast_path and self._honest
-        )
+        self._wired = self._per_wire_links()
         # Per-round observation hook: ``extra["round_hook"]`` is called as
         # ``hook(network, rnd, halted_now)`` when a round closes, whatever
         # back-end served it.  The campaign runner uses it to collect
@@ -863,9 +810,38 @@ class SynchronousNetwork(RoundHost):
         self._round_hook = config.extra.get("round_hook")
         self._warned_parallel_fallback = False
         self.sched_counters = dict.fromkeys(self.sched_counters, 0)
-        # Envelope-path dispatch table, cached across rounds (halts are
-        # read live off the enclave; only replace_programs invalidates).
         self._dispatch_cache: Optional[List[tuple]] = None
+
+    def _per_wire_links(self) -> Optional[List[FrozenSet[NodeId]]]:
+        """The per-link predicate: entry ``s`` is the set of peers whose
+        link with ``s`` goes per wire; None when every link coalesces.
+
+        A link goes per wire when an end has an OS behaviour (it meets
+        the members one by one) or the ends' measurements differ (each
+        member rejects on its own).  Then every link of a traced or FULL
+        run goes per wire, as does every link of a traced FULL run:
+        traced events carry per-message sealed sizes and OS actions in
+        per-wire order (Definition A.5), and FULL draws its AEAD nonces
+        from the sender's RDRAND stream, so an envelope on a clean link
+        would shift the protocol's later draws.
+        """
+        faulty = frozenset(self._behavior_nodes)
+        groups: Dict[bytes, List[NodeId]] = {}
+        for node_id, node in self.nodes.items():
+            groups.setdefault(node.enclave.measurement, []).append(node_id)
+        traced = self.tracer.enabled
+        full = self.config.channel_security is ChannelSecurity.FULL
+        if not faulty and len(groups) == 1 and not (traced and full):
+            return None
+        everyone = frozenset(self.nodes)
+        if traced or full:
+            return [everyone] * self.config.n
+        wired: List[FrozenSet[NodeId]] = [everyone] * self.config.n
+        for members in groups.values():
+            peers = faulty | everyone.difference(members)
+            for node_id in set(members) - faulty:
+                wired[node_id] = peers
+        return wired
 
     @property
     def action_trace(self) -> Optional[ActionTrace]:
@@ -941,9 +917,9 @@ class SynchronousNetwork(RoundHost):
     def _queue_ack(
         self, acker: NodeId, dest: NodeId, original: ProtocolMessage
     ) -> None:
-        # The envelope back-end caches the digest of each message object
-        # it transmits; FULL delivers decoded copies and the per-wire
-        # back-end caches nothing, so both fall back to the keyed memo.
+        # The back-end caches the digest of each message object it
+        # transmits; FULL delivers decoded copies, and a delayed copy an
+        # old message, so both fall back to the keyed memo.
         digest = self._ack_digest_by_id.get(id(original))
         if digest is None:
             digest = self._ack_digest(_multicast_key(original))
@@ -988,13 +964,23 @@ class SynchronousNetwork(RoundHost):
         self._ack_digest_by_id.clear()
         self._future_wires.clear()
         self._pending_handles.clear()
-        self._ack_size_cache.clear()
         self.invalidate_neighbour_cache()
         # The cached envelope dispatch table holds bound on_message
         # methods of the *old* programs — rebuild on next use.
         self._dispatch_cache = None
         self.stats = RunStats()
         self.current_round = 0
+
+    def _dispatch_table(self) -> List[tuple]:
+        """``(enclave, on_message, context)`` by node id, built once per
+        run: halts are read live off the enclave; a program swap drops
+        it."""
+        if self._dispatch_cache is None:
+            self._dispatch_cache = [
+                (node.enclave, node.program.on_message, node.context)
+                for node in self.nodes.values()
+            ]
+        return self._dispatch_cache
 
     def begin_session_run(
         self,
@@ -1011,9 +997,9 @@ class SynchronousNetwork(RoundHost):
         (any measurement), fresh RDRAND fork off a re-seeded master RNG,
         trusted-clock reference reset — and every cache that could leak
         one run's state into the next is invalidated: the ACK digest LRU,
-        the per-round ack-size cache, neighbour tuples, the envelope
-        dispatch table, staged outboxes, ACK queues, future wires and
-        multicast handles.  Traffic stats are rescoped to the new run.
+        neighbour tuples, the envelope dispatch table, staged outboxes, ACK
+        queues, future wires and multicast handles.  Traffic stats are
+        rescoped to the new run.
 
         What deliberately survives is the *network*: topology, secure
         channels (a FULL session keeps its established keys) and the
@@ -1080,14 +1066,8 @@ class SynchronousNetwork(RoundHost):
                     "running serial despite workers=%d",
                     reason, self.config.workers,
                 )
-        if self._masked:
-            backend = _MaskedEnvelopeRounds(self)
-        elif self._envelope_fast_path:
-            backend = _EnvelopeRounds(self)
-        else:
-            backend = _PerWireRounds(self)
-        for _wave in self._rounds(max_rounds, backend):
-            pass  # all three move messages inside their calls
+        for _wave in self._rounds(max_rounds, _EnvelopeRounds(self)):
+            pass  # the back-end moves messages inside its calls
         return self._result()
 
     def _parallel_requested(self) -> bool:
@@ -1111,28 +1091,21 @@ class SynchronousNetwork(RoundHost):
 
     def _parallel_fallback_reason(self) -> Optional[str]:
         """Why a run that asked for workers must execute serially, or
-        ``None`` when it may shard.
-
-        The parallel path inherits every activation condition of the
-        round-envelope path (homogeneous measurements, not explicitly
-        disabled), is honest — OS behaviours and their masks live in one
-        process, so adversarial schedules fall back automatically — and
-        additionally requires a non-FULL transport and usable shared
-        memory for the rings.  A failure to fork, or to create the rings
-        after all, is reported by :func:`run_parallel` itself, which can
-        observe it.
+        ``None`` when it may shard: the sharded engine runs an honest
+        MODELED/NONE run whose links all coalesce (OS behaviours live in
+        one process), given usable shared memory for the rings.  A
+        failure to fork, or to create the rings after all, is reported by
+        :func:`run_parallel` itself, which can observe it.
         """
-        if not self._honest:
-            return "adversarial OS behaviours run serially, as masks or per-wire"
-        if not self._homogeneous:
-            return "heterogeneous program measurements"
+        if self._behavior_nodes:
+            return "adversarial OS behaviours run serially, as per-wire links"
         if self.transport.security is ChannelSecurity.FULL:
             return (
                 "FULL channel security draws per-link enclave RNG, which "
                 "a sharded run cannot reproduce byte-identically"
             )
-        if not self._envelope_fast_path:
-            return "envelope fast path disabled via config extra"
+        if self._wired is not None:
+            return "heterogeneous program measurements"
         from repro.net import shm
 
         if not shm.shared_memory_available():
@@ -1159,31 +1132,6 @@ class SynchronousNetwork(RoundHost):
             decided_rounds=decided,
         )
 
-    def _record_physical_links(
-        self, wires: List[WireMessage], rnd: Round, wave: str
-    ) -> None:
-        """Physical accounting for per-wire rounds: one crossing per link.
-
-        Adversarial filtering already happened per message, so each
-        surviving message keeps its own sealing — the envelope here is
-        only the link-layer batch (crossings coalesce, bytes do not).
-        """
-        links: Dict[Tuple[NodeId, NodeId], List[int]] = {}
-        for wire in wires:
-            entry = links.get((wire.sender, wire.receiver))
-            if entry is None:
-                links[(wire.sender, wire.receiver)] = [1, wire.size]
-            else:
-                entry[0] += 1
-                entry[1] += wire.size
-        traffic = self.stats.traffic
-        tracer = self.tracer
-        traced = tracer.enabled
-        for (sender, receiver), (count, total) in links.items():
-            traffic.record_envelope(count, total)
-            if traced:
-                tracer.envelope(rnd, sender, receiver, count, total, wave=wave)
-
     def _apply_send_filter(
         self,
         behavior: OSBehavior,
@@ -1198,12 +1146,11 @@ class SynchronousNetwork(RoundHost):
         traffic = self.stats.traffic
         tracer = self.tracer
         traced = tracer.enabled
-        physical = not self._envelope_accounting
         delivered_any = False
         for index, (delay, out) in enumerate(behavior.filter_send(wire, rnd)):
             delivered_any = True
             if delay <= 0:
-                traffic.record_send(out.mtype, out.size, rnd, physical=physical)
+                traffic.record_send(out.mtype, out.size, rnd, physical=False)
                 immediate.append(out)
             else:
                 self._future_wires.setdefault(rnd + delay, []).append(out)
@@ -1376,7 +1323,7 @@ class SynchronousNetwork(RoundHost):
         ``total`` ACKs, ``ack_size`` bytes each: ``link_counts[(acker,
         dest)]`` per link, ``credits[(dest, digest)]`` per acknowledged
         multicast.  ACKs to a halted destination are omissions; ACKs for
-        unknown multicasts are ignored, as in :meth:`_deliver`.
+        unknown multicasts are ignored, as in :meth:`_credit_ack`.
 
         ``seal`` moves each link's envelope through the transport so the
         channel counters advance as per-ACK writes would; the sharded
@@ -1452,7 +1399,6 @@ class SynchronousNetwork(RoundHost):
         traffic = self.stats.traffic
         tracer = self.tracer
         traced = tracer.enabled
-        physical = not self._envelope_accounting
         for behavior_id in self._behavior_nodes:
             node = nodes[behavior_id]
             if not node.alive:
@@ -1460,7 +1406,7 @@ class SynchronousNetwork(RoundHost):
             for delay, wire in node.behavior.drain_injections(rnd):
                 if delay <= 0:
                     traffic.record_send(
-                        wire.mtype, wire.size, rnd, physical=physical
+                        wire.mtype, wire.size, rnd, physical=False
                     )
                     if traced:
                         tracer.wire(
@@ -1473,7 +1419,7 @@ class SynchronousNetwork(RoundHost):
                         tracer.wire(rnd, wire, "replay", actor=behavior_id)
                     self._future_wires.setdefault(rnd + delay, []).append(wire)
         for wire in self._future_wires.pop(rnd, ()):  # delayed arrivals
-            traffic.record_send(wire.mtype, wire.size, rnd, physical=physical)
+            traffic.record_send(wire.mtype, wire.size, rnd, physical=False)
             if traced:
                 tracer.wire(rnd, wire, "flush", charged=True)
             out.append(wire)
@@ -1512,12 +1458,6 @@ class SynchronousNetwork(RoundHost):
             receiver_node.context, wire.sender, message
         )
 
-    def _deliver(self, wires: List[WireMessage], rnd: Round) -> None:
-        """Receive per-wire, in order."""
-        receive = self._receive
-        for wire in wires:
-            receive(wire, rnd)
-
     def _end_os_round(self, rnd: Round) -> None:
         """Behaviours tick every round regardless of program activity
         (delay queues and injection schedules advance on rounds, not on
@@ -1527,119 +1467,19 @@ class SynchronousNetwork(RoundHost):
             nodes[behavior_id].behavior.on_round_end(rnd)
 
 
-class _PerWireRounds:
-    """The per-wire back-end: one wire per message.  The general one
-    (NONE, FULL and traced adversarial runs, traced-FULL and
-    heterogeneous runs) and the reference the envelope back-ends are
-    tested against."""
-
-    engine = "serial"
-
-    def __init__(self, net: SynchronousNetwork) -> None:
-        self.net = net
-        self.run_hooks = net.run_hooks
-        self._wires: List[WireMessage] = []
-
-    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
-        """Write each multicast through the blinded channel and hand the
-        wires to the sender's OS behaviour, which may drop / delay /
-        inject; surviving wires are charged (they crossed the network)."""
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        transport = net.transport
-        tracer = net.tracer
-        traced = tracer.enabled
-        # With envelope accounting, per-wire sends are logical-only; the
-        # physical ledger gets one coalesced crossing per link below.
-        physical = not net._envelope_accounting
-        net._ack_size_cache.clear()
-        transmissions: List[WireMessage] = []
-        for intent in intents:
-            message = intent.message
-            wires = transport.write(
-                intent.sender, intent.targets, message,
-                modeled_wire_size(message),
-            )
-            behavior = nodes[intent.sender].behavior
-            if behavior is None:
-                for wire in wires:
-                    traffic.record_send(
-                        wire.mtype, wire.size, rnd, physical=physical
-                    )
-                if traced:
-                    tracer.wire_fanout(rnd, wires, "send", charged=True)
-                transmissions.extend(wires)
-            else:
-                for wire in wires:
-                    net._apply_send_filter(
-                        behavior, intent.sender, wire, rnd, transmissions
-                    )
-
-        # Injected (replayed / forged) wires and previously delayed wires
-        # (only OS behaviours produce either).
-        net._drain_os_wires(rnd, transmissions)
-
-        if not physical and transmissions:
-            net._record_physical_links(transmissions, rnd, "transmit")
-        self._wires = transmissions
-        return len(transmissions)
-
-    def deliver(self, rnd: Round) -> int:
-        net = self.net
-        net._deliver(self._wires, rnd)
-        return len(net._ack_queue)
-
-    def ack_wave(self, rnd: Round) -> None:
-        """Write the queued ACKs back through the acker's OS behaviour and
-        deliver them."""
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        transport = net.transport
-        tracer = net.tracer
-        traced = tracer.enabled
-        physical = not net._envelope_accounting
-        ack_queue, net._ack_queue = net._ack_queue, []
-        ack_wires: List[WireMessage] = []
-        for acker, dest, digest in ack_queue:
-            acker_node = nodes[acker]
-            if not acker_node.alive:
-                continue
-            ack = _ack_message(digest, rnd)
-            cache_key = (
-                ack.instance, ack.initiator, ack.seq, ack.rnd, ack.payload
-            )
-            size_hint = net._ack_size_cache.get(cache_key)
-            if size_hint is None:
-                size_hint = modeled_wire_size(ack)
-                net._ack_size_cache[cache_key] = size_hint
-            (wire,) = transport.write(acker, (dest,), ack, size_hint)
-            behavior = acker_node.behavior
-            if behavior is None:
-                traffic.record_send(
-                    wire.mtype, wire.size, rnd, physical=physical
-                )
-                if traced:
-                    tracer.wire(rnd, wire, "send", charged=True)
-                ack_wires.append(wire)
-                continue
-            net._apply_send_filter(behavior, acker, wire, rnd, ack_wires)
-        if not physical and ack_wires:
-            net._record_physical_links(ack_wires, rnd, "ack")
-        net._deliver(ack_wires, rnd)
-        net._end_os_round(rnd)
-
-
 class _EnvelopeRounds:
-    """The round-envelope back-end: everything one sender transmits to
-    one receiver in one wave crosses as a single :class:`Envelope` — one
-    AEAD seal (FULL) or one counter bump (MODELED/NONE) per link.
-
-    Semantically identical to :class:`_PerWireRounds` on its activation
-    domain (honest, homogeneous, untraced-or-non-FULL): same logical
-    traffic statistics, same dispatch order (so first-wins message
-    semantics match), same ACK credits, halts and round summaries.
+    """The in-process round back-end.  What one sender transmits to one
+    receiver in one wave over a clean link crosses as one
+    :class:`Envelope`: one AEAD seal (FULL) or one counter bump
+    (MODELED/NONE).  On a per-wire link
+    (:meth:`SynchronousNetwork._per_wire_links`) each member is a wire
+    through the sender's OS behaviour, whose surviving copies are the
+    member's mask (none is a drop, Thm A.2), received at the member's
+    plan position; injected and delayed copies follow the plan.  So each
+    receiver sees the order of one wire per message, and every adversary
+    coin repeats.  The physical ledger of a run with no per-wire link
+    charges coalesced crossings; with one, each wave charges one crossing
+    per link that carried anything, with the wave's logical bytes.
     """
 
     engine = "envelope"
@@ -1647,58 +1487,100 @@ class _EnvelopeRounds:
     def __init__(self, net: SynchronousNetwork) -> None:
         self.net = net
         self.run_hooks = net.run_hooks
+        self._wired = net._wired
         self._plan: List[tuple] = []
         self._envelopes: List[Envelope] = []
+        self._extras: List[WireMessage] = []
         self._queue: List[Tuple[NodeId, NodeId, bytes]] = []
 
     def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
-        """Build the delivery plan — one entry per multicast, in emission
-        order, so dispatch replays the per-wire delivery order exactly —
-        then seal one envelope per (sender, receiver) link."""
+        """Build the delivery plan — one ``(sender, targets, message,
+        size, mask)`` entry per multicast, in emission order — writing
+        the members on per-wire links, then seal the clean links."""
         net = self.net
+        wired_of = self._wired
+        traffic = net.stats.traffic
+        write = net.transport.write
         full = net.transport.security is ChannelSecurity.FULL
+        start = traffic.bytes_sent
         digest_by_id = net._ack_digest_by_id
         digest_by_id.clear()
-        plan: List[Tuple[NodeId, Tuple[NodeId, ...], ProtocolMessage, int]] = []
+        plan: List[tuple] = []
         per_sender: Dict[NodeId, List[tuple]] = {}
-        logical_count = 0
+        wires: List[WireMessage] = []  # every copy on a per-wire link
+        in_flight = 0
         for intent in intents:
-            message = intent.message
+            sender, targets, message = (
+                intent.sender, intent.targets, intent.message
+            )
             digest_by_id[id(message)] = intent.digest
-            logical_count += len(intent.targets)
-            # FULL charges the real per-member sealed sizes, known only
-            # after sealing, and carries the body (encoded once per
-            # fan-out) where the modeled transports carry the size.
-            sized = (
-                encode(message.to_tuple()) if full
-                else modeled_wire_size(message)
-            )
-            plan.append(
-                (intent.sender, intent.targets, message, 0 if full else sized)
-            )
-            per_sender.setdefault(intent.sender, []).append(
-                (intent.targets, message, sized)
-            )
-            if not full:
-                net._charge_multicast(
-                    rnd, intent.sender, intent.targets, message, sized
+            size = modeled_wire_size(message)
+            mask, clean = None, targets
+            wired = None if wired_of is None else wired_of[sender]
+            if wired is not None and not wired.isdisjoint(targets):
+                behavior = net.nodes[sender].behavior
+                sent = write(
+                    sender, [r for r in targets if r in wired], message, size
                 )
+                if behavior is None:  # an honest OS: every member leaves
+                    traffic.record_send_bulk(
+                        message.type, sum(wire.size for wire in sent), rnd,
+                        len(sent), physical=False,
+                    )
+                    net.tracer.wire_fanout(rnd, sent, "send", charged=True)
+                sent = iter(sent)
+                mask, clean = [], []
+                for receiver in targets:
+                    if receiver not in wired:
+                        mask.append(None)
+                        clean.append(receiver)
+                        continue
+                    wire = next(sent)
+                    if behavior is None:
+                        copies = [wire]
+                    else:
+                        copies = []
+                        net._apply_send_filter(
+                            behavior, sender, wire, rnd, copies
+                        )
+                    mask.append(copies)
+                    wires.extend(copies)
+                clean = tuple(clean)
+            plan.append((sender, targets, message, size, mask))
+            if clean:
+                in_flight += len(clean)
+                # FULL seals the body (encoded once per fan-out) and
+                # charges the real sealed sizes, known only after sealing.
+                per_sender.setdefault(sender, []).append((
+                    clean, message,
+                    encode(message.to_tuple()) if full else size,
+                ))
+                if not full:
+                    net._charge_multicast(rnd, sender, clean, message, size)
         self._plan = plan
-        self._envelopes = self._seal(rnd, per_sender, full)
-        return logical_count
+        self._extras = []
+        self._envelopes = self._seal(
+            rnd, per_sender, full, charge=wired_of is None
+        )
+        if wired_of is not None:
+            net._drain_os_wires(rnd, self._extras)
+            self._charge_crossings(
+                rnd, "transmit",
+                [(env.sender, env.receiver) for env in self._envelopes],
+                wires + self._extras, start,
+            )
+        return in_flight + len(wires) + len(self._extras)
 
     def _seal(
         self,
         rnd: Round,
         per_sender: Dict[NodeId, List[tuple]],
         full: bool,
-        charge: bool = True,
+        charge: bool,
     ) -> List[Envelope]:
         """Seal each sender's ``(targets, message, size-or-body)``
-        entries as one envelope per link; ``charge`` puts the coalesced
-        crossings on the physical ledger.  Counters advance per member,
-        so channel state stays interchangeable with the per-wire
-        back-end."""
+        entries as one envelope per link, counters advancing per member;
+        ``charge`` puts the coalesced crossings on the physical ledger."""
         net = self.net
         traffic = net.stats.traffic
         transport = net.transport
@@ -1732,53 +1614,65 @@ class _EnvelopeRounds:
                     )
         return envelopes
 
-    def _open(self, full: bool) -> Tuple[Set[NodeId], Dict]:
-        """Open each live receiver's envelopes (the link-level integrity /
-        freshness checks, and for FULL the single AEAD open).  Returns
-        the receivers that had one, and for FULL the opened members by
-        link."""
-        nodes = self.net.nodes
-        open_envelope = self.net.transport.open_envelope
+    def _charge_crossings(
+        self, rnd: Round, wave: str, clean: Iterable[Tuple[NodeId, NodeId]],
+        wires: List[WireMessage], start: int,
+    ) -> None:
+        """Charge one crossing per link that carried anything and the
+        logical bytes since ``start``.  A traced run has no clean link: it
+        traces each crossing, members and bytes, in first-use order."""
+        net = self.net
+        tracer = net.tracer
+        if tracer.enabled:
+            links: Dict[Tuple[NodeId, NodeId], List[int]] = {}
+            for wire in wires:
+                entry = links.setdefault((wire.sender, wire.receiver), [0, 0])
+                entry[0] += 1
+                entry[1] += wire.size
+            for (sender, receiver), (count, size) in links.items():
+                tracer.envelope(rnd, sender, receiver, count, size, wave=wave)
+        else:
+            links = set(clean)
+            links.update([(wire.sender, wire.receiver) for wire in wires])
+        traffic = net.stats.traffic
+        traffic.record_envelopes(len(links), traffic.bytes_sent - start)
+
+    def deliver(self, rnd: Round) -> int:
+        """Open the live receivers' envelopes, then dispatch in plan
+        order: a clean member straight to the program, a masked one as
+        the copies its mask lets through, then the extra copies."""
+        net = self.net
+        nodes = net.nodes
+        traffic = net.stats.traffic
+        tracer = net.tracer
+        traced = tracer.enabled
+        receive = net._receive
+        full = net.transport.security is ChannelSecurity.FULL
         opened: Dict[Tuple[NodeId, NodeId], deque] = {}
         inbound: Set[NodeId] = set()
         for env in self._envelopes:
             receiver = env.receiver
-            if not nodes[receiver].alive:
-                continue  # per-member omissions are recorded in dispatch
-            members = open_envelope(receiver, env)
-            inbound.add(receiver)
-            if full:
-                opened[(env.sender, receiver)] = deque(members)
-        return inbound, opened
-
-    def _dispatch_table(self) -> List[tuple]:
-        """``(enclave, on_message, context)`` by node id.  Static between
-        program swaps (halts are read live off the enclave), so it is
-        built once per run instead of once per round."""
-        net = self.net
-        dispatch = net._dispatch_cache
-        if dispatch is None:
-            dispatch = [None] * net.config.n
-            for node_id in range(net.config.n):
-                node = net.nodes[node_id]
-                dispatch[node_id] = (
-                    node.enclave, node.program.on_message, node.context
-                )
-            net._dispatch_cache = dispatch
-        return dispatch
-
-    def deliver(self, rnd: Round) -> int:
-        """Open the round's envelopes, then dispatch members in plan
-        order."""
-        net = self.net
-        traffic = net.stats.traffic
-        tracer = net.tracer
-        traced = tracer.enabled
-        full = net.transport.security is ChannelSecurity.FULL
-        inbound, opened = self._open(full)
-        dispatch = self._dispatch_table()
+            if nodes[receiver].alive:  # else omitted member by member
+                members = net.transport.open_envelope(receiver, env)
+                inbound.add(receiver)
+                if full:
+                    opened[(env.sender, receiver)] = deque(members)
+        dispatch = net._dispatch_table()
         halted = EnclaveState.HALTED
-        for sender, targets, message, size_hint in self._plan:
+        for sender, targets, message, size, mask in self._plan:
+            if mask is not None:
+                for receiver, copies in zip(targets, mask):
+                    if copies is not None:
+                        for wire in copies:
+                            receive(wire, rnd)
+                        continue
+                    # Untraced, not FULL: see _per_wire_links.
+                    enclave, on_message, context = dispatch[receiver]
+                    if enclave.state is halted:
+                        traffic.record_omission()
+                    else:
+                        on_message(context, sender, message)
+                continue
             mtype = message.type.value if traced else None
             for receiver in targets:
                 enclave, on_message, context = dispatch[receiver]
@@ -1789,7 +1683,7 @@ class _EnvelopeRounds:
                             rnd=rnd,
                             sender=sender,
                             receiver=receiver,
-                            size=size_hint,
+                            size=size,
                             action="omit_dead",
                             mtype=mtype,
                         ))
@@ -1800,6 +1694,8 @@ class _EnvelopeRounds:
                     )
                 else:
                     on_message(context, sender, message)
+        for wire in self._extras:
+            receive(wire, rnd)
         # Every receiver that had an envelope opened got at least one
         # on_message dispatch — deliveries re-wake for the round's end.
         net._active.delivered.update(inbound)
@@ -1807,160 +1703,21 @@ class _EnvelopeRounds:
         return len(self._queue)
 
     def ack_wave(self, rnd: Round) -> None:
+        """Clean links' ACKs aggregate, one envelope per link; an ACK on
+        a per-wire link is a wire through the acker's OS behaviour and
+        the receiver's checks, as in :meth:`transmit`."""
         net = self.net
-        if self._queue:
-            if net.transport.security is ChannelSecurity.FULL:
-                net._ack_wave_envelope_full(self._queue, rnd)
-            else:
-                net._ack_wave_envelope(self._queue, rnd)
-
-
-#: The mask of a plan entry whose links all coalesce: no member of it
-#: goes per wire.
-_CLEAN = repeat(None)
-
-
-class _MaskedEnvelopeRounds(_EnvelopeRounds):
-    """The envelope back-end with OS behaviours as per-link omission
-    masks, for untraced MODELED runs.  Theorem A.2: over a blinded
-    channel an OS only chooses which of its enclave's messages arrive;
-    the extra copies it sends (replayed, tampered, delayed) meet the
-    channel's counter and MAC checks.
-
-    Links with no behaviour at either end coalesce as in an honest run.
-    On a link with a faulty end each member is a wire through
-    :meth:`SynchronousNetwork._apply_send_filter` and
-    :meth:`SynchronousNetwork._receive`, the calls the per-wire back-end
-    makes, on the same wires in the same order, so every adversary coin
-    repeats.  The copies the send filter lets through this round are the
-    member's mask (none is a drop), received at the member's plan
-    position; injected and delayed copies follow the plan, as per wire.
-    Each receiver thus sees the per-wire order, and the outbox and the
-    ACK queue fill in it.  The physical ledger keeps the per-wire
-    adversarial rule (:meth:`SynchronousNetwork._record_physical_links`):
-    one crossing per link that carried anything, bytes uncoalesced.
-    """
-
-    def __init__(self, net: SynchronousNetwork) -> None:
-        super().__init__(net)
-        self._faulty = frozenset(net._behavior_nodes)
-        self._extras: List[WireMessage] = []
-
-    def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
-        net = self.net
+        queue = self._queue
+        if self._wired is None:
+            if queue and net.transport.security is ChannelSecurity.FULL:
+                net._ack_wave_envelope_full(queue, rnd)
+            elif queue:
+                net._ack_wave_envelope(queue, rnd)
+            return
         nodes = net.nodes
         traffic = net.stats.traffic
-        write = net.transport.write
-        faulty = self._faulty
-        start = traffic.bytes_sent
-        digest_by_id = net._ack_digest_by_id
-        digest_by_id.clear()
-        plan: List[tuple] = []
-        per_sender: Dict[NodeId, List[tuple]] = {}
-        wires: List[WireMessage] = []  # every copy on a faulty link
-        logical_count = 0
-        for intent in intents:
-            sender, targets, message = (
-                intent.sender, intent.targets, intent.message
-            )
-            digest_by_id[id(message)] = intent.digest
-            logical_count += len(targets)
-            size = modeled_wire_size(message)
-            behavior = nodes[sender].behavior
-            clean, mask = targets, None
-            if behavior is not None:
-                clean, mask = (), []
-                for wire in write(sender, targets, message, size):
-                    copies: List[WireMessage] = []
-                    net._apply_send_filter(behavior, sender, wire, rnd, copies)
-                    mask.append(copies)
-                    wires.extend(copies)
-            else:
-                # An honest sending OS: every member leaves.
-                net._charge_multicast(rnd, sender, targets, message, size)
-                if not faulty.isdisjoint(targets):
-                    clean = tuple(r for r in targets if r not in faulty)
-                    mask = []
-                    for receiver in targets:
-                        if receiver in faulty:
-                            (wire,) = write(sender, (receiver,), message, size)
-                            mask.append([wire])
-                            wires.append(wire)
-                        else:
-                            mask.append(None)
-            plan.append((sender, targets, message, mask))
-            if clean:
-                per_sender.setdefault(sender, []).append(
-                    (clean, message, size)
-                )
-        extras: List[WireMessage] = []
-        net._drain_os_wires(rnd, extras)
-        self._plan = plan
-        self._extras = extras
-        self._envelopes = self._seal(rnd, per_sender, False, charge=False)
-        self._charge_crossings(
-            [(env.sender, env.receiver) for env in self._envelopes],
-            wires + extras, start,
-        )
-        return logical_count
-
-    def _charge_crossings(
-        self, clean: Iterable[Tuple[NodeId, NodeId]],
-        wires: List[WireMessage], start: int,
-    ) -> None:
-        """The physical ledger of one wave, charged as per-wire's
-        :meth:`~SynchronousNetwork._record_physical_links` charges the
-        same traffic: one crossing per link that carried anything, and
-        all the logical bytes the wave charged since ``start``."""
-        faulty = self._faulty
-        links = set(clean)
-        for wire in wires:
-            if wire.sender not in faulty and wire.receiver not in faulty:
-                # Only a MAC the OS lacks tells such a copy apart; the
-                # modeled channel has none to check.
-                raise ConfigurationError(
-                    f"an OS put a wire on link {wire.sender}->"
-                    f"{wire.receiver}, neither end of which it runs"
-                )
-            links.add((wire.sender, wire.receiver))
-        traffic = self.net.stats.traffic
-        traffic.record_envelopes(len(links), traffic.bytes_sent - start)
-
-    def deliver(self, rnd: Round) -> int:
-        """Open the clean links' envelopes, then dispatch in plan order:
-        a clean member straight to the program, a masked one as the
-        copies its mask lets through, then the extra copies."""
-        net = self.net
-        traffic = net.stats.traffic
-        receive = net._receive
-        inbound, _ = self._open(False)
-        dispatch = self._dispatch_table()
-        halted = EnclaveState.HALTED
-        for sender, targets, message, mask in self._plan:
-            for receiver, copies in zip(targets, mask or _CLEAN):
-                if copies is not None:
-                    for wire in copies:
-                        receive(wire, rnd)
-                    continue
-                enclave, on_message, context = dispatch[receiver]
-                if enclave.state is halted:
-                    traffic.record_omission()
-                else:
-                    on_message(context, sender, message)
-        for wire in self._extras:
-            receive(wire, rnd)
-        net._active.delivered.update(inbound)
-        self._queue, net._ack_queue = net._ack_queue, []
-        return len(self._queue)
-
-    def ack_wave(self, rnd: Round) -> None:
-        """Clean links' ACKs aggregate as in an honest run; an ACK on a
-        faulty link is a wire through the same filters as per-wire."""
-        net = self.net
-        nodes = net.nodes
-        traffic = net.stats.traffic
-        write = net.transport.write
-        faulty = self._faulty
+        traced = net.tracer.enabled
+        wired_of = self._wired
         start = traffic.bytes_sent
         ack_size = net._ack_wire_size(rnd)
         link_counts: Counter = Counter()
@@ -1969,20 +1726,22 @@ class _MaskedEnvelopeRounds(_EnvelopeRounds):
         wires: List[WireMessage] = []
         # Nothing halts while the ACKs leave: read liveness once.
         halted = {node_id for node_id, node in nodes.items() if not node.alive}
-        for acker, dest, digest in self._queue:
+        for acker, dest, digest in queue:
             if acker in halted:
                 continue
-            if acker not in faulty and dest not in faulty:
+            if dest not in wired_of[acker]:
                 total += 1
                 link_counts[(acker, dest)] += 1
                 credits[(dest, digest)] += 1
                 continue
-            (wire,) = write(acker, (dest,), _ack_message(digest, rnd), ack_size)
+            (wire,) = net.transport.write(
+                acker, (dest,), _ack_message(digest, rnd), ack_size
+            )
             behavior = nodes[acker].behavior
             if behavior is None:
-                traffic.record_send(
-                    MessageType.ACK, ack_size, rnd, physical=False
-                )
+                traffic.record_send(wire.mtype, wire.size, rnd, physical=False)
+                if traced:
+                    net.tracer.wire(rnd, wire, "send", charged=True)
                 wires.append(wire)
             else:
                 net._apply_send_filter(behavior, acker, wire, rnd, wires)
@@ -1990,6 +1749,7 @@ class _MaskedEnvelopeRounds(_EnvelopeRounds):
             rnd, ack_size, link_counts, credits, total,
             seal=True, charge=False,
         )
-        self._charge_crossings(link_counts, wires, start)
-        net._deliver(wires, rnd)
+        self._charge_crossings(rnd, "ack", link_counts, wires, start)
+        for wire in wires:
+            net._receive(wire, rnd)
         net._end_os_round(rnd)

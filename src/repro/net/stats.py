@@ -18,8 +18,9 @@ Since the round-envelope layer the counters form a *dual ledger*:
   Fig. 3 does, regardless of how they were batched on the wire;
 * the **physical** ledger (``envelopes_sent``, ``envelope_bytes_sent``)
   counts what actually crossed each link — one envelope per
-  ``(sender, receiver, round)`` triple when the engine coalesces, one
-  per message on the per-wire paths (where the two ledgers mirror).
+  ``(sender, receiver, round)`` triple, weighing its coalesced bytes in
+  a run whose links all coalesce and its members' logical bytes in a
+  run with a per-wire link.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class TrafficStats:
     omissions: int = 0            # messages dropped (by adversary or checks)
     rejections: int = 0           # messages rejected by channel verification
     bytes_by_round: Counter = field(default_factory=Counter)
-    # Physical ledger: actual link crossings.  On per-wire paths every
-    # message is its own crossing (the ledgers mirror); the envelope path
-    # charges these separately via record_envelope(s).
+    # Physical ledger: actual link crossings, charged by the engine via
+    # record_envelope(s); a message charged with physical=True is its
+    # own crossing (the ledgers mirror).
     envelopes_sent: int = 0
     envelope_bytes_sent: int = 0
 
@@ -156,7 +157,7 @@ class TrafficStats:
 
     @property
     def coalescing_ratio(self) -> float:
-        """Logical messages per physical crossing (1.0 on per-wire paths)."""
+        """Logical messages per physical crossing."""
         if self.envelopes_sent == 0:
             return 1.0
         return self.messages_sent / self.envelopes_sent

@@ -212,8 +212,9 @@ class ModeledTransport(Transport):
     """Size-accurate, semantics-accurate channel model.
 
     Per ordered pair ``(s, r)`` it tracks a send counter and the highest
-    counter accepted by the reader; tampered flags and measurement
-    mismatches reject exactly as the real channel does.
+    counter accepted by the reader; tampered flags, copies re-addressed
+    off the link they were sealed for and measurement mismatches reject
+    exactly as the real channel's MAC and binding checks do.
     """
 
     security = ChannelSecurity.MODELED
@@ -256,8 +257,8 @@ class ModeledTransport(Transport):
             row[receiver] = counter
             append(
                 WireMessage(
-                    sender, receiver, counter, size,
-                    None, message, measurement, False, mtype, opaque,
+                    sender, receiver, counter, size, None, message,
+                    measurement, False, mtype, opaque, sender, receiver,
                 )
             )
         return wires
@@ -266,9 +267,10 @@ class ModeledTransport(Transport):
         self._enclaves[receiver].guard()
         if wire.receiver != receiver:
             raise IntegrityError("wire message routed to the wrong node")
-        if wire.tampered:
-            raise IntegrityError("MAC verification failed (modeled tampering)")
         sender = wire.sender
+        if (wire.tampered or wire.sealed_by != sender
+                or wire.sealed_for != receiver):
+            raise IntegrityError("MAC verification failed (modeled forgery)")
         expected = self._measurements[receiver]
         if wire.plain_measurement != expected:
             raise IntegrityError(
@@ -312,7 +314,7 @@ class ModeledTransport(Transport):
             row[receiver] = counter
             append(Envelope(
                 sender, receiver, counter, env_size, k,
-                None, members, measurement, None, opaque,
+                None, members, measurement, None, opaque, sender, receiver,
             ))
         return envelopes
 
@@ -322,6 +324,9 @@ class ModeledTransport(Transport):
         self._enclaves[receiver].guard()
         if envelope.receiver != receiver:
             raise IntegrityError("envelope routed to the wrong node")
+        if (envelope.sealed_by != envelope.sender
+                or envelope.sealed_for != receiver):
+            raise IntegrityError("MAC verification failed (modeled forgery)")
         if envelope.member_measurement != self._measurements[receiver]:
             raise IntegrityError(
                 "message bound to a different program (H(pi) mismatch)"

@@ -846,9 +846,11 @@ class WireNode(RoundHost):
         if full and isinstance(body, bytes):
             envelope = Envelope(peer_id, me, counter, len(body), count, body)
         elif not full and isinstance(body, tuple) and len(body) == 2:
+            # The link is the connection's: the peer said who it is.
             envelope = Envelope(
                 peer_id, me, counter, 0, count,
                 members=body[1], member_measurement=body[0],
+                sealed_by=peer_id, sealed_for=me,
             )
         else:
             raise ProtocolError("malformed DATA body")

@@ -1,20 +1,21 @@
 """The round-envelope layer must be invisible in every logical observable.
 
 The engine coalesces all messages sharing a ``(sender, receiver, round)``
-triple into one :class:`~repro.channel.peer_channel.Envelope` per link
-crossing when a run is honest and measurement-homogeneous (and, for FULL
-channels, untraced).  These tests pin the mandatory equivalence:
-byte-identical logical ``TrafficStats`` (including per-round bytes),
-outputs, halted sets and decided rounds between the envelope and per-wire
-paths, on seeded honest and adversarial ERB *and* ERNG runs over all
-three channel fidelities — plus traced-run event identity, the dual
+triple into one :class:`~repro.channel.peer_channel.Envelope` per clean
+link crossing.  These tests pin the mandatory equivalence with the
+per-wire reference (:mod:`tests.per_wire`): byte-identical logical
+``TrafficStats`` (including per-round bytes), outputs, halted sets and
+decided rounds, on seeded honest and adversarial ERB *and* ERNG runs over
+all three channel fidelities — plus traced-run event identity, the dual
 physical ledger invariants, the transport seal/open semantics, and the
 satellite fixes that rode along (neighbour-tuple caching, skipping
-``modeled_wire_size`` for empty fan-outs, the per-round ACK-size cache and the
-per-network ACK-digest LRU).
+``modeled_wire_size`` for empty fan-outs and the per-network ACK-digest
+LRU).
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro import ChannelSecurity, SimulationConfig, run_erb, run_erng
 from repro.adversary.omission import RandomOmission, SelectiveOmission
 from repro.channel.peer_channel import modeled_wire_size
-from repro.common.errors import ReplayError
+from repro.common.errors import IntegrityError, ReplayError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import encode
 from repro.common.types import MessageType, ProtocolMessage
@@ -36,6 +37,9 @@ from repro.obs.tracer import Tracer
 from repro.sgx.enclave import Enclave
 from repro.sgx.program import EnclaveProgram
 from repro.sgx.trusted_time import SimulationClock
+
+import tests.per_wire
+from tests.per_wire import PerWireRounds, per_wire
 
 
 def _snapshot(result):
@@ -57,22 +61,10 @@ def _snapshot(result):
     }
 
 
-def _legacy_config(config: SimulationConfig) -> SimulationConfig:
-    return SimulationConfig(
-        n=config.n,
-        t=config.t,
-        delta=config.delta,
-        bandwidth_bytes_per_s=config.bandwidth_bytes_per_s,
-        channel_security=config.channel_security,
-        ack_threshold=config.ack_threshold,
-        seed=config.seed,
-        random_bits=config.random_bits,
-        tracer=config.tracer,
-        extra={
-            **config.extra,
-            "disable_envelope_fast_path": True,
-        },
-    )
+def _legacy(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` on the per-wire reference back-end."""
+    with per_wire():
+        return run(*args, **kwargs)
 
 
 _FIDELITIES = [
@@ -87,7 +79,7 @@ def test_honest_erb_envelope_equals_legacy(security, n):
     extra = {"dh_group": "small"} if security is ChannelSecurity.FULL else {}
     config = SimulationConfig(n=n, seed=5, channel_security=security, extra=extra)
     env = run_erb(config, initiator=0, message=b"equiv")
-    legacy = run_erb(_legacy_config(config), initiator=0, message=b"equiv")
+    legacy = _legacy(run_erb, config, initiator=0, message=b"equiv")
     assert _snapshot(env) == _snapshot(legacy)
     assert env.outputs and all(v == b"equiv" for v in env.outputs.values())
     # The physical ledger diverges from the logical one: crossings never
@@ -101,8 +93,8 @@ def test_honest_erb_envelope_equals_legacy(security, n):
         )
     else:
         assert env.traffic.envelope_bytes_sent <= env.traffic.bytes_sent
-    # The legacy run (envelope layer off) mirrors 1:1.
-    assert legacy.traffic.envelopes_sent == legacy.traffic.messages_sent
+    # The reference crosses each link once per wave, message by message.
+    assert legacy.traffic.envelopes_sent == env.traffic.envelopes_sent
     assert legacy.traffic.envelope_bytes_sent == legacy.traffic.bytes_sent
 
 
@@ -119,7 +111,7 @@ def test_honest_erng_envelope_equals_legacy(security, n):
     extra = {"dh_group": "small"} if security is ChannelSecurity.FULL else {}
     config = SimulationConfig(n=n, seed=8, channel_security=security, extra=extra)
     env = run_erng(config)
-    legacy = run_erng(_legacy_config(config))
+    legacy = _legacy(run_erng, config)
     assert _snapshot(env) == _snapshot(legacy)
     assert len(set(env.outputs.values())) == 1
     # N concurrent instances per link must actually coalesce.
@@ -146,21 +138,22 @@ def test_adversarial_erb_falls_back_and_matches():
         )
 
     network = SynchronousNetwork(config, factory, behaviors=_omission_behaviors())
-    # Untraced MODELED: the behaviours run as per-link masks on the
-    # envelope back-end (Thm A.2).
-    assert network._masked is True
+    # Untraced MODELED: the behaviours run as per-link masks (Thm A.2);
+    # only the faulty nodes' links are per-wire.
+    assert network._wired[0] == {1, 2}
     adv = network.run(config.t + 2)
 
-    legacy = run_erb(
-        _legacy_config(config),
+    legacy = _legacy(
+        run_erb,
+        config,
         initiator=0,
         message=b"adv",
         behaviors=_omission_behaviors(),
     )
     assert _snapshot(adv) == _snapshot(legacy)
     assert adv.traffic.omissions > 0
-    # Per-wire fallback with envelope accounting: messages keep their own
-    # sealing (physical bytes == logical bytes) but crossings coalesce.
+    # A run with a per-wire link: messages keep their own sealing
+    # (physical bytes == logical bytes) but crossings coalesce.
     assert adv.traffic.envelope_bytes_sent == adv.traffic.bytes_sent
     assert 0 < adv.traffic.envelopes_sent <= adv.traffic.messages_sent
 
@@ -168,7 +161,7 @@ def test_adversarial_erb_falls_back_and_matches():
 def test_adversarial_erng_falls_back_and_matches():
     config = SimulationConfig(n=12, seed=13)
     adv = run_erng(config, behaviors=_omission_behaviors())
-    legacy = run_erng(_legacy_config(config), behaviors=_omission_behaviors())
+    legacy = _legacy(run_erng, config, behaviors=_omission_behaviors())
     assert _snapshot(adv) == _snapshot(legacy)
     assert adv.traffic.envelope_bytes_sent == adv.traffic.bytes_sent
 
@@ -184,12 +177,14 @@ def test_traced_envelope_run_replays_per_wire_events(security):
     env = run_erng(
         SimulationConfig(n=8, seed=3, channel_security=security, tracer=t_env)
     )
-    run_erng(_legacy_config(
-        SimulationConfig(n=8, seed=3, channel_security=security, tracer=t_leg)
+    _legacy(run_erng, SimulationConfig(
+        n=8, seed=3, channel_security=security, tracer=t_leg
     ))
     shared = [e for e in t_env.events if not isinstance(e, EnvelopeEvent)]
     envelopes = [e for e in t_env.events if isinstance(e, EnvelopeEvent)]
-    assert shared == t_leg.events
+    assert shared == [
+        e for e in t_leg.events if not isinstance(e, EnvelopeEvent)
+    ]
     assert envelopes
     assert sum(e.count for e in envelopes) == env.traffic.messages_sent
     assert sum(e.size for e in envelopes) == env.traffic.envelope_bytes_sent
@@ -198,7 +193,7 @@ def test_traced_envelope_run_replays_per_wire_events(security):
 
 def test_traced_full_run_falls_back_to_per_wire():
     """Traced FULL events carry real per-message sealed sizes, which only
-    per-message sealing can produce — the envelope path must decline."""
+    per-message sealing can produce — every link goes per wire."""
     config = SimulationConfig(
         n=4,
         seed=2,
@@ -214,8 +209,7 @@ def test_traced_full_run_falls_back_to_per_wire():
         )
 
     network = SynchronousNetwork(config, factory)
-    assert network._envelope_fast_path is False
-    assert network._envelope_accounting is True
+    assert network._wired == [set(range(4))] * 4
 
 
 def test_envelope_path_is_active_by_default():
@@ -228,11 +222,10 @@ def test_envelope_path_is_active_by_default():
         )
 
     network = SynchronousNetwork(config, factory)
-    assert network._envelope_fast_path is True
-    assert network._envelope_accounting is False
-    # A tracer keeps the envelope path on for non-FULL fidelities.
+    assert network._wired is None
+    # A tracer keeps every link coalesced for non-FULL fidelities.
     traced = SimulationConfig(n=8, seed=1, tracer=Tracer.memory())
-    assert SynchronousNetwork(traced, factory)._envelope_fast_path is True
+    assert SynchronousNetwork(traced, factory)._wired is None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +240,7 @@ def test_envelope_path_is_active_by_default():
 def test_logical_stats_envelope_invariant(n, seed):
     config = SimulationConfig(n=n, seed=seed)
     env = run_erng(config)
-    legacy = run_erng(_legacy_config(config))
+    legacy = _legacy(run_erng, config)
     assert _snapshot(env) == _snapshot(legacy)
     # Physical invariants: crossings never exceed logical messages, and
     # coalescing only ever removes per-message channel overhead.
@@ -327,6 +320,22 @@ def test_modeled_open_envelope_rejects_replay():
     assert transport.open_envelope(1, env) == members
     with pytest.raises(ReplayError):
         transport.open_envelope(1, env)
+
+
+def test_modeled_copy_re_addressed_to_another_link_is_rejected():
+    """A modeled wire or envelope is bound to the link it was sealed
+    for, as FULL's per-link MAC key binds it: a copy whose routing
+    fields an OS rewrote fails, counter fresh or not."""
+    transport = ModeledTransport(_enclaves(4, 11))
+    (wire,) = transport.write(2, (3,), _message(1), 100)
+    (env,) = transport.seal_envelope(2, (3,), [_message(2)], size=100)
+    for sealed, read in ((wire, transport.read),
+                         (env, transport.open_envelope)):
+        spoofed = copy.copy(sealed)
+        spoofed.sender, spoofed.receiver = 0, 1
+        with pytest.raises(IntegrityError):
+            read(1, spoofed)
+    assert transport.read(3, wire).seq == 1
 
 
 def test_full_envelope_member_sizes_match_per_wire_writes():
@@ -439,46 +448,22 @@ def test_empty_fanout_skips_message_size(monkeypatch):
         return modeled_wire_size(message)
 
     monkeypatch.setattr(simulator, "modeled_wire_size", counting)
-    for extra in ({}, {"disable_envelope_fast_path": True}):
-        config = SimulationConfig(n=2, seed=6, extra=dict(extra))
+    monkeypatch.setattr(tests.per_wire, "modeled_wire_size", counting)
+    for backend in (simulator._EnvelopeRounds, PerWireRounds):
+        config = SimulationConfig(n=2, seed=6)
         # A no-op program: nothing is staged except the empty-target
         # multicast injected below.
         network = SynchronousNetwork(config, lambda node_id: _SilentProgram())
         # Staged outside on_round_begin: transmits at the start of round 1.
         network.nodes[0].context.multicast(_message(1), targets=())
-        network.run(1)
+        with per_wire(backend):
+            network.run(1)
         assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# satellites: ACK-size cache lifetime, per-network digest LRU
+# satellites: per-network digest LRU
 # ---------------------------------------------------------------------------
-
-def test_ack_size_cache_does_not_grow_across_rounds():
-    """ACK size cache keys embed the round, so old entries are garbage;
-    the per-wire path (the only one that sizes ACKs one by one) clears
-    the cache at every round start."""
-    network = _build_network(SimulationConfig(
-        n=10, seed=4, extra={"disable_envelope_fast_path": True}
-    ))
-    network.run(6)
-    # After a multi-round run, only the final round's entries remain.
-    cache = network._ack_size_cache
-    assert cache and len(cache) <= network.config.n
-    assert all(key[3] == network.current_round for key in cache)
-
-
-def test_replace_programs_clears_ack_size_cache():
-    config = SimulationConfig(n=6, seed=4)
-    network = _build_network(config)
-    network.run(config.t + 2)
-    network._ack_size_cache[("stale", 0, 0, 1, b"x")] = 99
-    network.replace_programs(lambda node_id: ErbProgram(
-        node_id=node_id, initiator=1, n=config.n, t=config.t, seq=2,
-        message=b"next" if node_id == 1 else None,
-    ))
-    assert network._ack_size_cache == {}
-
 
 def test_digest_cache_is_per_network():
     net_a = _build_network(SimulationConfig(n=6, seed=11))

@@ -2,10 +2,10 @@
 
 Four claims pinned here:
 
-* **complete** — on every back-end (serial per-wire, envelope, sharded
-  parallel, the TCP daemon) the phase buckets account for at least 90%
-  of the measured run wall clock, and each round's buckets sum to its
-  wall;
+* **complete** — on every back-end (envelope, sharded parallel, the TCP
+  daemon, and the per-wire reference of :mod:`tests.per_wire`) the
+  phase buckets account for at least 90% of the measured run wall
+  clock, and each round's buckets sum to its wall;
 * **cheap** — the round kernel owns the clock: an untimed run reads it
   never, a timed run a bounded number of times per round, however many
   messages the round carries;
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -32,6 +33,8 @@ from repro.obs.events import MetaEvent, TimingEvent
 from repro.obs.metrics import PROFILER
 from repro.obs.timing import PHASE_BUCKETS, TimingCollector
 from repro.obs.tracer import MemorySink, Tracer
+
+from tests.per_wire import per_wire
 
 
 def _snapshot(result):
@@ -54,11 +57,13 @@ def _snapshot(result):
     }
 
 
-def _run(protocol, timing=None, tracer=None, **config_kwargs):
+def _run(protocol, timing=None, tracer=None, backend=None, **config_kwargs):
+    """One run; ``backend="per-wire"`` runs it on the per-wire reference."""
     config = SimulationConfig(timing=timing, tracer=tracer, **config_kwargs)
-    if protocol == "erb":
-        return run_erb(config, initiator=0, message=b"timed")
-    return run_erng(config)
+    with per_wire() if backend == "per-wire" else nullcontext():
+        if protocol == "erb":
+            return run_erb(config, initiator=0, message=b"timed")
+        return run_erng(config)
 
 
 class TestCoverage:
@@ -68,15 +73,14 @@ class TestCoverage:
         "engine,kwargs",
         [
             ("envelope", dict(n=64, seed=3)),
-            ("serial", dict(n=12, seed=3,
-                            channel_security=ChannelSecurity.FULL,
-                            extra={"disable_envelope_fast_path": True})),
+            ("per-wire", dict(n=12, seed=3,
+                              channel_security=ChannelSecurity.FULL)),
             ("parallel", dict(n=16, seed=3, workers=2)),
         ],
     )
     def test_coverage_at_least_90_percent(self, engine, kwargs):
         timing = TimingCollector()
-        _run("erb", timing=timing, **kwargs)
+        _run("erb", timing=timing, backend=engine, **kwargs)
         assert timing.engine == engine
         assert timing.wall_seconds > 0
         assert timing.coverage() >= 0.9, (
@@ -151,7 +155,7 @@ class TestCoverage:
 
 #: Config knobs that select each simulator back-end.
 BACKENDS = {
-    "serial": {"extra": {"disable_envelope_fast_path": True}},
+    "per-wire": {"backend": "per-wire"},
     "envelope": {},
     "parallel": {"workers": 2},
 }
@@ -220,7 +224,7 @@ class TestInvisibility:
     def test_serial_full_timed_equals_untimed(self):
         kwargs = dict(
             n=12, seed=3, channel_security=ChannelSecurity.FULL,
-            extra={"disable_envelope_fast_path": True},
+            backend="per-wire",
         )
         baseline = _run("erb", **kwargs)
         timed = _run("erb", timing=TimingCollector(), **kwargs)

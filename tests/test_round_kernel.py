@@ -1,8 +1,9 @@
 """One round kernel, four back-ends.
 
-``RoundHost._rounds`` sequences the lockstep round once; per-wire,
-round-envelope, the sharded coordinator and the TCP daemon only say where
-hooks run and how messages move.  So every environment, at one seed, must
+``RoundHost._rounds`` sequences the lockstep round once; the simulator's
+round-envelope back-end (and the per-wire reference of
+:mod:`tests.per_wire`), the sharded coordinator and the TCP daemon only
+say where hooks run and how messages move.  So every environment, at one seed, must
 walk the same phases in the same order every round, halt the same nodes,
 decide in the same rounds, and close each round with the same number of
 decided nodes — a wire cluster's one-node daemons summed.
@@ -28,6 +29,7 @@ from repro.obs import ROUND_PHASES
 from repro.obs.events import PhaseEvent, RoundSpan
 from repro.obs.tracer import Tracer
 
+from tests.per_wire import per_wire
 from tests.test_parallel_engine import _snapshot
 
 N, SEED, PAYLOAD = 5, 7, b"kernel"
@@ -108,18 +110,13 @@ def _wired(protocol):
     )
 
 
-#: Config knobs that select each simulator back-end.
-SIMULATED = {
-    "per-wire": {"extra": {"disable_envelope_fast_path": True}},
-    "envelope": {},
-    "workers=2": {"workers": 2},
-}
-
-
 def _run(environment, protocol):
     if environment == "wire":
         return _wired(protocol)
-    return _simulated(protocol, **SIMULATED[environment])
+    if environment == "per-wire":
+        with per_wire():
+            return _simulated(protocol)
+    return _simulated(protocol, workers=2 if environment == "workers=2" else 1)
 
 
 @pytest.mark.parametrize("protocol", ["erb", "erng"])

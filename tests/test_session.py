@@ -80,19 +80,16 @@ class TestSerialSessionReuse:
         net = session.network
         try:
             session.run(4)
-            # The run warmed the digest LRU (the ack-size cache is
-            # transient — the engine clears it per wave)...
+            # The run warmed the digest LRU...
             assert net._digest_cache
             stats_before = net.stats
             # ...and a hostile prior run could have left anything in
             # them: plant sentinels that would poison run 2 if kept.
             net._digest_cache[("stale",)] = b"poison"
-            net._ack_size_cache[("stale",)] = 1
             net._neighbour_cache[999] = (1, 2, 3)
 
             net.begin_session_run(factory, seed=3)
             assert not net._digest_cache
-            assert not net._ack_size_cache
             assert not net._neighbour_cache
             assert net._dispatch_cache is None
             assert net.current_round == 0

@@ -20,6 +20,8 @@ from repro.common.config import ChannelSecurity
 from repro.net.wire import cluster_configs, run_cluster
 from repro.obs.metrics import PROFILER
 
+from tests.per_wire import PerMessageCrossings, per_wire
+
 #: Honest rows must not depend on the seed: each is run at both.
 SEEDS = (3, 11)
 
@@ -36,8 +38,13 @@ def ledger(result):
     )
 
 
-def _erng_n16(seed, **extra):
-    return run_erng(SimulationConfig(n=16, seed=seed, extra=extra))
+def _erng_n16(seed):
+    return run_erng(SimulationConfig(n=16, seed=seed))
+
+
+def _erng_n16_per_message(seed):
+    with per_wire(PerMessageCrossings):
+        return _erng_n16(seed)
 
 
 def _erb_n64(seed, workers):
@@ -62,7 +69,7 @@ HONEST_ROWS = [
         id="erng-n16-envelope",
     ),
     pytest.param(
-        lambda seed: [_erng_n16(seed, disable_envelope_fast_path=True)],
+        lambda seed: [_erng_n16_per_message(seed)],
         (7680, 7680, 804000, 804000, 0, 2),
         id="erng-n16-perwire",
     ),

@@ -23,7 +23,7 @@ A case runs on the simulator's round back-end, the links at a faulty
 node per wire with the faults as their omission masks (Thm A.2).  The
 optional engine cross-check re-runs a case at ``workers=2`` (the sharded
 engine itself on honest MODELED/NONE cells, its serial fallback on the
-rest) and asserts the results are identical.
+rest) and asserts the result is identical to the case's own serial run.
 """
 
 from __future__ import annotations
@@ -174,6 +174,9 @@ class CaseOutcome:
     result: RunResult
     violations: List[Violation]
     round_log: List[Tuple[int, int]]
+    #: What the engine returned, before any test-only inject: the run
+    #: the engine cross-check compares.
+    engine_result: Optional[RunResult] = None
 
     @property
     def passed(self) -> bool:
@@ -252,10 +255,11 @@ def run_case(
             cluster=ClusterConfig(mode="fixed_fraction"),
             behaviors=behaviors,
         )
-    result = _apply_inject(spec, result)
+    engine_result, result = result, _apply_inject(spec, result)
     violations = check_run(spec, result, round_log if probe_rounds else None)
     return CaseOutcome(
-        spec=spec, result=result, violations=violations, round_log=round_log
+        spec=spec, result=result, violations=violations, round_log=round_log,
+        engine_result=engine_result,
     )
 
 
@@ -267,16 +271,21 @@ def case_fails(spec: CaseSpec) -> bool:
         return False  # an unrunnable shrink candidate is not a reproducer
 
 
-def cross_check_engines(spec: CaseSpec) -> List[Violation]:
+def cross_check_engines(
+    spec: CaseSpec, serial: Optional[RunResult] = None
+) -> List[Violation]:
     """Differential check: serial vs ``workers=2`` must match exactly.
 
     Honest MODELED/NONE cells exercise the sharded parallel engine; the
     other cells exercise its fallback to the serial back-end — either way
     the outputs, halts, decided rounds, round count and the whole traffic
-    ledger must be identical to the serial run's.
+    ledger must be identical to the serial run's: ``serial`` when the
+    caller already ran the case serially (its ``engine_result``), else a
+    run made here.
     """
-    serial = run_case(spec, probe_rounds=False, workers=1).result
-    sharded = run_case(spec, probe_rounds=False, workers=2).result
+    if serial is None:
+        serial = run_case(spec, probe_rounds=False, workers=1).engine_result
+    sharded = run_case(spec, probe_rounds=False, workers=2).engine_result
     mismatches = [
         name for name, a, b in (
             ("outputs", serial.outputs, sharded.outputs),
@@ -412,7 +421,8 @@ def run_campaign(
         outcome = run_case(spec)
         violations = list(outcome.violations)
         if cross_check:
-            violations.extend(cross_check_engines(spec))
+            serial = outcome.engine_result if spec.workers <= 1 else None
+            violations.extend(cross_check_engines(spec, serial))
         record = CaseRecord(
             spec=spec,
             rounds=outcome.result.rounds_executed,

@@ -1,30 +1,28 @@
 """Sharded multi-process round engine: the round kernel's third back-end.
 
-A synchronous lockstep round is embarrassingly parallel across
-*receivers*: on the honest envelope domain (the only one where this
-module engages, see ``SynchronousNetwork._parallel_eligible``) a node's
-round work — its ``on_round_begin`` / ``on_message`` / ``on_round_end``
-transitions, outbound message sizing and ACK digest computation — reads
-and writes only that node's enclave plus the network-level queues, never
-another node's state.  So the engine partitions the ``n`` nodes into
-``P`` shards (``node_id % P``) and gives every shard its own *forked*
-worker process holding a full replica of the network.
+On the honest envelope domain (the only one where this module engages,
+see ``SynchronousNetwork._parallel_eligible``) a node's round work — its
+hooks and ``on_message`` transitions, outbound sizing and ACK digests —
+reads and writes only its own enclave and the network's queues.  So the
+engine partitions the ``n`` nodes into ``P`` shards (``node_id % P``)
+and gives each shard a *forked* worker process holding a full replica of
+the network, whose ``_active`` schedules that shard's slice.
 
 :meth:`repro.net.simulator.RoundHost._rounds` sequences the round on the
 coordinator's network (the *mirror*); :class:`_Coordinator` is its
-:class:`~repro.net.simulator.RoundBackend`.  Hooks run in the workers:
-each ``run_hooks`` call is one command frame down every shard's
-shared-memory ring (:mod:`repro.net.shm`), the workers' staged intents
-*streaming* back in keyed chunks while they are produced and a ``done``
-frame closing the exchange.  Messages move as one plan frame, pickled
-once and written into every ring; workers dispatch the members addressed
-to their owned receivers and ship ACK aggregates and voluntary halts
-home.  All traffic accounting, handle crediting, the halt check and the
-round's close happen on the mirror, through the serial envelope
-back-end's own methods, with divergence halts and the round's duration
-shipped down so every replica observes the same liveness and clock.
-Which owned nodes a worker visits is decided by its replica's
-:class:`~repro.net.activeset.ActiveSet`.
+:class:`~repro.net.simulator.RoundBackend`.  A worker restates none of
+the round: a hook wave runs the kernel's ``run_hooks`` on its replica and
+ships home what the hooks left, and a delivery wave runs the kernel's
+``_dispatch`` over the plan's members addressed to the shard, through
+dispatch-table entries that wrap each owned receiver's ``on_message`` to
+key what it leaves by plan position.  Each wave is one command frame
+down every shard's shared-memory ring (:mod:`repro.net.shm`) — the plan
+pickled once for all — closed by a ``done`` frame; next-round intents
+*stream* home in keyed chunks meanwhile.  Accounting, handle crediting,
+the halt check and the round's close happen on the mirror through the
+serial back-end's own methods, with the workers' ACK tallies; divergence
+halts and the round's duration ship down, so every replica observes the
+same liveness and clock.
 
 A timed run's clock is the kernel's; each wave adds only what this
 back-end alone has — the coordinator's wait beyond the slowest shard
@@ -33,20 +31,17 @@ busy / idle split (:meth:`~repro.obs.timing.TimingCollector.record_shard`).
 
 Determinism: per-node RNG streams live in the enclaves, which are
 sharded wholesale; shard assignment is a pure function of ``node_id``;
-every cross-process collection is keyed (node id, emission index, plan
-position) with globally unique keys and merged in sorted key order,
-which provably reconstructs the serial engine's iteration order no
-matter how shard chunks interleave on the wire.  A parallel run
-therefore yields byte-identical ``RunResult`` snapshots,
-``TrafficStats`` ledgers and traced event streams versus the serial
-envelope back-end — enforced by ``tests/test_parallel_engine.py`` and
-``tests/test_parallel_v2.py``.
-
-Bookkeeping that is *not* replicated: the coordinator performs no
-transmit-side ``seal_envelope``/``open_envelope`` calls (on MODELED/NONE
-transports these only advance internal channel counters, which nothing
-on the eligible domain can observe), and worker-side tracers are
-swapped for in-memory sinks whose events are shipped back per exchange.
+every cross-process collection is keyed (node id, plan position,
+emission index) with globally unique keys and merged in sorted key
+order, which reconstructs the serial iteration order however shard
+chunks interleave.  A parallel run therefore yields byte-identical
+``RunResult`` snapshots, ``TrafficStats`` ledgers and traced event
+streams versus the serial back-end — enforced by
+``tests/test_parallel_engine.py`` and ``tests/test_parallel_v2.py``.
+The coordinator makes no ``seal_envelope``/``open_envelope`` calls (on
+MODELED/NONE they only advance channel counters nothing on the eligible
+domain observes), and worker tracers are in-memory sinks whose events
+ship back per wave.
 
 A host without usable shared memory never gets here (the run says why
 and executes serially); if worker processes cannot be forked after all,
@@ -62,19 +57,20 @@ import multiprocessing
 import os
 import pickle
 import traceback
+from collections import Counter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.channel.peer_channel import modeled_wire_size
-from repro.common.types import ProtocolMessage
 from repro.net.activeset import ActiveSet
 from repro.net import shm
 from repro.net.shm import _NOTHING, _wait_spin, DATA_PLANE_SHM, ShmChannel
 from repro.net.simulator import RunResult, SynchronousNetwork, _SendIntent
-from repro.obs.events import WireEvent
 from repro.obs.metrics import PROFILER, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sgx.enclave import EnclaveState
 
 _LOG = logging.getLogger("repro.engine")
 
@@ -102,8 +98,8 @@ def planned_data_plane(
     ``None`` when the sharded engine is not in play: a single worker, no
     fork start method, or no usable shared memory (such a run executes
     serially).  Pure — no warnings — so machine stamps and the contract
-    benchmark can call it freely; ``extra`` is accepted for callers that pass their config's
-    and selects nothing."""
+    benchmark can call it freely; ``extra`` (a config's) selects
+    nothing."""
     if not workers or workers <= 1:
         return None
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -118,6 +114,9 @@ class _WorkerState:
     nshards: int
     #: ``node_id % nshards == shard``.
     owned: range
+    #: Per sender: its neighbour tuple, the owned targets and their
+    #: positions in it (see _owned_targets).
+    owned_of: Dict[int, tuple]
     events: Optional[List[object]]
     traced: bool
     timed: bool
@@ -125,20 +124,13 @@ class _WorkerState:
     shm_s: float
 
 
-# A staged send intent, as shipped from workers to the coordinator:
-# (sender, targets, message, size, digest, expect_acks, threshold).
-# ``targets`` is ``None`` when the intent goes to the sender's full
-# neighbour set — by far the common case — so a mesh multicast ships a
-# sentinel instead of n-1 node ids; both sides resolve it through their
-# own (identical) neighbour cache.
-_PackedIntent = Tuple[int, Optional[Tuple[int, ...]], ProtocolMessage, int,
-                      bytes, bool, int]
-
-
-def _pack_intent(intent: _SendIntent, net: SynchronousNetwork) -> _PackedIntent:
+def _pack_intent(intent: _SendIntent, net: SynchronousNetwork) -> tuple:
     """Size one staged intent (work the serial transmit does inline, here
-    parallelized into the worker that ran the emitting hook) and pack it
-    for the ring."""
+    parallelized into the worker that staged it) and pack it for the
+    ring: ``(sender, targets, message, size, digest, expect_acks,
+    threshold)``, ``targets`` None for the sender's neighbour tuple — by
+    far the common case — which both sides resolve through their own
+    (identical) neighbour cache."""
     targets: Optional[Tuple[int, ...]] = intent.targets
     size = modeled_wire_size(intent.message) if targets else 0
     if targets and targets is net._neighbour_cache.get(intent.sender):
@@ -163,20 +155,23 @@ def _worker_init(shard: int, nshards: int) -> None:
         raise RuntimeError(
             "parallel engine worker started without a forked network"
         )
-    st = _WorkerState()
+    st = _STATE = _WorkerState()
     st.net = net
     st.shard = shard
     st.nshards = nshards
     st.owned = range(shard, net.config.n, nshards)
-    _worker_observers(st, net.tracer.enabled, net._timing is not None)
+    st.owned_of = {}
     # on_setup ran on the replica before the fork.
-    net._active = ActiveSet(net.nodes, st.owned)
-    _worker_own_queues(net)
-    _STATE = st
+    _worker_arm(st, net.tracer.enabled, net._timing is not None, setup=False)
 
 
-def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
-    """Apply the worker-side observability policy to the replica."""
+def _worker_arm(
+    st: "_WorkerState", traced: bool, timed: bool, setup: bool
+) -> None:
+    """Arm the replica for a run: the worker-side observers, then the
+    shard's scheduler (after ``on_setup`` when ``setup``), then clean
+    queues — the coordinator ran the same on_setup and owns what it
+    staged."""
     net = st.net
     st.traced = traced
     # The replica's own kernel clock stays off: a timed worker reports
@@ -185,25 +180,21 @@ def _worker_observers(st: "_WorkerState", traced: bool, timed: bool) -> None:
     net._timing = None
     if PROFILER.enabled:
         # The fork copied the coordinator's profiling registry wholesale;
-        # keeping it would re-ship the parent's pre-fork observations.  A
-        # fresh registry makes the dump shipped at _worker_finish hold
-        # exactly this shard's post-fork counts, so coordinator + worker
-        # registries add to what a serial run would have observed.
+        # a fresh one makes the dump shipped after on_protocol_end hold
+        # exactly this shard's post-fork counts.
         PROFILER.registry = MetricsRegistry()
     if traced:
         # Replace the inherited tracer (whose sinks may hold duplicated
-        # file handles) with a memory sink; events ship back per exchange.
-        tracer = Tracer.memory()
-        net.tracer = tracer
-        st.events = tracer.events
+        # file handles) with a memory sink; events ship back per wave.
+        net.tracer = Tracer.memory()
+        st.events = net.tracer.events
     else:
         net.tracer = NULL_TRACER
         st.events = None
-
-
-def _worker_own_queues(net: SynchronousNetwork) -> None:
-    """The coordinator owns all queue state (it ran the same on_setup and
-    keeps the staged intents); worker replicas start each run clean."""
+    if setup:
+        net._setup(st.owned)
+    else:
+        net._active = ActiveSet(net.nodes, st.owned)
     net._outbox_now.clear()
     net._outbox_next.clear()
     net._ack_queue.clear()
@@ -213,160 +204,168 @@ def _worker_own_queues(net: SynchronousNetwork) -> None:
 def _worker_recycle(channel, payload: tuple) -> None:
     """Session recycle (op ``"n"``): re-run the fresh-run reset on this
     replica so a persistent crew serves the next protocol run without
-    reforking.
-
-    Mirrors what the coordinator's :meth:`SynchronousNetwork.\
-begin_session_run` + ``_setup`` did on its side — same relaunch, same
-    re-seeding, same cache invalidation, then ``on_setup`` for every
-    alive node (fork inheritance would have copied exactly that state) —
-    with the worker-side specialisations of ``_worker_init`` around it.
-    """
+    reforking — what the coordinator's :meth:`SynchronousNetwork.\
+begin_session_run` + ``_setup`` did on its side, with the worker policy
+    re-applied before any hook can emit."""
     st = _STATE
-    net = st.net
     seed, factory, traced, timed = payload
-    net.begin_session_run(factory, seed=seed)
-    # _resolve_run_paths restored config's tracer/timing; re-apply the
-    # worker policy before any hook can emit.
-    _worker_observers(st, traced, timed)
-    net._setup(st.owned)
-    _worker_own_queues(net)
+    st.net.begin_session_run(factory, seed=seed)
+    _worker_arm(st, traced, timed, setup=True)
     channel.send(("r", st.shard))
-
-
-def _check_no_stray_acks(net: SynchronousNetwork, hook: str) -> None:
-    if net._ack_queue:
-        raise RuntimeError(
-            f"parallel engine: ctx.acknowledge during {hook} is not "
-            "supported (ACKs must answer a delivered message); "
-            "run with workers=1"
-        )
 
 
 def _flush_staged(channel, staged: List[tuple]) -> None:
     """Stream one chunk of keyed staged intents home; a timed run adds
     the send to the shard's streaming seconds."""
     st = _STATE
+    t0 = perf_counter() if st.timed else 0.0
+    channel.send(("s", staged))
     if st.timed:
-        t0 = perf_counter()
-        channel.send(("s", staged))
         st.shm_s += perf_counter() - t0
-    else:
-        channel.send(("s", staged))
 
 
-def _run_hooks(
-    channel, visit_ids: List[int], hook: str, outbox: list
-) -> Tuple[List[int], List[tuple]]:
-    """Run one round hook (``on_round_begin`` / ``on_round_end``) for the
-    visited live nodes, in node order.
-
-    Intents the hooks stage land in ``outbox`` and stream home in keyed
-    chunks as nodes produce them.  Returns ``(halted, batches)``:
-    voluntary halts and traced event batches per node.
-    """
+def _worker_hooks(
+    channel, hook: str, rnd: int, halted_now: List[int], seconds: float
+) -> tuple:
+    """Op ``"h"``: after the round's divergence halts, the kernel's own
+    :meth:`RoundHost.run_hooks` on the replica, then the round's
+    duration on its clock.  The reply is what the hooks left: the nodes
+    now halted, the staged intents keyed by sender (a hook stages only
+    its own node's), the scheduler counts, the traced events in per-node
+    batches (a hook's events name their node), the shard's doneness and,
+    after on_protocol_end, its terminal state."""
     st = _STATE
     net = st.net
-    events = st.events
-    halted: List[int] = []
-    staged: List[tuple] = []
-    batches: List[tuple] = []
-    for node_id in visit_ids:
-        node = net.nodes[node_id]
-        if not node.alive:
-            continue
-        obase = len(outbox)
-        ebase = len(events) if events is not None else 0
-        getattr(node.program, hook)(node.context)
-        if node.enclave.halted:
-            halted.append(node_id)
-        for idx in range(obase, len(outbox)):
-            staged.append(
-                ((node_id, idx - obase), _pack_intent(outbox[idx], net))
-            )
-        if len(staged) >= _FLUSH_INTENTS:
-            _flush_staged(channel, staged)
-            staged = []
-        if events is not None and len(events) > ebase:
-            batches.append((node_id, events[ebase:]))
-    outbox.clear()
-    if events is not None:
-        events.clear()
-    _check_no_stray_acks(net, hook)
-    if staged:
-        _flush_staged(channel, staged)
-    return halted, batches
-
-
-def _worker_begin(channel, rnd: int) -> tuple:
-    """Op ``"b"``: on_round_begin for the owned nodes due this round.
-
-    The reply carries voluntary halts, traced event batches and the
-    visit counts.
-    """
-    net = _STATE.net
+    nodes = net.nodes
     net.current_round = rnd
+    for node_id in halted_now:
+        net._halt_node(node_id, rnd)
+    visit = net.run_hooks(hook, rnd, halted_now, seconds)
+    net.clock.advance(seconds)
+    if net._ack_queue:
+        raise RuntimeError(
+            f"parallel engine: ctx.acknowledge during {hook} is not "
+            "supported (ACKs must answer a delivered message); "
+            "run with workers=1"
+        )
+    outbox = net._outbox_now if hook == "on_round_begin" else net._outbox_next
+    intents = [
+        (intent.sender, _pack_intent(intent, net)) for intent in outbox
+    ]
+    outbox.clear()
+    counts = net.sched_counters
+    net.sched_counters = dict.fromkeys(counts, 0)
+    events = st.events or []
+    batches = [
+        (node, list(batch))
+        for node, batch in groupby(events, attrgetter("node"))
+    ]
+    events.clear()
     active = net._active
-    visit_ids = active.begin(rnd)
-    counts = (len(visit_ids), len(active.owned) - len(visit_ids))
-    net._in_round_begin = True
-    halted, batches = _run_hooks(
-        channel, visit_ids, "on_round_begin", net._outbox_now
+    return (
+        [node_id for node_id in visit if not nodes[node_id].alive],
+        intents,
+        counts,
+        batches,
+        active.decided,
+        active.all_done,
+        _final_state(net) if hook == "on_protocol_end" else None,
     )
-    net._in_round_begin = False
-    return halted, batches, counts
 
 
-def _worker_deliver(channel, rnd: int, packed: list) -> tuple:
-    """Op ``"v"``: dispatch the plan's members to owned receivers.
+def _final_state(net: SynchronousNetwork) -> tuple:
+    """The shard's terminal per-node state as plain tuples, and its
+    profiling observations.
 
-    Next-round intents stream home in keyed chunks; the reply carries
-    voluntary halts, per-(plan, target) omission keys for dead owned
-    receivers and the ACK wave (raw and keyed when traced, else
-    pre-aggregated link/credit counters).
+    Plain tuples, not program objects: ``EnclaveProgram`` tracks its
+    undecided state with a module-level ``_UNSET`` singleton compared by
+    identity, which pickling would silently break.
+    """
+    final = []
+    for node_id in net._active.owned:
+        node = net.nodes[node_id]
+        program = node.program
+        output = (
+            (program.output, program.decided_round)
+            if program.has_output else None
+        )
+        final.append((node_id, output, node.enclave.rdrand))
+    # The fork orphans the worker's PROFILER registry: ship its
+    # observations home, and start a fresh one so a persistent crew's
+    # next run does not ship (double-count) them again.
+    profile = None
+    if PROFILER.enabled and PROFILER.registry is not None:
+        profile = PROFILER.registry.dump()
+        PROFILER.registry = MetricsRegistry()
+    return final, profile
+
+
+def _owned_targets(
+    st: "_WorkerState", sender: int, raw: Optional[Tuple[int, ...]]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The targets of one plan entry that this shard owns, and their
+    positions in the entry's target tuple; memoised per sender for its
+    neighbour tuple (``raw`` is None)."""
+    if raw is None:
+        targets = st.net.neighbour_tuple(sender)
+        hit = st.owned_of.get(sender)
+        if hit is not None and hit[0] is targets:
+            return hit[1], hit[2]
+    else:
+        targets = raw
+    nshards, shard = st.nshards, st.shard
+    positions = tuple(
+        j for j, receiver in enumerate(targets) if receiver % nshards == shard
+    )
+    owned = tuple(targets[j] for j in positions)
+    if raw is None:
+        st.owned_of[sender] = (targets, owned, positions)
+    return owned, positions
+
+
+def _worker_deliver(channel, rnd: int, plan: list) -> tuple:
+    """Op ``"v"``: the kernel's :meth:`RoundHost._dispatch` over the
+    plan's members addressed to this shard.
+
+    The dispatch-table entries wrap each owned receiver's
+    ``on_message`` — and ``omit`` each member to a halted one — to key
+    what the member leaves by its plan position ``(i, j)``: next-round
+    intents stream home in ``(i, j, index)`` chunks; traced, its ACKs
+    and events come home keyed too.  The reply carries the receivers now
+    halted, the omission count, the ACK wave (tallied, or traced raw and
+    keyed) and the event batches.
     """
     st = _STATE
     net = st.net
-    digest_by_id = net._ack_digest_by_id
-    digest_by_id.clear()
-    plan = []
-    for sender, targets, message, digest in packed:
-        if targets is None:
-            targets = net.neighbour_tuple(sender)
-        digest_by_id[id(message)] = digest
-        plan.append((sender, targets, message))
-    nshards = st.nshards
-    shard = st.shard
     nodes = net.nodes
     outbox = net._outbox_next
     ackq = net._ack_queue
     events = st.events
     traced = st.traced
-    halted: List[int] = []
-    omitted: List[tuple] = []
-    staged: List[tuple] = []
-    batches: List[tuple] = []
-    raw_acks: List[tuple] = []
-    halted_state = EnclaveState.HALTED
     delivered = net._active.delivered
-    for i, (sender, targets, message) in enumerate(plan):
-        for j, receiver in enumerate(targets):
-            if receiver % nshards != shard:
-                continue
-            node = nodes[receiver]
-            enclave = node.enclave
-            if enclave.state is halted_state:
-                omitted.append((i, j))
-                continue
-            abase = len(ackq)
-            obase = len(outbox)
+    digest_by_id = net._ack_digest_by_id
+    digest_by_id.clear()
+    staged: List[tuple] = []
+    raw_acks: List[tuple] = []
+    batches: List[tuple] = []
+    i, js = 0, iter(())
+
+    def members():
+        nonlocal i, js
+        for i, (sender, raw, message, size, digest) in enumerate(plan):
+            digest_by_id[id(message)] = digest
+            owned, positions = _owned_targets(st, sender, raw)
+            js = iter(positions)
+            yield sender, owned, message, size
+
+    def keyed(on_message, receiver):
+        def on_owned_message(context, sender, message) -> None:
+            nonlocal staged
+            j = next(js)
+            obase, abase = len(outbox), len(ackq)
             ebase = len(events) if traced else 0
             delivered.add(receiver)
-            node.program.on_message(node.context, sender, message)
-            if enclave.state is halted_state:
-                halted.append(receiver)
-            if traced and len(ackq) > abase:
-                for k in range(abase, len(ackq)):
-                    raw_acks.append(((i, j, k - abase), ackq[k]))
+            on_message(context, sender, message)
             for idx in range(obase, len(outbox)):
                 staged.append(
                     ((i, j, idx - obase), _pack_intent(outbox[idx], net))
@@ -374,108 +373,45 @@ def _worker_deliver(channel, rnd: int, packed: list) -> tuple:
             if len(staged) >= _FLUSH_INTENTS:
                 _flush_staged(channel, staged)
                 staged = []
-            if traced and len(events) > ebase:
-                batches.append(((i, j), events[ebase:]))
-    link_counts: Dict[tuple, int] = {}
-    credits: Dict[tuple, int] = {}
-    total = 0
-    if not traced:
-        # Pre-aggregate the wave.  The serial ACK wave drops a halted
-        # acker's queued ACKs at wave time; since every ACK a node emits
-        # is handled in its own shard, final liveness is known locally.
-        for acker, dest, digest in ackq:
-            if nodes[acker].enclave.state is halted_state:
-                continue
-            total += 1
-            key = (acker, dest)
-            link_counts[key] = link_counts.get(key, 0) + 1
-            ckey = (dest, digest)
-            credits[ckey] = credits.get(ckey, 0) + 1
+            if traced:
+                for k in range(abase, len(ackq)):
+                    raw_acks.append(((i, j, k - abase), ackq[k]))
+                if len(events) > ebase:
+                    batches.append(((i, j), events[ebase:]))
+
+        return on_owned_message
+
+    def omit(rnd, sender, receiver, size, mtype) -> None:
+        j = next(js)
+        ebase = len(events) if traced else 0
+        net._omit_dead(rnd, sender, receiver, size, mtype)
+        if traced:
+            batches.append(((i, j), events[ebase:]))
+
+    table = net._dispatch_table()
+    dispatch = {}
+    for receiver in st.owned:
+        enclave, on_message, context = table[receiver]
+        dispatch[receiver] = (enclave, keyed(on_message, receiver), context)
+    traffic = net.stats.traffic
+    omitted = traffic.omissions
+    net._dispatch(rnd, members(), dispatch, omit)
+    omitted = traffic.omissions - omitted
+    # Every ACK a node emits is handled in its own shard, so final
+    # liveness is known here: the tally drops a halted acker's ACKs.
+    tally = None if traced else net._tally_acks(ackq)
     ackq.clear()
     outbox.clear()
     if traced:
         events.clear()
     if staged:
         _flush_staged(channel, staged)
-    return halted, omitted, link_counts, credits, total, raw_acks, batches
-
-
-def _worker_end(
-    channel, rnd: int, halted_now: List[int], seconds: float
-) -> tuple:
-    """Op ``"e"``: apply divergence halts, run on_round_end, advance the
-    shard's clock replica, and report decided / all-done state."""
-    net = _STATE.net
-    for node_id in halted_now:
-        net._halt_node(node_id, rnd)
-    active = net._active
-    end_visit = active.end()
-    counts = (len(end_visit), len(active.owned) - len(end_visit))
-    halted, batches = _run_hooks(
-        channel, end_visit, "on_round_end", net._outbox_next
-    )
-    net.clock.advance(seconds)
-    active.after_end(rnd, end_visit, halted_now)
-    return halted, batches, active.decided, active.all_done, counts
-
-
-def _worker_finish(channel) -> tuple:
-    """Op ``"f"``: on_protocol_end, then ship the terminal per-node
-    state back as plain tuples.
-
-    Plain tuples, not program objects: ``EnclaveProgram`` tracks its
-    undecided state with a module-level ``_UNSET`` singleton compared by
-    identity, which pickling would silently break.
-    """
-    st = _STATE
-    net = st.net
-    events = st.events
-    traced = st.traced
-    batches: List[tuple] = []
-    owned = net._active.owned
-    for node_id in owned:
-        node = net.nodes[node_id]
-        if not node.alive:
-            continue
-        ebase = len(events) if traced else 0
-        node.program.on_protocol_end(node.context)
-        if traced and len(events) > ebase:
-            batches.append((node_id, events[ebase:]))
-    final = []
-    for node_id in owned:
-        node = net.nodes[node_id]
-        program = node.program
-        has_output = program.has_output
-        final.append((
-            node_id,
-            node.alive,
-            node.enclave.halted_round,
-            has_output,
-            program.output if has_output else None,
-            program.decided_round,
-            node.enclave.rdrand,
-        ))
-    # Ship this shard's post-fork profiling observations home: the fork
-    # orphans the worker's PROFILER registry, so without this the crypto /
-    # serialization histograms a parallel run populates in the workers
-    # would silently vanish from the coordinator's report.
-    profile = None
-    if PROFILER.enabled and PROFILER.registry is not None:
-        profile = PROFILER.registry.dump()
-        # A persistent crew (engine sessions) may serve further runs from
-        # this same process; a fresh registry keeps the next run's dump
-        # from re-shipping (double-counting) this run's observations.
-        PROFILER.registry = MetricsRegistry()
-    return batches, final, profile
+    halted = [node_id for node_id in delivered if not nodes[node_id].alive]
+    return halted, omitted, tally, raw_acks, batches
 
 
 #: The ops that answer with a ``("d", reply, timing)`` frame.
-_WAVE_OPS = {
-    "b": _worker_begin,
-    "v": _worker_deliver,
-    "e": _worker_end,
-    "f": _worker_finish,
-}
+_WAVE_OPS = {"h": _worker_hooks, "v": _worker_deliver}
 
 
 def _worker_main(shard: int, nshards: int, channel) -> None:
@@ -504,13 +440,10 @@ def _worker_main(shard: int, nshards: int, channel) -> None:
             handler = _WAVE_OPS.get(op)
             if handler is not None:
                 st = _STATE
-                if st.timed:
-                    st.shm_s = 0.0
-                    t0 = perf_counter()
-                    reply = handler(channel, *cmd[1:])
-                    timing = (perf_counter() - t0, st.shm_s)
-                else:
-                    reply, timing = handler(channel, *cmd[1:]), None
+                st.shm_s = 0.0
+                t0 = perf_counter() if st.timed else 0.0
+                reply = handler(channel, *cmd[1:])
+                timing = (perf_counter() - t0, st.shm_s) if st.timed else None
                 channel.send(("d", reply, timing))
             elif op == "n":
                 _worker_recycle(channel, cmd[1])
@@ -616,15 +549,6 @@ class _ShardCrew:
             channel.close()
 
 
-class _ShardTally:
-    """What the mirror knows of the shards' schedulers — the part of an
-    :class:`ActiveSet` the round kernel reads — summed from what the
-    workers report when a round ends."""
-
-    decided = 0
-    all_done = False
-
-
 class _Coordinator:
     """The sharded back-end: hooks run in the crew's workers, messages
     move as one plan frame written into every shard's ring.
@@ -643,7 +567,11 @@ class _Coordinator:
         self.crew = crew
         self.traced = network.tracer.enabled
         self.tm = network._timing
-        self.tally = network._active = _ShardTally()
+        # What the kernel reads of the mirror's scheduler, summed from the
+        # workers' at each round's end.
+        self.tally = network._active = SimpleNamespace(
+            decided=0, all_done=False
+        )
         self.result: Optional[RunResult] = None
         # Setup ran in the main process before the fork, so the round-1
         # emissions are staged here, not in any worker: size them here.
@@ -658,18 +586,18 @@ class _Coordinator:
             self.net._halt_node(node_id, rnd)
 
     def _emit_batches(self, batches: List[tuple]) -> None:
-        """Splice per-node event batches back in serial (key) order."""
+        """Splice keyed event batches back in serial (key) order."""
         emit = self.net.tracer.emit
-        batches.sort(key=lambda kv: kv[0])
+        batches.sort(key=itemgetter(0))
         for _key, events in batches:
             for event in events:
                 emit(event)
 
     def _merge(self, staged: List[tuple]) -> List[_SendIntent]:
-        """Streamed intent chunks back in exact serial emission order
-        (every record is keyed), as the intents the kernel transmits."""
+        """Keyed intent records back in exact serial emission order, as
+        the intents the kernel transmits."""
         neighbours = self.net.neighbour_tuple
-        staged.sort(key=lambda kv: kv[0])
+        staged.sort(key=itemgetter(0))
         return [
             _SendIntent(
                 sender, neighbours(sender) if targets is None else targets,
@@ -682,11 +610,8 @@ class _Coordinator:
     def _wave(self, blob: bytes, sink: List[tuple]) -> List[tuple]:
         """One streamed exchange: broadcast a command frame, then drain
         the shard channels until every shard's ``done`` frame has landed;
-        returns the ``done`` payloads in shard order.
-
-        Streamed ``"s"`` chunks splice into ``sink`` the moment they
-        arrive — the incremental merge that replaces v1's
-        wait-then-merge barrier.
+        returns the ``done`` payloads in shard order.  Streamed ``"s"``
+        chunks splice into ``sink`` the moment they arrive.
 
         A timed run reads the clock twice, around the whole exchange.
         The slowest shard bounds the wave: the coordinator's wait beyond
@@ -744,94 +669,69 @@ class _Coordinator:
     def run_hooks(
         self, hook: str, rnd: int, halted_now=(), seconds: float = 0.0
     ) -> None:
-        if hook == "on_round_begin":
-            self._begin_hooks(rnd)
-        elif hook == "on_round_end":
-            self._end_hooks(rnd, halted_now, seconds)
-        else:
-            self._finish_hooks()
-
-    def _begin_hooks(self, rnd: int) -> None:
-        """What on_round_begin emits joins the carried-over intents in
-        the mirror's outbox, after them — exactly as the serial outbox
-        orders them."""
+        """Every worker runs the kernel's ``run_hooks`` on its shard; the
+        mirror takes in what they left.  Divergence halts and the round's
+        duration ship down so every replica observes the same liveness
+        and clock; what on_round_begin stages joins the carried-over
+        intents in the mirror's outbox, after them — exactly as the
+        serial outbox orders them."""
         net = self.net
         staged: List[tuple] = []
-        responses = self._wave(pickle.dumps(("b", rnd), _PKL), staged)
-        events: List[tuple] = []
-        sched_counters = net.sched_counters
-        for halted, batches, w_counts in responses:
-            self._apply_halts(halted, rnd)
-            events.extend(batches)
-            sched_counters["begin_visited"] += w_counts[0]
-            sched_counters["begin_skipped"] += w_counts[1]
-        if self.traced:
-            self._emit_batches(events)
-        net._outbox_now.extend(self._merge(staged))
-
-    def _end_hooks(self, rnd: int, halted_now: List[int], seconds: float) -> None:
-        """Divergence halts and the round's duration ship down so every
-        replica observes the same liveness and clock."""
-        net = self.net
-        staged: List[tuple] = []
-        events: List[tuple] = []
-        decided = 0
-        all_done = True
+        batches: List[tuple] = []
+        finals: List[tuple] = []
+        counters = net.sched_counters
+        decided, all_done = 0, True
         responses = self._wave(
-            pickle.dumps(("e", rnd, halted_now, seconds), _PKL), staged
+            pickle.dumps(("h", hook, rnd, list(halted_now), seconds), _PKL),
+            [],
         )
-        sched_counters = net.sched_counters
-        for halted, batches, w_decided, w_done, w_counts in responses:
+        for (halted, intents, counts, w_batches, w_decided, w_done,
+             final) in responses:
             self._apply_halts(halted, rnd)
-            events.extend(batches)
+            staged.extend(intents)
+            batches.extend(w_batches)
+            for key, value in counts.items():
+                counters[key] += value
             decided += w_decided
             all_done = all_done and w_done
-            sched_counters["end_visited"] += w_counts[0]
-            sched_counters["end_skipped"] += w_counts[1]
-        if self.traced:
-            self._emit_batches(events)
-        net._outbox_next.extend(self._merge(staged))
-        self.tally.decided = decided
-        self.tally.all_done = all_done
-
-    def _finish_hooks(self) -> None:
-        """on_protocol_end in the workers, then their terminal per-node
-        state folded into the mirror and the run's result."""
-        net = self.net
-        batches: List[tuple] = []
-        final: Dict[int, tuple] = {}
-        # No round is open any more, so the wave's buckets land at run
-        # level.
-        responses = self._wave(pickle.dumps(("f",), _PKL), [])
-        for w_batches, w_final, w_profile in responses:
-            batches.extend(w_batches)
-            for record in w_final:
-                final[record[0]] = record
-            if w_profile is not None and PROFILER.enabled \
-                    and PROFILER.registry is not None:
-                PROFILER.registry.merge_dump(w_profile)
+            if final is not None:
+                finals.append(final)
         if self.traced:
             self._emit_batches(batches)
+        if hook == "on_round_begin":
+            net._outbox_now.extend(self._merge(staged))
+        elif hook == "on_round_end":
+            net._outbox_next.extend(self._merge(staged))
+            self.tally.decided = decided
+            self.tally.all_done = all_done
+        else:
+            self._finish(finals)
+
+    def _finish(self, finals: List[tuple]) -> None:
+        """The workers' terminal per-node state folded into the mirror
+        and the run's result."""
+        net = self.net
         outputs: Dict[int, object] = {}
         decided: Dict[int, Optional[int]] = {}
-        halted: List[int] = []
-        for node_id in sorted(final):
-            (_nid, alive, halted_round, has_output, output, decided_round,
-             rdrand) = final[node_id]
-            enclave = net.nodes[node_id].enclave
+        records = []
+        for final, profile in finals:
+            records.extend(final)
+            if profile is not None and PROFILER.enabled \
+                    and PROFILER.registry is not None:
+                PROFILER.registry.merge_dump(profile)
+        for node_id, output, rdrand in sorted(records):
             # Re-sync the mirror's per-node RNG stream so a follow-up
             # instance on this network (replace_programs) continues the
             # exact stream a serial run would.
-            enclave.rdrand = rdrand
-            if not alive:
-                net._halt_node(node_id, halted_round)  # on_protocol_end halts
-                halted.append(node_id)
-            if has_output:
-                outputs[node_id] = output
-                decided[node_id] = decided_round
+            net.nodes[node_id].enclave.rdrand = rdrand
+            if output is not None:
+                outputs[node_id], decided[node_id] = output
         self.result = RunResult(
             outputs=outputs,
-            halted=halted,
+            halted=[
+                node_id for node_id, node in sorted(net.nodes.items())
+                if not node.alive
+            ],
             stats=net.stats,
             decided_rounds=decided,
         )
@@ -854,9 +754,7 @@ class _Coordinator:
             logical_count += len(targets)
             # A mesh multicast ships a sentinel instead of n-1 node ids.
             raw = None if targets is cached.get(sender) else targets
-            plan.append(
-                (sender, raw, targets, message, intent.size, intent.digest)
-            )
+            plan.append((sender, raw, message, intent.size, intent.digest))
             per_sender.setdefault(sender, []).append(
                 (targets, message, intent.size)
             )
@@ -873,79 +771,38 @@ class _Coordinator:
         """The plan is pickled once and the same frame written into every
         shard's ring; the workers dispatch, the coordinator accounts."""
         net = self.net
-        traffic = net.stats.traffic
-        tracer = net.tracer
-        traced = self.traced
-        plan = self.plan
-        blob = pickle.dumps(
-            ("v", rnd, [(s, raw, m, d) for s, raw, _res, m, _sz, d in plan]),
-            _PKL,
-        )
         staged: List[tuple] = []
-        omitted: List[tuple] = []
         raw_acks: List[tuple] = []
-        link_counts: Dict[tuple, int] = {}
-        credits: Dict[tuple, int] = {}
-        ack_total = 0
-        deliver_events: Dict[tuple, list] = {}
-        responses = self._wave(blob, staged)
-        for (halted, w_omitted, w_links, w_credits, w_total, w_raw,
-             batches) in responses:
+        batches: List[tuple] = []
+        link_counts, credits, total = Counter(), Counter(), 0
+        responses = self._wave(pickle.dumps(("v", rnd, self.plan), _PKL), staged)
+        for halted, omitted, tally, w_acks, w_batches in responses:
             self._apply_halts(halted, rnd)
-            omitted.extend(w_omitted)
-            if traced:
-                raw_acks.extend(w_raw)
-                for key, events in batches:
-                    deliver_events[key] = events
-            else:
-                for key, value in w_links.items():
-                    link_counts[key] = link_counts.get(key, 0) + value
-                for key, value in w_credits.items():
-                    credits[key] = credits.get(key, 0) + value
-                ack_total += w_total
-        if omitted:
-            traffic.record_omissions(len(omitted))
-        if traced:
-            # Replay dispatch order: per (plan index, target index),
-            # either the receiver's hook events or its omit_dead event.
-            omitted_keys = set(omitted)
-            emit = tracer.emit
-            for i, (sender, _raw, resolved, message, size, _d) in \
-                    enumerate(plan):
-                mtype = message.type.value
-                for j, receiver in enumerate(resolved):
-                    events = deliver_events.get((i, j))
-                    if events:
-                        for event in events:
-                            emit(event)
-                    elif (i, j) in omitted_keys:
-                        emit(WireEvent(
-                            rnd=rnd,
-                            sender=sender,
-                            receiver=receiver,
-                            size=size,
-                            action="omit_dead",
-                            mtype=mtype,
-                        ))
-            raw_acks.sort(key=lambda kv: kv[0])
+            net.stats.traffic.record_omissions(omitted)
+            raw_acks.extend(w_acks)
+            batches.extend(w_batches)
+            if tally is not None:
+                link_counts.update(tally[0])
+                credits.update(tally[1])
+                total += tally[2]
+        if self.traced:
+            self._emit_batches(batches)
         net._outbox_next.extend(self._merge(staged))
-        # Traced: the raw, keyed wave.  Untraced: the workers
-        # pre-aggregated it.
-        self.acks = (
-            [ack for _key, ack in raw_acks], link_counts, credits, ack_total
-        )
+        # Traced: the raw, keyed wave.  Untraced: the workers tallied it.
+        raw_acks.sort(key=itemgetter(0))
+        self.acks = ([ack for _key, ack in raw_acks], link_counts, credits, total)
         return len(raw_acks)
 
     def ack_wave(self, rnd: int) -> None:
         net = self.net
-        queue, link_counts, credits, ack_total = self.acks
+        queue, link_counts, credits, total = self.acks
         if queue:
             net._ack_wave_envelope(queue, rnd)
-        elif ack_total or credits:
+        elif total or credits:
             # The mirror carries no link state to seal through.
             net._settle_ack_wave(
-                rnd, net._ack_wire_size(rnd), link_counts, credits,
-                ack_total, seal=False,
+                rnd, net._ack_wire_size(rnd), link_counts, credits, total,
+                seal=False,
             )
 
 
@@ -971,26 +828,19 @@ def run_parallel(
     # session's begin_session_run — anything else reforks from scratch.
     crew = network._session_crew
     reset, network._session_worker_reset = network._session_worker_reset, None
-    if crew is not None and (
-        reset is None
-        or crew.nshards != nshards
-        or not all(proc.is_alive() for proc in crew.procs)
-    ):
-        crew.shutdown()
-        crew = None
-        network._session_crew = None
-    if crew is not None:
+    blob = None
+    if crew is not None and reset is not None and crew.nshards == nshards \
+            and all(proc.is_alive() for proc in crew.procs):
         try:
             blob = pickle.dumps(("n", reset), _PKL)
         except Exception:
-            # Unpicklable program factory: the recycle frame cannot ship;
-            # fall back to a fresh fork (which needs no pickling at all).
-            crew.shutdown()
-            crew = None
-            network._session_crew = None
-        else:
-            crew.broadcast_frame(blob)
-            crew.await_ready()
+            pass  # an unpicklable program factory: refork (no pickling)
+    if crew is not None and blob is None:
+        crew.shutdown()
+        crew = network._session_crew = None
+    if crew is not None:
+        crew.broadcast_frame(blob)
+        crew.await_ready()
     if crew is None:
         try:
             crew = _ShardCrew(network, nshards)

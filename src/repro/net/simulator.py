@@ -22,6 +22,7 @@ coordinator (:mod:`repro.net.parallel`) and the TCP daemon
 from __future__ import annotations
 
 import logging
+import weakref
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import (
@@ -337,9 +338,7 @@ class RoundHost:
             self._outbox_now, self._outbox_next = self._outbox_next, []
             if traced:
                 tracer.phase(rnd, "begin", count=len(self._outbox_now))
-            self._in_round_begin = True
             backend.run_hooks("on_round_begin", rnd)
-            self._in_round_begin = False
             if tm is not None:
                 tm.lap("begin")
 
@@ -412,10 +411,12 @@ class RoundHost:
         rnd: Round,
         halted_now: Sequence[NodeId] = (),
         seconds: float = 0.0,
-    ) -> None:
+    ) -> List[NodeId]:
         """:meth:`RoundBackend.run_hooks` for programs hosted in this
         process: visit the nodes the scheduler says are due, in node-id
-        order."""
+        order; returns the visit list.  The only caller of a program's
+        round and protocol-end hooks — a shard worker runs it on its
+        replica too."""
         nodes = self.nodes
         active = self._active
         counters = self.sched_counters
@@ -429,18 +430,50 @@ class RoundHost:
             counters["end_skipped"] += len(active.owned) - len(visit)
         else:
             visit = active.owned
+        # Wait semantics: what on_round_begin stages transmits this round.
+        self._in_round_begin = hook == "on_round_begin"
         for node_id in visit:
             node = nodes[node_id]
-            if not node.alive:
-                continue
-            if hook == "on_round_begin":
-                node.program.on_round_begin(node.context)
-            elif hook == "on_round_end":
-                node.program.on_round_end(node.context)
-            else:
-                node.program.on_protocol_end(node.context)
+            if node.alive:
+                getattr(node.program, hook)(node.context)
+        self._in_round_begin = False
         if hook == "on_round_end":
             active.after_end(rnd, visit, halted_now)
+        return visit
+
+    def _dispatch(
+        self, rnd: Round, plan: Iterable[tuple], dispatch,
+        omit: Optional[Callable[..., None]] = None,
+    ) -> None:
+        """Hand a plan's members to their receivers in plan order: each
+        ``(sender, targets, message, size)`` entry's message goes to each
+        target's ``on_message`` through ``dispatch[target]``, an
+        ``(enclave, on_message, context)``, or to ``omit``
+        (:meth:`_omit_dead` unless given) once that enclave has halted.
+        Every back-end dispatches here; what one must see per member comes
+        through its dispatch table, never through this loop."""
+        omit = omit or self._omit_dead
+        halted = EnclaveState.HALTED
+        for sender, targets, message, size in plan:
+            for receiver in targets:
+                enclave, on_message, context = dispatch[receiver]
+                if enclave.state is halted:
+                    omit(rnd, sender, receiver, size, message.type)
+                else:
+                    on_message(context, sender, message)
+
+    def _omit_dead(
+        self, rnd: Round, sender: NodeId, receiver: NodeId, size: int,
+        mtype: Optional[MessageType],
+    ) -> None:
+        """A message addressed to a halted (or unknown) receiver is an
+        omission — and, traced, an ``omit_dead`` event."""
+        self.stats.traffic.record_omission()
+        if self.tracer.enabled:
+            self.tracer.emit(WireEvent(
+                rnd=rnd, sender=sender, receiver=receiver, size=size,
+                action="omit_dead", mtype=getattr(mtype, "value", None),
+            ))
 
     def _everyone_done(self) -> bool:
         """Whether the run can stop early: every hosted node has decided
@@ -524,18 +557,11 @@ class RoundHost:
             omissions = traffic.omissions - before[0]
             rejections = traffic.rejections - before[1]
             if tracer.enabled:
-                tracer.emit(
-                    RoundSpan(
-                        rnd=rnd,
-                        bytes=round_bytes,
-                        seconds=seconds,
-                        omissions=omissions,
-                        rejections=rejections,
-                        live=live,
-                        decided=decided,
-                        halted=halted_now,
-                    )
-                )
+                tracer.emit(RoundSpan(
+                    rnd=rnd, bytes=round_bytes, seconds=seconds,
+                    omissions=omissions, rejections=rejections, live=live,
+                    decided=decided, halted=halted_now,
+                ))
             _LOG.debug(
                 "round %d: bytes=%d seconds=%.3f omissions=%d rejections=%d "
                 "live=%d decided=%d halted=%s",
@@ -570,7 +596,9 @@ class EnclaveContext:
     """
 
     def __init__(self, network: RoundHost, node_id: NodeId) -> None:
-        self._network = network
+        # A weak proxy: the host owns its nodes' contexts, and a strong
+        # back-reference would make every finished run cyclic garbage.
+        self._network = weakref.proxy(network)
         self.node_id = node_id
 
     # ---- environment ---------------------------------------------------
@@ -991,28 +1019,17 @@ class SynchronousNetwork(RoundHost):
         """Recycle the network for a fresh, *independent* protocol run.
 
         Where :meth:`replace_programs` models instance succession inside
-        one execution (same attested code, halts persist, monotone state
-        carries over), a session recycle starts a **new execution** on the
-        long-lived network: every enclave is relaunched — fresh program
-        (any measurement), fresh RDRAND fork off a re-seeded master RNG,
-        trusted-clock reference reset — and every cache that could leak
-        one run's state into the next is invalidated: the ACK digest LRU,
-        neighbour tuples, the envelope dispatch table, staged outboxes, ACK
-        queues, future wires and multicast handles.  Traffic stats are
-        rescoped to the new run.
-
-        What deliberately survives is the *network*: topology, secure
-        channels (a FULL session keeps its established keys) and the
-        ModeledTransport's monotone freshness counters keep advancing —
-        a replay captured in run ``i`` is still dead in run ``i+1``.
-        That is the long-lived-service shape: relaunched enclaves joining
-        a new protocol instance over existing channels, not halted ones
-        rejoining an ongoing run (still forbidden, P6).
-
-        Because :class:`DeterministicRNG` forks are label-derived, the
-        recycled network's RNG streams are bit-identical to a freshly
-        built network with the same ``seed`` — session reuse can never
-        change protocol outputs.
+        one execution, a session recycle starts a **new execution**: every
+        enclave is relaunched (fresh program of any measurement, RDRAND
+        fork off a re-seeded master RNG, trusted-clock reference reset),
+        every cache that could leak one run's state into the next is
+        dropped, and traffic stats are rescoped to the new run.  What
+        survives is the *network*: topology, secure channels (a FULL
+        session keeps its keys) and monotone freshness counters — a
+        replay captured in run ``i`` is still dead in run ``i+1``.
+        Because RNG forks are label-derived, the recycled network's
+        streams are bit-identical to a freshly built network's with the
+        same ``seed``: session reuse never changes protocol outputs.
         """
         if seed is not None and seed != self.config.seed:
             # A copy, never a write-through: the caller's config object may
@@ -1195,13 +1212,8 @@ class SynchronousNetwork(RoundHost):
             mtype = message.type.value
             for receiver in targets:
                 tracer.emit(WireEvent(
-                    rnd=rnd,
-                    sender=sender,
-                    receiver=receiver,
-                    size=size,
-                    action="send",
-                    mtype=mtype,
-                    charged=True,
+                    rnd=rnd, sender=sender, receiver=receiver, size=size,
+                    action="send", mtype=mtype, charged=True,
                 ))
 
     @staticmethod
@@ -1253,6 +1265,23 @@ class SynchronousNetwork(RoundHost):
             for receiver in receivers:
                 tracer.envelope(rnd, sender, receiver, count, size, wave=wave)
 
+    def _tally_acks(
+        self, queue: List[Tuple[NodeId, NodeId, bytes]]
+    ) -> Tuple[Counter, Counter, int]:
+        """An ACK queue as ``(link_counts, credits, total)``: ACKs per
+        ``(acker, dest)`` link and per ``(dest, digest)`` multicast, and
+        how many there are.  A halted acker's queued ACKs never leave."""
+        halted = {
+            node_id for node_id, node in self.nodes.items() if not node.alive
+        }
+        if halted:
+            queue = [ack for ack in queue if ack[0] not in halted]
+        return (
+            Counter((acker, dest) for acker, dest, _ in queue),
+            Counter((dest, digest) for _, dest, digest in queue),
+            len(queue),
+        )
+
     def _ack_wave_envelope(
         self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
     ) -> None:
@@ -1266,42 +1295,26 @@ class SynchronousNetwork(RoundHost):
         """
         nodes = self.nodes
         tracer = self.tracer
-        traced = tracer.enabled
         ack_size = self._ack_wire_size(rnd)
-        link_counts: Counter = Counter()
-        credits: Counter = Counter()
-        total = 0
-        for acker, dest, digest in queue:
-            if not nodes[acker].alive:
-                continue
-            total += 1
-            link_counts[(acker, dest)] += 1
-            credits[(dest, digest)] += 1
-            if traced:
-                tracer.emit(WireEvent(
-                    rnd=rnd,
-                    sender=acker,
-                    receiver=dest,
-                    size=ack_size,
-                    action="send",
-                    mtype=MessageType.ACK.value,
-                    charged=True,
-                ))
+        if tracer.enabled:
+            for acker, dest, _digest in queue:
+                if nodes[acker].alive:
+                    tracer.emit(WireEvent(
+                        rnd=rnd, sender=acker, receiver=dest, size=ack_size,
+                        action="send", mtype=MessageType.ACK.value,
+                        charged=True,
+                    ))
         self._settle_ack_wave(
-            rnd, ack_size, link_counts, credits, total, seal=True
+            rnd, ack_size, *self._tally_acks(queue), seal=True
         )
-        if traced:
+        if tracer.enabled:
             # The per-wire path records an omit_dead event per ACK to a
             # halted destination, in queue order, after the sends.
             for acker, dest, _digest in queue:
                 if nodes[acker].alive and not nodes[dest].alive:
                     tracer.emit(WireEvent(
-                        rnd=rnd,
-                        sender=acker,
-                        receiver=dest,
-                        size=ack_size,
-                        action="omit_dead",
-                        mtype=MessageType.ACK.value,
+                        rnd=rnd, sender=acker, receiver=dest, size=ack_size,
+                        action="omit_dead", mtype=MessageType.ACK.value,
                     ))
 
     def _ack_wire_size(self, rnd: Round) -> int:
@@ -1433,9 +1446,9 @@ class SynchronousNetwork(RoundHost):
         tracer = self.tracer
         receiver_node = self.nodes.get(wire.receiver)
         if receiver_node is None or not receiver_node.alive:
-            traffic.record_omission()
-            if tracer.enabled:
-                tracer.wire(rnd, wire, "omit_dead")
+            self._omit_dead(
+                rnd, wire.sender, wire.receiver, wire.size, wire.mtype
+            )
             return
         behavior = receiver_node.behavior
         if behavior is not None and not behavior.filter_receive(wire, rnd):
@@ -1488,15 +1501,36 @@ class _EnvelopeRounds:
         self.net = net
         self.run_hooks = net.run_hooks
         self._wired = net._wired
-        self._plan: List[tuple] = []
+        # The plan in delivery order: runs of clean members, each followed
+        # by the per-wire copies that come next.
+        self._segments: List[Tuple[List[tuple], List[WireMessage]]] = []
         self._envelopes: List[Envelope] = []
         self._extras: List[WireMessage] = []
         self._queue: List[Tuple[NodeId, NodeId, bytes]] = []
+        self._dispatch = net._dispatch_table()
+        if net.transport.security is ChannelSecurity.FULL:
+            # A FULL receiver gets the decoded copy its link's envelope
+            # opened, in member order.
+            self._opened: Dict[Tuple[NodeId, NodeId], deque] = {}
+            self._dispatch = [
+                (enclave, self._opened_copy(receiver, on_message), context)
+                for receiver, (enclave, on_message, context)
+                in enumerate(self._dispatch)
+            ]
+
+    def _opened_copy(self, receiver: NodeId, on_message) -> Callable:
+        opened = self._opened
+
+        def on_opened(context, sender, _message) -> None:
+            on_message(context, sender, opened[(sender, receiver)].popleft())
+
+        return on_opened
 
     def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
-        """Build the delivery plan — one ``(sender, targets, message,
-        size, mask)`` entry per multicast, in emission order — writing
-        the members on per-wire links, then seal the clean links."""
+        """Build the delivery plan — ``(sender, targets, message, size)``
+        entries of clean members and the copies of per-wire ones, in
+        emission order — writing the members on per-wire links, then seal
+        the clean links."""
         net = self.net
         wired_of = self._wired
         traffic = net.stats.traffic
@@ -1505,7 +1539,13 @@ class _EnvelopeRounds:
         start = traffic.bytes_sent
         digest_by_id = net._ack_digest_by_id
         digest_by_id.clear()
-        plan: List[tuple] = []
+        segments: List[Tuple[List[tuple], List[WireMessage]]] = [([], [])]
+
+        def clean_member(entry: tuple) -> None:
+            if segments[-1][1]:     # after a per-wire copy: a new segment
+                segments.append(([], []))
+            segments[-1][0].append(entry)
+
         per_sender: Dict[NodeId, List[tuple]] = {}
         wires: List[WireMessage] = []  # every copy on a per-wire link
         in_flight = 0
@@ -1515,9 +1555,11 @@ class _EnvelopeRounds:
             )
             digest_by_id[id(message)] = intent.digest
             size = modeled_wire_size(message)
-            mask, clean = None, targets
+            clean = targets
             wired = None if wired_of is None else wired_of[sender]
-            if wired is not None and not wired.isdisjoint(targets):
+            if wired is None or wired.isdisjoint(targets):
+                clean_member((sender, targets, message, size))
+            else:
                 behavior = net.nodes[sender].behavior
                 sent = write(
                     sender, [r for r in targets if r in wired], message, size
@@ -1529,10 +1571,11 @@ class _EnvelopeRounds:
                     )
                     net.tracer.wire_fanout(rnd, sent, "send", charged=True)
                 sent = iter(sent)
-                mask, clean = [], []
+                clean = []
                 for receiver in targets:
                     if receiver not in wired:
-                        mask.append(None)
+                        # Untraced, not FULL: see _per_wire_links.
+                        clean_member((sender, (receiver,), message, size))
                         clean.append(receiver)
                         continue
                     wire = next(sent)
@@ -1543,10 +1586,9 @@ class _EnvelopeRounds:
                         net._apply_send_filter(
                             behavior, sender, wire, rnd, copies
                         )
-                    mask.append(copies)
+                    segments[-1][1].extend(copies)
                     wires.extend(copies)
                 clean = tuple(clean)
-            plan.append((sender, targets, message, size, mask))
             if clean:
                 in_flight += len(clean)
                 # FULL seals the body (encoded once per fan-out) and
@@ -1557,7 +1599,7 @@ class _EnvelopeRounds:
                 ))
                 if not full:
                     net._charge_multicast(rnd, sender, clean, message, size)
-        self._plan = plan
+        self._segments = segments
         self._extras = []
         self._envelopes = self._seal(
             rnd, per_sender, full, charge=wired_of is None
@@ -1639,61 +1681,26 @@ class _EnvelopeRounds:
 
     def deliver(self, rnd: Round) -> int:
         """Open the live receivers' envelopes, then dispatch in plan
-        order: a clean member straight to the program, a masked one as
-        the copies its mask lets through, then the extra copies."""
+        order: clean members through the kernel, each per-wire copy
+        through the receiver's checks, then the extra copies."""
         net = self.net
         nodes = net.nodes
-        traffic = net.stats.traffic
-        tracer = net.tracer
-        traced = tracer.enabled
         receive = net._receive
         full = net.transport.security is ChannelSecurity.FULL
-        opened: Dict[Tuple[NodeId, NodeId], deque] = {}
         inbound: Set[NodeId] = set()
+        if full:
+            self._opened.clear()
         for env in self._envelopes:
             receiver = env.receiver
             if nodes[receiver].alive:  # else omitted member by member
                 members = net.transport.open_envelope(receiver, env)
                 inbound.add(receiver)
                 if full:
-                    opened[(env.sender, receiver)] = deque(members)
-        dispatch = net._dispatch_table()
-        halted = EnclaveState.HALTED
-        for sender, targets, message, size, mask in self._plan:
-            if mask is not None:
-                for receiver, copies in zip(targets, mask):
-                    if copies is not None:
-                        for wire in copies:
-                            receive(wire, rnd)
-                        continue
-                    # Untraced, not FULL: see _per_wire_links.
-                    enclave, on_message, context = dispatch[receiver]
-                    if enclave.state is halted:
-                        traffic.record_omission()
-                    else:
-                        on_message(context, sender, message)
-                continue
-            mtype = message.type.value if traced else None
-            for receiver in targets:
-                enclave, on_message, context = dispatch[receiver]
-                if enclave.state is halted:
-                    traffic.record_omission()
-                    if traced:
-                        tracer.emit(WireEvent(
-                            rnd=rnd,
-                            sender=sender,
-                            receiver=receiver,
-                            size=size,
-                            action="omit_dead",
-                            mtype=mtype,
-                        ))
-                    continue
-                if full:
-                    on_message(
-                        context, sender, opened[(sender, receiver)].popleft()
-                    )
-                else:
-                    on_message(context, sender, message)
+                    self._opened[(env.sender, receiver)] = deque(members)
+        for entries, copies in self._segments:
+            net._dispatch(rnd, entries, self._dispatch)
+            for wire in copies:
+                receive(wire, rnd)
         for wire in self._extras:
             receive(wire, rnd)
         # Every receiver that had an envelope opened got at least one
@@ -1720,19 +1727,12 @@ class _EnvelopeRounds:
         wired_of = self._wired
         start = traffic.bytes_sent
         ack_size = net._ack_wire_size(rnd)
-        link_counts: Counter = Counter()
-        credits: Counter = Counter()
-        total = 0
+        link_counts, credits, total = net._tally_acks(
+            [ack for ack in queue if ack[1] not in wired_of[ack[0]]]
+        )
         wires: List[WireMessage] = []
-        # Nothing halts while the ACKs leave: read liveness once.
-        halted = {node_id for node_id, node in nodes.items() if not node.alive}
         for acker, dest, digest in queue:
-            if acker in halted:
-                continue
-            if dest not in wired_of[acker]:
-                total += 1
-                link_counts[(acker, dest)] += 1
-                credits[(dest, digest)] += 1
+            if dest not in wired_of[acker] or not nodes[acker].alive:
                 continue
             (wire,) = net.transport.write(
                 acker, (dest,), _ack_message(digest, rnd), ack_size

@@ -71,7 +71,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.beacon import BeaconRecord, RandomBeacon, epoch_seed
-from repro.channel.peer_channel import Envelope
+from repro.channel.peer_channel import Envelope, modeled_wire_size
 from repro.common.config import ChannelSecurity, SimulationConfig
 from repro.common.errors import (
     ConfigurationError,
@@ -1198,7 +1198,8 @@ class WireNode(RoundHost):
         cfg = self.cfg
         run = self.current_run
         traffic = self.stats.traffic
-        program = self.enclave.program
+        enclave, me, traced = self.enclave, (cfg.node_id,), self.tracer.enabled
+        dispatch = {me[0]: (enclave, enclave.program.on_message, self.context)}
         for peer in self._peers.values():
             box = peer.inbox(run, rnd)
             if not peer.alive and not box.eod_seen:
@@ -1207,7 +1208,7 @@ class WireNode(RoundHost):
                 traffic.record_omissions(sum(c for _, c, _ in box.data))
                 continue
             for counter, count, body in box.data:
-                if self.enclave.halted:
+                if enclave.halted:
                     continue    # a halted enclave opens nothing
                 try:
                     members = self._open_members(
@@ -1223,8 +1224,9 @@ class WireNode(RoundHost):
                     )
                     continue
                 self._active.delivered.add(cfg.node_id)
-                for member in members:
-                    program.on_message(self.context, peer.node_id, member)
+                self._dispatch(rnd, [
+                    (peer.node_id, me, m, modeled_wire_size(m) if traced else 0)
+                    for m in members], dispatch)
         acks, self._ack_out = self._ack_out, {}
         for dest in sorted(acks):
             peer = self._peers.get(dest)
@@ -1344,6 +1346,7 @@ class WireNode(RoundHost):
         if not crashed:
             self._mark_wave(K_BYE, self.current_round, "shutdown")
         await self._drain_all()
+        tasks = []
         for peer in self._peers.values():
             if peer.writer is not None:
                 try:
@@ -1352,10 +1355,7 @@ class WireNode(RoundHost):
                     pass
             if peer.reader_task is not None:
                 peer.reader_task.cancel()
-        tasks = [
-            p.reader_task for p in self._peers.values()
-            if p.reader_task is not None
-        ]
+                tasks.append(peer.reader_task)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         if self._server is not None:

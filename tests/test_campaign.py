@@ -28,6 +28,7 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.common.errors import ConfigurationError
+from repro.net.simulator import SynchronousNetwork
 from repro.obs import CampaignEvent, Tracer
 
 
@@ -127,6 +128,30 @@ class TestInvariantsOnHealthyGrid:
             schedule=Schedule(faults=(Fault(node=4, kind="tamper"),)),
         )
         assert cross_check_engines(adversarial) == []
+
+    def test_cross_check_reuses_the_case_run(self, monkeypatch):
+        """A cross-checked case builds two networks — its own serial run
+        and the workers=2 one — and an injected violation is not
+        reported as an engine divergence."""
+        built = []
+        init = SynchronousNetwork.__init__
+
+        def counting(self, config, *args, **kwargs):
+            built.append(config.workers)
+            init(self, config, *args, **kwargs)
+
+        monkeypatch.setattr(SynchronousNetwork, "__init__", counting)
+        spec = CaseSpec(
+            protocol="erb", n=5, t=2, seed=11,
+            inject={"kind": "corrupt_output", "node": 0},
+        )
+        report = run_campaign([spec], shrink_failures=False, cross_check=True)
+        assert built == [1, 2]
+        (record,) = report.records
+        assert record.violations
+        assert "engine_cross_check" not in {
+            v.invariant for v in record.violations
+        }
 
     def test_unbiasedness_catches_constant_outputs(self):
         samples = [(seed, 0xDEAD) for seed in range(4)]

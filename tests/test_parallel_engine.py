@@ -14,6 +14,8 @@ over seeds and shard counts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from repro.core.erb import ErbProgram
 from repro.core.erng_optimized import run_optimized_erng
 from repro.net.simulator import SynchronousNetwork
 from repro.net.stats import TrafficStats
+from repro.obs.events import WireEvent
 from repro.obs.tracer import Tracer
 
 
@@ -176,6 +179,19 @@ def test_voluntary_halts_parallel_equals_serial():
     parallel = _halting_network(_workers_config(config, 3)).run(config.t + 2)
     assert _snapshot(parallel) == _snapshot(serial)
     assert parallel.halted == [1, 5]
+    # Traced: the members addressed to the halted nodes are omit_dead
+    # events, spliced into the merged stream where the serial path
+    # emits them.
+    t_ser, t_par = Tracer.memory(), Tracer.memory()
+    _halting_network(replace(config, tracer=t_ser)).run(config.t + 2)
+    _halting_network(
+        _workers_config(replace(config, tracer=t_par), 3)
+    ).run(config.t + 2)
+    assert t_par.events == t_ser.events
+    assert sum(
+        1 for e in t_ser.events
+        if isinstance(e, WireEvent) and e.action == "omit_dead"
+    ) == 14
 
 
 # ---------------------------------------------------------------------------

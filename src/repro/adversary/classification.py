@@ -3,8 +3,8 @@
 The paper defines four progressively stronger modes of the peer channel —
 honest ⊂ general-omission ⊂ ROD ⊂ byzantine — by *what the OS did to the
 data the enclave wrote*.  When a simulation runs with
-``config.extra["trace_actions"] = True`` (or any tracer with a memory
-sink, see :mod:`repro.obs.tracer`) the engine records every OS action on
+``config.tracer = Tracer.memory()`` (or any tracer with a memory sink,
+see :mod:`repro.obs.tracer`) the engine records every OS action on
 every wire message; :func:`classify_node` then maps each node's action
 multiset to the *minimal* mode of Definition A.5 that explains it:
 

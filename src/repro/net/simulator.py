@@ -813,19 +813,12 @@ class SynchronousNetwork(RoundHost):
         bound methods — both of which a session recycle may change.
         """
         config = self.config
-        # The observability hub.  config.tracer wins; the legacy
-        # extra["trace_actions"] flag gets a memory tracer so the
-        # Definition A.5 `action_trace` view below keeps working; the
-        # default is the permanently disabled NULL_TRACER (zero overhead:
-        # the engine checks one boolean before building any event).
-        tracer = config.tracer
-        if tracer is None:
-            tracer = (
-                Tracer.memory()
-                if config.extra.get("trace_actions")
-                else NULL_TRACER
-            )
-        self.tracer: Tracer = tracer
+        # The observability hub: config.tracer, or the permanently
+        # disabled NULL_TRACER (zero overhead: the engine checks one
+        # boolean before building any event).
+        self.tracer: Tracer = (
+            config.tracer if config.tracer is not None else NULL_TRACER
+        )
         # Phase-attributed wall-clock collector (repro.obs.timing), read
         # by the round kernel only; None (the default) reads no clock.
         self._timing = config.timing
@@ -875,8 +868,8 @@ class SynchronousNetwork(RoundHost):
     def action_trace(self) -> Optional[ActionTrace]:
         """Definition A.5 instrumentation as a view over the tracer.
 
-        Available when the tracer retains events in memory (the
-        ``extra["trace_actions"]`` flag, or any tracer with a
+        Available when the tracer retains events in memory
+        (``Tracer.memory()``, or any tracer with a
         :class:`repro.obs.tracer.MemorySink`); None otherwise.
         """
         if not self.tracer.enabled or self.tracer.events is None:
@@ -1027,9 +1020,11 @@ class SynchronousNetwork(RoundHost):
         survives is the *network*: topology, secure channels (a FULL
         session keeps its keys) and monotone freshness counters — a
         replay captured in run ``i`` is still dead in run ``i+1``.
-        Because RNG forks are label-derived, the recycled network's
-        streams are bit-identical to a freshly built network's with the
-        same ``seed``: session reuse never changes protocol outputs.
+        Because RNG forks are label-derived, under MODELED and NONE the
+        recycled network's streams are bit-identical to a freshly built
+        network's with the same ``seed``: session reuse never changes
+        protocol outputs.  Under FULL it is reproducible, not fresh
+        (``repro.net.session``).
         """
         if seed is not None and seed != self.config.seed:
             # A copy, never a write-through: the caller's config object may
@@ -1089,14 +1084,8 @@ class SynchronousNetwork(RoundHost):
 
     def _parallel_requested(self) -> bool:
         """Whether the caller asked for the sharded engine at all: more
-        than one worker over more than one node, and not opted out (an
-        intentional choice, so it needs no fallback warning)."""
-        config = self.config
-        return (
-            config.workers > 1
-            and config.n > 1
-            and not config.extra.get("disable_parallel_engine", False)
-        )
+        than one worker over more than one node."""
+        return self.config.workers > 1 and self.config.n > 1
 
     def _parallel_eligible(self) -> bool:
         """Whether this run executes on the sharded multi-process engine:

@@ -41,22 +41,28 @@ Design constraints, in order:
      doneness, so every node evaluates ``everyone_done`` on the same
      information the simulator's after-round check sees.
 
-   A peer still silent a timeout and a half into a wave is **ejected**:
-   its traffic for the round is discarded and counted as omissions — the
-   campaign harness's omission semantics, reused.  Ejection never
-   raises; the survivors keep lockstep among themselves.
+   A wave waits on one future, resolved once every live peer has sent
+   its marker or died; a peer still silent a timeout and a half into the
+   wave is **ejected**: its traffic for the round is discarded and
+   counted as omissions — the campaign harness's omission semantics,
+   reused.  Ejection never raises; the survivors keep lockstep.
 
 Frame layout (see docs/NETWORKING.md for the wire diagram)::
 
     u32 length (little-endian) | payload = encode((kind, run, rnd, ...))
 
-The payload reuses :mod:`repro.common.serialization` — the same tagged,
-deterministic, attacker-bytes-never-execute encoding the simulator's
-channels use.  A frame is encoded once however many peers it goes to:
-wave markers once per wave, each message once per round, and a DATA
-frame is spliced per link around its shared body
-(:func:`~repro.common.serialization.compose_tuple`).  One method,
-:meth:`WireNode._write_frame`, length-prefixes and writes every frame.
+The payload reuses :mod:`repro.common.serialization`, the simulator's
+tagged, attacker-bytes-never-execute encoding.  A frame is encoded once
+however many peers it goes to, and a DATA frame is spliced per link
+around its shared body.  :meth:`WireNode._write_frame` length-prefixes
+every frame and queues it for its peer; the pump flushes each peer's
+queue in **one** ``transport.write`` per wave (DATA*+EOD, ACK+EOA, FIN
+or BYE).  On the receiving side one :class:`_Link` per connection reads
+into a reusable buffer and cuts the frames out of it.  Nothing waits for
+a write to drain: a peer cannot send this round's EOA before it has read
+our EOD, so a peer that keeps lockstep leaves at most a round of our
+frames unread, and one that stops reading stops answering and is
+ejected at the wave deadline.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ from repro.common.errors import (
     ConfigurationError,
     CryptoError,
     ProtocolError,
+    SerializationError,
 )
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import compose_tuple, decode, encode
@@ -122,6 +129,8 @@ K_EOA = 5     # (kind, run, rnd)              end of ack wave
 K_FIN = 6     # (kind, run, rnd, done)        post-round-end barrier
 K_BYE = 7     # (kind, run, rnd, reason)      graceful departure
 
+#: The wave each marker kind closes (the kernel's wave names).
+_WAVE_OF = {K_EOD: "eod", K_EOA: "eoa", K_FIN: "fin"}
 #: Fields per frame kind, for every kind a peer may send after HELLO.
 _ARITY = {K_DATA: 6, K_EOD: 3, K_ACK: 4, K_EOA: 3, K_FIN: 4, K_BYE: 4}
 #: Length of one aggregated ACK digest (``RoundHost._ack_digest``).
@@ -129,12 +138,13 @@ _DIGEST_BYTES = 8
 #: Largest DATA counter or count (the transport's counters are int64).
 _MAX_COUNTER = 2**63 - 1
 
-#: What each read asks the socket for.  asyncio's selector transport
-#: defaults to 256 KiB, which glibc serves with a fresh mmap (plus an
-#: mremap and a munmap once the bytes object shrinks to the few KiB that
-#: arrived) unless an earlier free happened to raise its dynamic mmap
-#: threshold past that size — round cost was bimodal, ±25 % between
-#: otherwise identical processes.  Round frames are a few KiB.
+#: A link's base receive buffer, reused by every read.  Allocating per
+#: read must not come back: asyncio's stream transport asked for a fresh
+#: 256 KiB bytes object each time, which glibc served with an mmap (and a
+#: mremap and munmap once it shrank to the few KiB that arrived) unless
+#: an earlier free had raised its mmap threshold — round cost was bimodal,
+#: ±25 % between otherwise identical processes.  Round frames are a few
+#: KiB; a larger frame grows the buffer as it arrives, for itself only.
 _RECV_BYTES = 64 * 1024
 
 #: Default per-barrier timeout.  Loopback rounds complete in
@@ -321,10 +331,32 @@ class WireStats(RunStats):
         self.ejected: List[int] = []
         #: frames for a round already closed (late or replayed), dropped
         self.stale_frames = 0
-        #: seconds spent blocked on each barrier wait
+        #: seconds each wave that waited spent blocked on its barrier
         self.barrier_wait_s = Histogram()
         #: wall-clock seconds per completed round
         self.round_wall_s = Histogram()
+        #: the histograms' summaries as a daemon printed them, when these
+        #: counters were rebuilt from its report (their samples stayed
+        #: with the daemon); :meth:`snapshot` returns them unchanged
+        self.printed_summaries: Dict[str, Dict] = {}
+
+    @classmethod
+    def from_snapshot(cls, snap: Dict) -> "WireStats":
+        """The inverse of :meth:`snapshot`, whose peer ids may come back
+        as JSON's string keys: the rebuilt counters print the same."""
+        stats = cls()
+        for name in ("bytes_sent", "bytes_received",
+                     "frames_sent", "frames_received"):
+            for pid, value in snap[f"{name}_by_peer"].items():
+                getattr(stats, name)[int(pid)] = value
+        stats.traffic.omissions = snap["omissions"]
+        stats.traffic.rejections = snap["rejections"]
+        stats.ejected = list(snap["ejected"])
+        stats.stale_frames = snap["stale_frames"]
+        stats.printed_summaries = {
+            name: snap[name] for name in ("barrier_wait_s", "round_wall_s")
+        }
+        return stats
 
     @property
     def omissions(self) -> int:
@@ -370,6 +402,7 @@ class WireStats(RunStats):
             "stale_frames": self.stale_frames,
             "barrier_wait_s": self.barrier_wait_s.snapshot(),
             "round_wall_s": self.round_wall_s.snapshot(),
+            **self.printed_summaries,
         }
 
 
@@ -422,9 +455,8 @@ class WireRunReport:
     @staticmethod
     def from_json_dict(raw: Dict) -> "WireRunReport":
         """Rebuild a report from a daemon's JSON output (the multi-
-        process launcher's path).  Byte outputs come back as text and
-        counters stay in the ``wire`` snapshot — enough for summaries
-        and calibration, not a bit-exact round trip."""
+        process launcher's path).  Byte outputs come back as text; the
+        ``wire`` counters come back whole."""
         return WireRunReport(
             node_id=int(raw["node_id"]),
             output=raw.get("output"),
@@ -434,7 +466,7 @@ class WireRunReport:
             ejected_peers=list(raw.get("ejected_peers", [])),
             round_walls=[float(w) for w in raw.get("round_walls", [])],
             round_bytes=[int(b) for b in raw.get("round_bytes", [])],
-            stats=WireStats(),
+            stats=WireStats.from_snapshot(raw["wire"]),
             records=[
                 BeaconRecord(
                     epoch=int(r["epoch"]),
@@ -571,67 +603,174 @@ def calibrate_from_results(
 # ----------------------------------------------------------------------
 
 class _RoundInbox:
-    """Buffered frames of one (run, round) from one peer."""
+    """Buffered frames of one (run, round) from one peer, and the markers
+    of the waves it closed (``"eod"``, ``"eoa"``, ``"fin"``): a peer that
+    dies before a wave's marker has that wave's traffic discarded."""
 
-    __slots__ = (
-        "data", "acks", "eod", "eoa", "fin", "done",
-        "eod_seen", "eoa_seen",
-    )
+    __slots__ = ("data", "acks", "done", "marks")
 
     def __init__(self) -> None:
         self.data: List[tuple] = []
         self.acks: List[bytes] = []
-        self.eod = asyncio.Event()
-        self.eoa = asyncio.Event()
-        self.fin = asyncio.Event()
         self.done = False
-        # Events are force-set when a peer dies (so barriers wake); these
-        # record whether the wave marker actually arrived — a dead peer's
-        # partial round traffic is discarded, not half-applied.
-        self.eod_seen = False
-        self.eoa_seen = False
-
-    def wake_all(self) -> None:
-        self.eod.set()
-        self.eoa.set()
-        self.fin.set()
+        self.marks: set = set()
 
 
 class _Peer:
-    """One TCP link to one peer node."""
+    """One peer node: its link, the frames queued for it until the next
+    flush, and its round inboxes."""
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.reader_task: Optional[asyncio.Task] = None
+        self.link: Optional[_Link] = None
+        self.pending: List[bytes] = []
         self.alive = False
-        self.goodbye: Optional[str] = None
         self._inboxes: Dict[Tuple[int, int], _RoundInbox] = {}
 
     def inbox(self, run: int, rnd: int) -> _RoundInbox:
-        """The (run, round) inbox.  A dead link's comes back already
-        woken, as :meth:`mark_dead` wakes the ones it finds: whoever asks
-        for it after the death — a barrier that snapshotted the live
-        peers before it — must not wait for a marker that cannot come."""
-        key = (run, rnd)
-        box = self._inboxes.get(key)
+        box = self._inboxes.get((run, rnd))
         if box is None:
-            box = _RoundInbox()
-            if self.goodbye is not None:
-                box.wake_all()
-            self._inboxes[key] = box
+            box = self._inboxes[(run, rnd)] = _RoundInbox()
         return box
 
-    def drop_round(self, run: int, rnd: int) -> None:
-        self._inboxes.pop((run, rnd), None)
 
-    def mark_dead(self, reason: str) -> None:
-        self.alive = False
-        if self.goodbye is None:
-            self.goodbye = reason
-        for box in self._inboxes.values():
-            box.wake_all()
+class _Link(asyncio.BufferedProtocol):
+    """One TCP connection's framer: the transport reads into one reusable
+    buffer, and each complete frame is cut out and decoded.  The first
+    must be a valid HELLO (one check for accepted and dialled links);
+    the rest go to :meth:`WireNode._route`.  A length prefix past
+    :data:`MAX_FRAME_BYTES` (past the base buffer before the HELLO) is
+    link death before anything is sized."""
+
+    def __init__(
+        self, node: "WireNode", loop, expect: Optional[NodeId] = None
+    ) -> None:
+        self.node = node
+        #: The peer this end dialled; ``None`` on an accepted link.
+        self.expect = expect
+        #: Set by the HELLO check.
+        self.peer: Optional[_Peer] = None
+        self.transport: Optional[asyncio.Transport] = None
+        #: Resolved by ``connection_lost``: ``_close`` awaits it.
+        self.closed = loop.create_future()
+        self._hello_timer = loop.call_later(
+            node.cfg.connect_timeout_s, self._fail,
+            ProtocolError("no HELLO in time"),
+        )
+        self._buf = bytearray(_RECV_BYTES)
+        self._end = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.node._links.add(self)
+        if self.expect is not None:
+            peer = self.node._peers[self.expect]
+            peer.link = self
+            self.node._send_hello(peer)
+
+    def connection_lost(self, exc) -> None:
+        self._hello_timer.cancel()
+        self.node._links.discard(self)
+        if self.peer is not None:
+            # No BYE first: the peer crashed (after a BYE, a no-op).
+            self.node._eject(self.peer, "connection-lost")
+        self.closed.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return memoryview(self._buf)[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buf = self._buf
+        end = self._end + nbytes
+        pos = need = 0
+        while end - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf, pos)
+            # Before its HELLO (tens of bytes) a link gets no more room
+            # than the base buffer: a stranger's prefix sizes nothing.
+            if length > (
+                MAX_FRAME_BYTES if self.peer is not None
+                else _RECV_BYTES - _LEN.size
+            ):
+                self._fail(ProtocolError(f"oversized frame ({length} bytes)"))
+                return
+            stop = pos + _LEN.size + length
+            if stop > end:
+                need = stop - pos
+                break
+            body = bytes(memoryview(buf)[pos + _LEN.size:stop])
+            pos = stop
+            if not self._frame(body):
+                return
+        # Keep the unfinished frame at the front of the buffer.  One
+        # larger than the base grows it only once its bytes fill it, to
+        # at most twice what arrived, and the next frame finds the base.
+        rest = end - pos
+        size = len(buf)
+        if need <= _RECV_BYTES:
+            size = _RECV_BYTES
+        elif rest == size:
+            size = min(need, 2 * size)
+        if size != len(buf):
+            self._buf = bytearray(size)
+            self._buf[:rest] = buf[pos:end]
+        elif pos:
+            buf[:rest] = buf[pos:end]
+        self._end = rest
+
+    def _frame(self, body: bytes) -> bool:
+        """Check or route one frame; False once the link is dead."""
+        try:
+            frame = decode(body)
+            if self.peer is None:
+                self._hello(frame)
+            else:
+                self.node.stats.received(
+                    self.peer.node_id, _LEN.size + len(body)
+                )
+                self.node._route(self.peer, frame)
+        except (ProtocolError, SerializationError) as exc:
+            self._fail(exc)
+            return False
+        return True
+
+    def _hello(self, frame: object) -> None:
+        """Admit the peer a HELLO of this version and run names, if it is
+        not linked yet (and is the one dialled); answer an accepted link."""
+        node = self.node
+        if not (
+            isinstance(frame, tuple) and len(frame) == 4
+            and frame[0] == K_HELLO and frame[1] == WIRE_PROTO_VERSION
+            and type(frame[2]) is int
+        ):
+            raise ProtocolError("bad HELLO")
+        _, _, peer_id, digest = frame
+        if digest != node.cfg.config_digest():
+            raise ProtocolError(
+                "peer disagrees on (n, t, seed, protocol) — refusing"
+            )
+        peer = node._peers.get(peer_id)
+        if peer is None or peer.alive or self.expect not in (None, peer_id):
+            raise ProtocolError(f"unexpected peer {peer_id}")
+        self._hello_timer.cancel()
+        self.peer = peer
+        peer.link = self
+        peer.alive = True
+        if self.expect is None:
+            node._send_hello(peer)
+        if all(p.alive for p in node._peers.values()):
+            node._connected.set()
+
+    def _fail(self, exc: Exception) -> None:
+        """Link death: eject the peer, or refuse a link that never said a
+        valid HELLO; the rest of the buffer is discarded."""
+        _LOG.warning(
+            "node %d: link to %s failed: %s", self.node.cfg.node_id,
+            self.peer.node_id if self.peer is not None else "?", exc,
+        )
+        self._end = 0
+        if self.peer is not None:
+            self.node._eject(self.peer, "protocol-error")
+        self.transport.close()
 
 
 # ----------------------------------------------------------------------
@@ -714,6 +853,13 @@ class WireNode(RoundHost):
             pid: _Peer(pid) for pid in range(cfg.n) if pid != cfg.node_id
         }
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Every open connection, HELLO'd or not: _close awaits them all.
+        self._links: set = set()
+        # The wave a barrier waits on, the live peers that still owe its
+        # marker, and the future that resolves when none does.
+        self._wave: Optional[Tuple[int, int, str]] = None
+        self._owed: set = set()
+        self._wave_done: Optional[asyncio.Future] = None
         self._stop = asyncio.Event()
         self._connected = asyncio.Event()
         self._round_walls: List[float] = []
@@ -791,25 +937,29 @@ class WireNode(RoundHost):
     # link layer: framing, sealing
     # ------------------------------------------------------------------
     def _write_frame(self, peer: _Peer, body: bytes) -> None:
-        """The one framing site: length-prefix an encoded frame and write
-        it to ``peer``.  Callers choose the peers — the live ones, or the
-        one being dialled — and encode a frame for several peers once."""
-        frame = _LEN.pack(len(body)) + body
-        try:
-            peer.writer.write(frame)
-        except (ConnectionError, OSError):
-            self._eject(peer, "write-error")
-            return
-        self.stats.sent(peer.node_id, len(frame))
-        self.stats.traffic.bytes_by_round[self.current_round] += len(frame)
+        """The one framing site: length-prefix an encoded frame and queue
+        it for ``peer`` until the next flush.  Callers choose the peers —
+        the live ones, or the one being dialled — and encode a frame for
+        several peers once."""
+        peer.pending += (_LEN.pack(len(body)), body)
+        nbytes = _LEN.size + len(body)
+        self.stats.sent(peer.node_id, nbytes)
+        self.stats.traffic.bytes_by_round[self.current_round] += nbytes
 
-    async def _drain_all(self) -> None:
+    def _send(self, peer: _Peer) -> None:
+        """One transport write of everything queued for ``peer``.  A
+        failed send reaches the link as ``connection_lost``."""
+        peer.link.transport.write(b"".join(peer.pending))
+        peer.pending.clear()
+
+    def _flush(self) -> None:
+        """One write per live peer of what this wave queued for it."""
         for peer in self._peers.values():
-            if peer.alive and peer.writer is not None:
-                try:
-                    await peer.writer.drain()
-                except (ConnectionError, OSError):
-                    self._eject(peer, "write-error")
+            if peer.pending:
+                if peer.alive:
+                    self._send(peer)
+                else:
+                    peer.pending.clear()
 
     def _seal_members(
         self,
@@ -871,72 +1021,35 @@ class WireNode(RoundHost):
     # ------------------------------------------------------------------
     async def start_server(self) -> Tuple[str, int]:
         """Bind the listening socket; returns the bound address."""
-        self._server = await asyncio.start_server(
-            self._accept, self.cfg.listen_host, self.cfg.listen_port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Link(self, loop), self.cfg.listen_host,
+            self.cfg.listen_port,
         )
         host, port = self._server.sockets[0].getsockname()[:2]
         self.cfg.listen_port = port
         return host, port
-
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            hello, _ = await asyncio.wait_for(
-                self._read_raw_frame(reader),
-                timeout=self.cfg.connect_timeout_s,
-            )
-            kind, version, peer_id, digest = hello
-            if kind != K_HELLO or version != WIRE_PROTO_VERSION:
-                raise ProtocolError("bad HELLO")
-            if digest != self.cfg.config_digest():
-                raise ProtocolError(
-                    "peer disagrees on (n, t, seed, protocol) — refusing"
-                )
-            peer = self._peers.get(peer_id)
-            if peer is None or peer.alive:
-                raise ProtocolError(f"unexpected peer {peer_id}")
-        except (ProtocolError, asyncio.TimeoutError, ConnectionError,
-                OSError, asyncio.IncompleteReadError) as exc:
-            _LOG.warning("node %d: rejected connection: %s",
-                         self.cfg.node_id, exc)
-            writer.close()
-            return
-        self._attach(peer, reader, writer)
-        self._send_hello(peer)
-        self._check_connected()
 
     def _send_hello(self, peer: _Peer) -> None:
         self._write_frame(peer, encode((
             K_HELLO, WIRE_PROTO_VERSION, self.cfg.node_id,
             self.cfg.config_digest(),
         )))
-
-    def _attach(
-        self,
-        peer: _Peer,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        peer.reader = reader
-        peer.writer = writer
-        writer.transport.max_size = _RECV_BYTES
-        peer.alive = True
-        peer.reader_task = asyncio.ensure_future(self._reader_loop(peer))
-
-    def _check_connected(self) -> None:
-        if all(p.alive for p in self._peers.values()):
-            self._connected.set()
+        self._send(peer)
 
     async def _dial(self, peer_id: NodeId) -> None:
-        """Connect to a higher-numbered peer, retrying through bring-up."""
+        """Connect to a higher-numbered peer, retrying through bring-up;
+        the link sends our HELLO and checks the answer."""
         host, port = self.cfg.peers[peer_id]
+        loop = asyncio.get_running_loop()
         deadline = perf_counter() + self.cfg.connect_timeout_s
         delay = 0.02
         while True:
             try:
-                reader, writer = await asyncio.open_connection(host, port)
-                break
+                await loop.create_connection(
+                    lambda: _Link(self, loop, peer_id), host, port
+                )
+                return
             except (ConnectionError, OSError):
                 if perf_counter() >= deadline or self._stop.is_set():
                     raise ProtocolError(
@@ -945,45 +1058,14 @@ class WireNode(RoundHost):
                     )
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, 0.5)
-        peer = self._peers[peer_id]
-        peer.reader = reader
-        peer.writer = writer
-        writer.transport.max_size = _RECV_BYTES
-        self._send_hello(peer)
-        hello, _ = await asyncio.wait_for(
-            self._read_raw_frame(reader), timeout=self.cfg.connect_timeout_s
-        )
-        kind, version, got_id, digest = hello
-        if (kind != K_HELLO or version != WIRE_PROTO_VERSION
-                or got_id != peer_id
-                or digest != self.cfg.config_digest()):
-            writer.close()
-            raise ProtocolError(f"bad HELLO from peer {peer_id}")
-        peer.alive = True
-        peer.reader_task = asyncio.ensure_future(self._reader_loop(peer))
-        self._check_connected()
-
-    @staticmethod
-    async def _read_raw_frame(
-        reader: asyncio.StreamReader,
-    ) -> Tuple[tuple, int]:
-        header = await reader.readexactly(_LEN.size)
-        (length,) = _LEN.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"oversized frame ({length} bytes)")
-        body = await reader.readexactly(length)
-        return decode(body), _LEN.size + length
 
     async def connect_peers(self) -> None:
-        """Dial every higher-numbered peer; wait for the rest to dial us."""
-        dialers = [
-            asyncio.ensure_future(self._dial(pid))
-            for pid in sorted(self._peers)
-            if pid > self.cfg.node_id
-        ]
+        """Dial every higher-numbered peer in turn (a dial returns once
+        the connection is up); wait for every HELLO."""
+        for pid in sorted(self._peers):
+            if pid > self.cfg.node_id:
+                await self._dial(pid)
         try:
-            if dialers:
-                await asyncio.gather(*dialers)
             await asyncio.wait_for(
                 self._connected.wait(), timeout=self.cfg.connect_timeout_s
             )
@@ -992,30 +1074,6 @@ class WireNode(RoundHost):
             raise ProtocolError(
                 f"node {self.cfg.node_id}: peers {missing} never connected"
             ) from None
-        finally:
-            for task in dialers:
-                if not task.done():
-                    task.cancel()
-
-    async def _reader_loop(self, peer: _Peer) -> None:
-        assert peer.reader is not None
-        try:
-            while True:
-                frame, nbytes = await self._read_raw_frame(peer.reader)
-                self.stats.received(peer.node_id, nbytes)
-                self._route(peer, frame)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            # No BYE first: the peer crashed — eject (a peer that said
-            # goodbye is already dead, and _eject is a no-op then).
-            self._eject(peer, "connection-lost")
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # malformed frame: treat as link death
-            _LOG.warning(
-                "node %d: link to %d failed: %s",
-                self.cfg.node_id, peer.node_id, exc,
-            )
-            self._eject(peer, "protocol-error")
 
     def _route(self, peer: _Peer, frame: object) -> None:
         """File one decoded frame in its round inbox.  Every field of
@@ -1055,8 +1113,7 @@ class WireNode(RoundHost):
         if not valid:
             raise ProtocolError(f"malformed frame of kind {kind}")
         if kind == K_BYE:
-            peer.mark_dead(f"bye:{frame[3]}")
-            self.evict_departed_node(peer.node_id)
+            self._lose(peer)
             return
         # Lockstep bounds what an honest peer can send: it cannot pass
         # our barrier further than the next round, or round 1 of the next
@@ -1076,17 +1133,15 @@ class WireNode(RoundHost):
         box = peer.inbox(run, rnd)
         if kind == K_DATA:
             box.data.append(frame[3:])       # (counter, count, body)
-        elif kind == K_EOD:
-            box.eod_seen = True
-            box.eod.set()
         elif kind == K_ACK:
             box.acks.extend(frame[3])
-        elif kind == K_EOA:
-            box.eoa_seen = True
-            box.eoa.set()
         else:
-            box.done = bool(frame[3])
-            box.fin.set()
+            if kind == K_FIN:
+                box.done = bool(frame[3])
+            wave = _WAVE_OF[kind]
+            box.marks.add(wave)
+            if self._wave == (run, rnd, wave):
+                self._settle(peer.node_id)
 
     # ------------------------------------------------------------------
     # barriers
@@ -1095,22 +1150,50 @@ class WireNode(RoundHost):
         return [peer for peer in self._peers.values() if peer.alive]
 
     async def _barrier(self, run: int, rnd: int, wave: str) -> None:
-        """Wait for every live peer's end-of-wave marker.  The wave has
-        one deadline — a timeout and a half from its start — and each
-        peer gets what is left of it: k silent peers cost one wait."""
+        """Wait until every live peer has sent the wave's marker or died.
+        The peers that owe it form one set, which markers and deaths
+        alike count down; one future resolves when it is empty, under
+        one deadline a timeout and a half from the wave's start.  The
+        peers still owed then are ejected together, so k silent peers
+        cost one wait."""
         if wave == "fin" and self.enclave.halted:
             return      # we said BYE, not FIN: nobody answers
-        deadline = perf_counter() + 1.5 * self.cfg.round_timeout_s
-        for peer in self._live_peers():
-            event: asyncio.Event = getattr(peer.inbox(run, rnd), wave)
-            if event.is_set():
-                continue
-            t0 = perf_counter()
-            try:
-                await asyncio.wait_for(event.wait(), max(deadline - t0, 0.0))
-            except asyncio.TimeoutError:
-                self._eject(peer, f"timeout:{wave}:round-{rnd}")
-            self.stats.barrier_wait_s.observe(perf_counter() - t0)
+        owed = {
+            peer.node_id for peer in self._live_peers()
+            if wave not in peer.inbox(run, rnd).marks
+        }
+        if not owed:
+            return
+        t0 = perf_counter()
+        self._wave, self._owed = (run, rnd, wave), owed
+        self._wave_done = asyncio.get_running_loop().create_future()
+        try:
+            await asyncio.wait_for(
+                self._wave_done, 1.5 * self.cfg.round_timeout_s
+            )
+        except asyncio.TimeoutError:
+            late, self._owed = sorted(self._owed), set()
+            for peer_id in late:
+                self._eject(self._peers[peer_id], f"timeout:{wave}:round-{rnd}")
+        finally:
+            self._wave, self._owed, self._wave_done = None, set(), None
+        self.stats.barrier_wait_s.observe(perf_counter() - t0)
+
+    def _settle(self, peer_id: NodeId) -> None:
+        """``peer_id`` owes the awaited wave nothing more.  The future may
+        be cancelled already: the deadline fired, and ``_barrier`` has not
+        yet resumed to eject the peers still owed."""
+        if peer_id in self._owed:
+            self._owed.discard(peer_id)
+            if not self._owed and not self._wave_done.done():
+                self._wave_done.set_result(None)
+
+    def _lose(self, peer: _Peer) -> None:
+        """A peer left (BYE) or died: it leaves the lockstep group and
+        owes no wave."""
+        peer.alive = False
+        self.evict_departed_node(peer.node_id)
+        self._settle(peer.node_id)
 
     def _eject(self, peer: _Peer, reason: str) -> None:
         """Dead/slow peer: remove it from the lockstep group.  Its
@@ -1118,18 +1201,13 @@ class WireNode(RoundHost):
         omission semantics over a real socket."""
         if not peer.alive:
             return
-        peer.mark_dead(reason)
-        self.evict_departed_node(peer.node_id)
+        self._lose(peer)
         self.stats.ejected.append(peer.node_id)
         _LOG.info(
             "node %d: ejected peer %d (%s)",
             self.cfg.node_id, peer.node_id, reason,
         )
-        if peer.writer is not None:
-            try:
-                peer.writer.close()
-            except OSError:
-                pass
+        peer.link.transport.close()
 
     # ------------------------------------------------------------------
     # the round: RoundBackend over TCP frames, and the pump that waits
@@ -1202,7 +1280,7 @@ class WireNode(RoundHost):
         dispatch = {me[0]: (enclave, enclave.program.on_message, self.context)}
         for peer in self._peers.values():
             box = peer.inbox(run, rnd)
-            if not peer.alive and not box.eod_seen:
+            if not peer.alive and "eod" not in box.marks:
                 # Died mid-wave: the round's partial traffic is
                 # discarded wholesale (omissions), never half-applied.
                 traffic.record_omissions(sum(c for _, c, _ in box.data))
@@ -1240,7 +1318,7 @@ class WireNode(RoundHost):
     def ack_wave(self, rnd: int) -> None:
         for peer in self._peers.values():
             box = peer.inbox(self.current_run, rnd)
-            if not peer.alive and not box.eoa_seen:
+            if not peer.alive and "eoa" not in box.marks:
                 continue    # died mid-ack-wave: its ACKs are omitted
             for digest in box.acks:
                 self._credit_ack(self.cfg.node_id, digest)
@@ -1258,7 +1336,7 @@ class WireNode(RoundHost):
         self._setup()
         for wave in self._rounds(max_rounds, self):
             rnd = self.current_round
-            await self._drain_all()
+            self._flush()
             await self._barrier(run, rnd, wave)
             if wave == "fin":
                 self._finish_round(run, rnd)
@@ -1272,7 +1350,7 @@ class WireNode(RoundHost):
         self._round_bytes.append(self.stats.traffic.round_bytes(rnd))
         self.stats.round_wall_s.observe(wall)
         for peer in self._peers.values():
-            peer.drop_round(run, rnd)
+            peer._inboxes.pop((run, rnd), None)
         self._closed = (run, rnd)
 
     # ------------------------------------------------------------------
@@ -1343,23 +1421,21 @@ class WireNode(RoundHost):
         self._stop.set()
 
     async def _close(self, crashed: bool = False) -> None:
+        """Say BYE (unless crashed), stop listening, close every link and
+        wait for each to be lost, so no transport outlives the loop."""
         if not crashed:
             self._mark_wave(K_BYE, self.current_round, "shutdown")
-        await self._drain_all()
-        tasks = []
-        for peer in self._peers.values():
-            if peer.writer is not None:
-                try:
-                    peer.writer.close()
-                except OSError:
-                    pass
-            if peer.reader_task is not None:
-                peer.reader_task.cancel()
-                tasks.append(peer.reader_task)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        self._flush()
         if self._server is not None:
             self._server.close()
+        for peer in self._peers.values():
+            # Not an ejection; and no cycle keeps the finished node alive.
+            peer.alive, peer.link = False, None
+        links = list(self._links)
+        for link in links:
+            link.transport.close()
+        await asyncio.gather(*(link.closed for link in links))
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 

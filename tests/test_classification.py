@@ -24,10 +24,11 @@ from repro.common.config import AdversaryModel, SimulationConfig
 from repro.common.rng import DeterministicRNG
 from repro.core.erb import ErbProgram, run_erb
 from repro.net.simulator import SynchronousNetwork
+from repro.obs.tracer import Tracer
 
 
 def _traced_run(n, behaviors, seed=0, initiator=0):
-    config = SimulationConfig(n=n, seed=seed, extra={"trace_actions": True})
+    config = SimulationConfig(n=n, seed=seed, tracer=Tracer.memory())
     network = SynchronousNetwork(
         config,
         lambda i: ErbProgram(
@@ -135,10 +136,15 @@ class TestTracedRuns:
         assert counts.get(WireAction.DELIVER, 0) > 0
 
     def test_trace_disabled_by_default(self):
-        result = run_erb(SimulationConfig(n=4, seed=5), 0, b"x")
-        # run_erb builds its own network; just assert no trace config leaks
-        # through SimulationConfig defaults.
-        assert "trace_actions" not in SimulationConfig(n=4).extra
+        config = SimulationConfig(n=4, seed=5)
+        network = SynchronousNetwork(
+            config,
+            lambda i: ErbProgram(
+                i, 0, 4, config.t, message=b"x" if i == 0 else None
+            ),
+        )
+        network.run(max_rounds=config.t + 2)
+        assert config.tracer is None and network.action_trace is None
 
 
 class TestOperationalReduction:

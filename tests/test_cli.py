@@ -58,6 +58,18 @@ class TestCommands:
         assert "epoch 0" in out and "epoch 1" in out
         assert "chain verifies: True" in out
 
+    def test_beacon_optimized(self, capsys):
+        """``--optimized`` runs the cluster-sampled ERNG each epoch (at
+        t = N // 3) and prints the library's chain."""
+        from repro.apps.beacon import RandomBeacon
+
+        assert main(["beacon", "--n", "9", "--epochs", "2", "--optimized"]) == 0
+        out = capsys.readouterr().out
+        beacon = RandomBeacon(n=9, t=3, optimized=True)
+        for record in (beacon.next_beacon(), beacon.next_beacon()):
+            assert f"epoch {record.epoch}: {record.value:#034x}" in out
+        assert "chain verifies: True" in out
+
     def test_churn(self, capsys):
         assert main(
             ["churn", "--n", "9", "--byzantine", "1,2", "--p", "1.0",

@@ -181,7 +181,7 @@ def _network(protocol, strategy, *, traced=False, others=(), seed=5):
     ``others`` under another measurement, the tracer a memory one."""
     n, t = 7, 3
     config = SimulationConfig(
-        n=n, t=t, seed=seed, extra={"trace_actions": True} if traced else {}
+        n=n, t=t, seed=seed, tracer=Tracer.memory() if traced else None
     )
 
     def factory(node_id):

@@ -16,6 +16,7 @@ from repro.apps.beacon import RandomBeacon
 from repro.campaign import Fault, Schedule, run_case
 from repro.campaign.spec import CaseSpec
 from repro.net.simulator import SynchronousNetwork
+from repro.net.wire import WireNode, cluster_configs, run_cluster
 
 
 @pytest.fixture
@@ -67,3 +68,27 @@ def test_dropped_result_frees_the_network(networks, run):
     assert networks
     del result
     assert [ref() for ref in networks] == [None] * len(networks)
+
+
+def test_finished_wire_cluster_frees_its_nodes(monkeypatch):
+    """A loopback cluster's daemons are freed once it returns: a closed
+    link holds no node, so a 9-node cluster's 72 receive buffers do not
+    wait for the collector."""
+    refs = []
+    init = WireNode.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(WireNode, "__init__", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_cluster(cluster_configs(3, "erb", seed=1, message=b"m"))
+        assert sorted(result.outputs) == [0, 1, 2]
+        del result
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

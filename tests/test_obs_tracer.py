@@ -158,21 +158,17 @@ class TestActionTraceView:
         )
 
     def test_view_classifies_identically_to_legacy_flag(self):
-        # Path 1: the legacy extra flag (auto-attaches a memory tracer).
-        legacy = self._network(
-            SimulationConfig(n=11, seed=2, extra={"trace_actions": True})
-        )
-        legacy.run(max_rounds=legacy.config.t + 2)
-        # Path 2: an explicit memory tracer and the standalone view builder.
-        explicit = self._network(
+        # The network's action_trace view and the standalone builder over
+        # the same memory tracer.
+        network = self._network(
             SimulationConfig(n=11, seed=2, tracer=Tracer.memory())
         )
-        explicit.run(max_rounds=explicit.config.t + 2)
-        view = trace_from_wire_events(explicit.tracer.wire_events())
+        network.run(max_rounds=network.config.t + 2)
+        view = trace_from_wire_events(network.tracer.wire_events())
 
-        assert legacy.action_trace.records == view.records
+        assert network.action_trace.records == view.records
         for node, expected in self.EXPECTED.items():
-            assert classify_node(legacy.action_trace, node) is expected
+            assert classify_node(network.action_trace, node) is expected
             assert classify_node(view, node) is expected
 
     def test_view_skips_engine_bookkeeping_actions(self):

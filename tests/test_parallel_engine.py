@@ -246,13 +246,6 @@ def test_full_channel_falls_back_to_serial():
     assert network._parallel_eligible() is False
 
 
-def test_explicit_disable_falls_back():
-    config = SimulationConfig(
-        n=8, seed=1, workers=4, extra={"disable_parallel_engine": True}
-    )
-    assert _erb_network(config)._parallel_eligible() is False
-
-
 def test_workers_must_be_positive():
     with pytest.raises(ConfigurationError):
         SimulationConfig(n=4, workers=0)

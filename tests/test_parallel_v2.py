@@ -264,20 +264,6 @@ def test_serial_fallback_warning_is_per_network_not_per_round(caplog):
     assert "FULL" in warnings[0].message
 
 
-def test_explicit_disable_does_not_warn(caplog):
-    """Opting out via config extra is intentional — no noise."""
-    config = SimulationConfig(
-        n=8, seed=1, workers=4, extra={"disable_parallel_engine": True}
-    )
-    network = SynchronousNetwork(config, _erb_factory(config))
-    with caplog.at_level(logging.WARNING, logger="repro.engine"):
-        network.run(config.t + 2)
-    assert not [
-        rec for rec in caplog.records
-        if "parallel engine disabled" in rec.message
-    ]
-
-
 # ---------------------------------------------------------------------------
 # one seal call for many links == one call per link
 # ---------------------------------------------------------------------------

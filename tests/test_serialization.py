@@ -19,7 +19,6 @@ wire byte.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import sys
@@ -48,6 +47,8 @@ from repro.net.wire import (
     K_EOD,
     K_FIN,
     K_HELLO,
+    WireNode,
+    _LEN,
     cluster_configs,
     run_cluster,
 )
@@ -385,20 +386,22 @@ MALFORMED = [
 
 
 def _captured_cluster(security: str):
-    """Every frame body an N = 5 ERB loopback cluster writes to its
-    sockets, and every envelope plaintext it seals."""
+    """Every frame an N = 5 ERB loopback cluster frames for its sockets,
+    recorded at the one framing site (``WireNode._write_frame``) as the
+    length-prefixed bytes it puts on the wire, and every envelope
+    plaintext it seals."""
     frames, plaintexts = [], []
-    write, seal = asyncio.StreamWriter.write, AEAD.seal
+    write, seal = WireNode._write_frame, AEAD.seal
 
-    def record_write(writer, data):
-        frames.append(bytes(data))
-        return write(writer, data)
+    def record_write(node, peer, body):
+        frames.append(_LEN.pack(len(body)) + bytes(body))
+        return write(node, peer, body)
 
     def record_seal(box, plaintext, *args, **kwargs):
         plaintexts.append(bytes(plaintext))
         return seal(box, plaintext, *args, **kwargs)
 
-    with mock.patch.object(asyncio.StreamWriter, "write", record_write), \
+    with mock.patch.object(WireNode, "_write_frame", record_write), \
             mock.patch.object(AEAD, "seal", record_seal):
         result = run_cluster(cluster_configs(
             5, "erb", seed=7, message=b"golden", security=security

@@ -1,9 +1,11 @@
 """Engine sessions: cross-run reuse, cache hygiene, beacon pipelining.
 
-The contract under test is the one ``repro.net.session`` documents: a
-run on a recycled session is **bit-identical** to the same run on a
-freshly built network — session reuse (and, with ``workers > 1``, the
-persistent forked crew) is purely a performance property.  The cache
+The contract under test is the one ``repro.net.session`` documents: under
+MODELED and NONE channels a run on a recycled session is
+**bit-identical** to the same run on a freshly built network — session
+reuse (and, with ``workers > 1``, the persistent forked crew) is purely
+a performance property.  Under FULL it is not yet (see
+:class:`TestFullSessionRuns`).  The cache
 -eviction regression test pins the hygiene that makes this true: stale
 digest-LRU entries, ack-size hints and neighbour tuples from a prior
 run must never leak into the next one.
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import SimulationConfig, run_erng
 from repro.apps.beacon import RandomBeacon, _ErngEpochFactory
+from repro.common.config import ChannelSecurity
 from repro.common.errors import ConfigurationError
 from repro.net.session import EngineSession
 from repro.net.shm import shared_memory_available
@@ -130,6 +133,47 @@ class TestSerialSessionReuse:
             session.run(4)
 
 
+def _full_config(seed: int) -> SimulationConfig:
+    return SimulationConfig(
+        n=4, seed=seed, random_bits=64,
+        channel_security=ChannelSecurity.FULL, extra={"dh_group": "small"},
+    )
+
+
+def _full_session_runs(seeds):
+    """ERNG runs at ``seeds`` on one FULL session (n = 4)."""
+    with EngineSession(
+        _full_config(seeds[0]), _ErngEpochFactory(4, 1, 64)
+    ) as session:
+        return [session.run(3, seed=seed) for seed in seeds]
+
+
+class TestFullSessionRuns:
+    """Under FULL each peer channel's handshake draws its DH keys from
+    the enclave's RDRAND when the network is built.  ``Enclave.relaunch``
+    re-forks RDRAND for the next run but does not redo the handshakes,
+    so a recycled run's protocol draws start where a fresh network's
+    handshake draws start: the run is reproducible, not fresh."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a FULL session run replays RDRAND from the handshake "
+        "draws' position (channel draws share the protocol's stream)",
+    )
+    def test_recycled_run_matches_a_fresh_network(self):
+        _, reseeded = _full_session_runs([3, 9])
+        _assert_same_run(reseeded, run_erng(_full_config(9)))
+
+    def test_first_run_is_a_fresh_run(self):
+        (first,) = _full_session_runs([3])
+        _assert_same_run(first, run_erng(_full_config(3)))
+
+    def test_same_seed_sequence_gives_the_same_runs(self):
+        seeds = [3, 9, 3]
+        for a, b in zip(_full_session_runs(seeds), _full_session_runs(seeds)):
+            _assert_same_run(a, b)
+
+
 @fork_only
 class TestParallelCrewReuse:
     @pytest.mark.parametrize("plane", ["shm"])
@@ -192,6 +236,26 @@ class TestBeaconChainIdentity:
             pipelined.run_pipelined(epochs)
             assert _chain_digests(pipelined) == reference
             assert RandomBeacon.verify_chain(pipelined.log)
+
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_optimized_chain_agrees_across_shapes(self, n, seed):
+        """The optimized (cluster-sampled) ERNG beacon gives one chain
+        whether each epoch rebuilds its network, recycles a session, or
+        recycles a session's forked crew."""
+        kwargs = dict(n=n, t=n // 3, optimized=True, seed=seed)
+        shapes = [dict(), dict(session=True)]
+        if hasattr(os, "fork") and shared_memory_available():
+            shapes.append(dict(session=True, workers=2))
+        chains = []
+        for shape in shapes:
+            with RandomBeacon(**kwargs, **shape) as beacon:
+                for _ in range(3):
+                    beacon.next_beacon()
+                assert RandomBeacon.verify_chain(beacon.log)
+                chains.append(_chain_digests(beacon))
+        assert len(chains[0]) == 3
+        assert all(chain == chains[0] for chain in chains)
 
     def test_split_batches_resume_the_same_chain(self):
         """Pipelined batches and per-epoch runs interleaved on one

@@ -19,6 +19,7 @@ import json
 import signal
 import tempfile
 import time
+import types
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.net.wire import (
     K_FIN,
     DEFAULT_ROUND_TIMEOUT_S,
     WireNodeConfig,
+    WireRunReport,
     allocate_loopback_ports,
     calibrate_from_results,
     cluster_configs,
@@ -241,6 +243,33 @@ class TestDeadPeers:
             ] == ["timeout:eod:round-2"] * 2
             # ~1.5 x timeout; one wait per silent peer would be 3 x.
             assert 1.5 * timeout <= report.round_walls[1] < 2.5 * timeout
+
+    def test_a_death_after_the_deadline_fired_is_still_an_ejection(self):
+        """Between a wave's deadline cancelling its future and the barrier
+        resuming to eject, the last peers owed may still send their
+        marker or die: neither raises, and the death is an ejection."""
+        from repro.net.wire import WireNode
+
+        class _Transport:
+            def close(self):
+                pass
+
+        loop = asyncio.new_event_loop()
+        try:
+            node = WireNode(cluster_configs(3, "erb")[0])
+            marker, dying = node._peers[1], node._peers[2]
+            for peer in (marker, dying):
+                peer.alive = True
+                peer.link = types.SimpleNamespace(transport=_Transport())
+            node._wave, node._owed = (0, 1, "eod"), {1, 2}
+            node._wave_done = loop.create_future()
+            node._wave_done.cancel()
+            node._route(marker, (K_EOD, 0, 1))
+            node._eject(dying, "connection-lost")
+        finally:
+            loop.close()
+        assert node._owed == set()
+        assert node.stats.ejected == [2]
 
     def test_crashed_initiator_leaves_no_decision(self):
         """If the initiator dies before round 1 nothing was ever sent;
@@ -482,7 +511,7 @@ class TestShutdown:
             result = await run_cluster_async(
                 cluster_configs(5, "erb", seed=7, message=b"x")
             )
-            # Every reader task, dialer and server must be joined by the
+            # Every link, dialer and server must be closed and joined by the
             # time run_service returns — only this coroutine remains.
             leftovers = [
                 t for t in asyncio.all_tasks()
@@ -608,6 +637,18 @@ class TestTransportStamp:
         assert snap["transport"] == "tcp"
         assert snap["total_bytes_sent"] > 0
         assert set(snap["bytes_sent_by_peer"]) == {1, 2}
+
+    def test_report_survives_the_daemons_json_round_trip(self):
+        """What a daemon prints is what the multi-process launcher
+        rebuilds: counters, histograms and beacon records included."""
+        result = run_cluster(cluster_configs(3, "beacon", seed=1, epochs=2))
+        for report in result.reports.values():
+            printed = report.to_json_dict()
+            assert printed["wire"]["total_bytes_sent"] > 0
+            assert WireRunReport.from_json_dict(printed).to_json_dict() == printed
+            text = json.dumps(printed)
+            rebuilt = WireRunReport.from_json_dict(json.loads(text))
+            assert json.dumps(rebuilt.to_json_dict()) == text
 
     def test_machine_stamp_transport_axis(self):
         from repro.obs.machine import machine_stamp

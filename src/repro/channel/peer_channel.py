@@ -167,11 +167,15 @@ class SecureChannel:
         measurement_a: bytes,
         measurement_b: bytes,
         initial_counters: Tuple[int, int],
+        streams: Tuple[DeterministicRNG, DeterministicRNG],
     ) -> None:
         self.a = a
         self.b = b
         self._aead = AEAD(key)
         self._measurements = {a: measurement_a, b: measurement_b}
+        #: Each sender's link stream: the randomness of every seal it
+        #: makes on this channel, for the channel's whole life.
+        self.streams = dict(zip((a, b), streams))
         # Per-direction send counters and replay guards (P6).
         init_ab, init_ba = initial_counters
         self._send_counter = {a: init_ab, b: init_ba}
@@ -196,8 +200,13 @@ class SecureChannel:
 
         Both sides verify the other's attestation quote over its DH public
         value before deriving keys; a wrong program measurement aborts with
-        :class:`AttestationError` (enforcing P1).  Initial per-direction
-        sequence numbers are drawn from enclave randomness (P6).  Only
+        :class:`AttestationError` (enforcing P1).  Each side draws from its
+        own link stream, forked off its RDRAND by the peer's id (a fork
+        draws nothing): its DH key pair, its quote's signature nonce, its
+        initial sequence number (P6) and, later, every AEAD nonce it seals
+        on the link.  The protocol's stream never sees a channel draw.
+        Initial sequence numbers lie in ``[2**24, 2**31]``, so their
+        encoded width does not depend on the draw.  Only
         ``ChannelSecurity.FULL`` has a channel to establish; the other
         levels are :mod:`repro.net.transport` models.
         """
@@ -207,16 +216,16 @@ class SecureChannel:
             )
         enclave_a.guard()
         enclave_b.guard()
-        rng_a = enclave_a.rdrand.rng()
-        rng_b = enclave_b.rdrand.rng()
+        rng_a = enclave_a.rdrand.rng().fork(("channel", enclave_b.node_id))
+        rng_b = enclave_b.rdrand.rng().fork(("channel", enclave_a.node_id))
 
         dh_a = DiffieHellman(rng_a, group)
         dh_b = DiffieHellman(rng_b, group)
         pair_a = dh_a.generate_keypair()
         pair_b = dh_b.generate_keypair()
         width = group.byte_width
-        quote_a = enclave_a.quote(pair_a.public.to_bytes(width, "big"))
-        quote_b = enclave_b.quote(pair_b.public.to_bytes(width, "big"))
+        quote_a = enclave_a.quote(pair_a.public.to_bytes(width, "big"), rng_a)
+        quote_b = enclave_b.quote(pair_b.public.to_bytes(width, "big"), rng_b)
         # Each side checks the peer runs the same program (P1/F3).
         enclave_a.verify_peer_quote(quote_b, enclave_a.measurement)
         enclave_b.verify_peer_quote(quote_a, enclave_b.measurement)
@@ -229,8 +238,8 @@ class SecureChannel:
         material = hkdf(secret, info=label.encode(), length=2 * KEY_SIZE)
         key = AeadKey(enc_key=material[:KEY_SIZE], mac_key=material[KEY_SIZE:])
 
-        init_ab = rng_a.randint(1, 2**31)
-        init_ba = rng_b.randint(1, 2**31)
+        init_ab = rng_a.randint(2**24, 2**31)
+        init_ba = rng_b.randint(2**24, 2**31)
         return SecureChannel(
             enclave_a.node_id,
             enclave_b.node_id,
@@ -238,6 +247,7 @@ class SecureChannel:
             measurement_a=enclave_a.measurement,
             measurement_b=enclave_b.measurement,
             initial_counters=(init_ab, init_ba),
+            streams=(rng_a, rng_b),
         )
 
     # ------------------------------------------------------------------

@@ -354,6 +354,7 @@ def _parse_peer_book(spec: str) -> dict:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
+    from repro.common.errors import ConfigurationError
     from repro.net.wire import WireNodeConfig, run_node_daemon
 
     if args.config:
@@ -362,6 +363,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
                 cfg = WireNodeConfig.from_json(fh.read())
         except OSError as exc:
             raise SystemExit(f"error: cannot read {args.config}: {exc}")
+        except (ValueError, TypeError, ConfigurationError) as exc:
+            raise SystemExit(f"error: bad node config {args.config}: {exc}")
     else:
         if args.node_id is None:
             raise SystemExit("error: --node-id is required without --config")
@@ -419,13 +422,19 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     total_bytes = sum(
         r.stats.total_bytes_sent for r in result.reports.values()
     )
+    total_frames = sum(
+        sum(r.stats.frames_sent.values()) for r in result.reports.values()
+    )
     print(f"{args.protocol} over real TCP (N={args.n}, {mode} loopback):")
     print(f"  accepted value(s): {', '.join(values) or 'none'}")
     print(f"  decided:           {len(result.outputs)}/{args.n} nodes")
     print(f"  rounds:            {result.rounds_executed}")
     print(f"  wall clock:        {result.wall_seconds:.3f} s")
     if total_bytes:
-        print(f"  wire traffic:      {total_bytes} bytes sent")
+        print(
+            f"  wire traffic:      {total_frames} frames, "
+            f"{total_bytes} bytes sent"
+        )
     print(f"  ejected/halted:    {result.halted or 'none'}")
     if args.protocol == "beacon":
         for record in result.records:

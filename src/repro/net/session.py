@@ -21,11 +21,11 @@ explicit cross-run hygiene: enclaves are relaunched with fresh programs
 and RDRAND forks off a re-seeded master RNG, the ACK digest LRU /
 ack-size / neighbour-tuple / dispatch caches are invalidated, staged
 queues are dropped, and traffic stats are rescoped.  Because RNG forks
-are label-derived, a MODELED or NONE session run is **bit-identical** to
-the same run on a freshly built network — reuse is purely a performance
-property, and the equivalence is pinned by tests.  A FULL session run is
-reproducible but not fresh: the kept channels' handshakes drew RDRAND
-when the network was built, and a relaunch does not replay them.
+are label-derived, and every channel draws from its own link streams
+(kept with the channel, never re-forked by a relaunch), a session run is
+**bit-identical** to the same run on a freshly built network at every
+channel security — reuse is purely a performance property, and the
+equivalence is pinned by tests.
 
 Observability scoping: ``config.tracer`` and ``config.timing`` belong to
 the *session* — one tracer sees every run's events (with per-run round

@@ -839,12 +839,10 @@ class SynchronousNetwork(RoundHost):
 
         A link goes per wire when an end has an OS behaviour (it meets
         the members one by one) or the ends' measurements differ (each
-        member rejects on its own).  Then every link of a traced or FULL
-        run goes per wire, as does every link of a traced FULL run:
-        traced events carry per-message sealed sizes and OS actions in
-        per-wire order (Definition A.5), and FULL draws its AEAD nonces
-        from the sender's RDRAND stream, so an envelope on a clean link
-        would shift the protocol's later draws.
+        member rejects on its own).  Then every link of a traced run goes
+        per wire, as does every link of a traced FULL run: traced events
+        carry per-message sealed sizes and OS actions in per-wire order
+        (Definition A.5).
         """
         faulty = frozenset(self._behavior_nodes)
         groups: Dict[bytes, List[NodeId]] = {}
@@ -855,7 +853,7 @@ class SynchronousNetwork(RoundHost):
         if not faulty and len(groups) == 1 and not (traced and full):
             return None
         everyone = frozenset(self.nodes)
-        if traced or full:
+        if traced:
             return [everyone] * self.config.n
         wired: List[FrozenSet[NodeId]] = [everyone] * self.config.n
         for members in groups.values():
@@ -1020,11 +1018,10 @@ class SynchronousNetwork(RoundHost):
         survives is the *network*: topology, secure channels (a FULL
         session keeps its keys) and monotone freshness counters — a
         replay captured in run ``i`` is still dead in run ``i+1``.
-        Because RNG forks are label-derived, under MODELED and NONE the
-        recycled network's streams are bit-identical to a freshly built
-        network's with the same ``seed``: session reuse never changes
-        protocol outputs.  Under FULL it is reproducible, not fresh
-        (``repro.net.session``).
+        Because RNG forks are label-derived and every channel draws from
+        its own link streams, the recycled network's protocol streams are
+        bit-identical to a freshly built network's with the same
+        ``seed``: session reuse never changes protocol outputs.
         """
         if seed is not None and seed != self.config.seed:
             # A copy, never a write-through: the caller's config object may
@@ -1107,8 +1104,8 @@ class SynchronousNetwork(RoundHost):
             return "adversarial OS behaviours run serially, as per-wire links"
         if self.transport.security is ChannelSecurity.FULL:
             return (
-                "FULL channel security draws per-link enclave RNG, which "
-                "a sharded run cannot reproduce byte-identically"
+                "FULL channel security seals in the coordinator, and the "
+                "shard workers seal nothing"
             )
         if self._wired is not None:
             return "heterogeneous program measurements"
@@ -1356,13 +1353,17 @@ class SynchronousNetwork(RoundHost):
             self._credit_ack(dest, digest, count)
 
     def _ack_wave_envelope_full(
-        self, queue: List[Tuple[NodeId, NodeId, bytes]], rnd: Round
+        self,
+        queue: List[Tuple[NodeId, NodeId, bytes]],
+        rnd: Round,
+        charge: bool = True,
     ) -> None:
         """Envelope-path ACK wave for the FULL transport.
 
         Each link's ACKs seal as one envelope whose members carry their
         own channel counters, so the logical per-ACK sizes (and the
         per-link counter sequences) match per-message writes exactly.
+        ``charge=False`` leaves the physical ledger to the caller.
         """
         nodes = self.nodes
         traffic = self.stats.traffic
@@ -1384,7 +1385,8 @@ class SynchronousNetwork(RoundHost):
             (env,) = transport.seal_envelope(acker, (dest,), bodies)
             for msize in env.member_sizes:
                 traffic.record_send(MessageType.ACK, msize, rnd, physical=False)
-            traffic.record_envelope(env.count, env.size)
+            if charge:
+                traffic.record_envelope(env.count, env.size)
             if not nodes[dest].alive:
                 traffic.record_omissions(env.count)
                 continue
@@ -1563,7 +1565,7 @@ class _EnvelopeRounds:
                 clean = []
                 for receiver in targets:
                     if receiver not in wired:
-                        # Untraced, not FULL: see _per_wire_links.
+                        # Untraced: see _per_wire_links.
                         clean_member((sender, (receiver,), message, size))
                         clean.append(receiver)
                         continue
@@ -1630,7 +1632,8 @@ class _EnvelopeRounds:
                         traffic.record_send(
                             message.type, msize, rnd, physical=False
                         )
-                    traffic.record_envelope(env.count, env.size)
+                    if charge:
+                        traffic.record_envelope(env.count, env.size)
                     envelopes.append(env)
                 continue
             for receivers, members, env_size in net._coalesce_links(entries):
@@ -1716,9 +1719,8 @@ class _EnvelopeRounds:
         wired_of = self._wired
         start = traffic.bytes_sent
         ack_size = net._ack_wire_size(rnd)
-        link_counts, credits, total = net._tally_acks(
-            [ack for ack in queue if ack[1] not in wired_of[ack[0]]]
-        )
+        clean = [ack for ack in queue if ack[1] not in wired_of[ack[0]]]
+        link_counts, credits, total = net._tally_acks(clean)
         wires: List[WireMessage] = []
         for acker, dest, digest in queue:
             if dest not in wired_of[acker] or not nodes[acker].alive:
@@ -1734,10 +1736,13 @@ class _EnvelopeRounds:
                 wires.append(wire)
             else:
                 net._apply_send_filter(behavior, acker, wire, rnd, wires)
-        net._settle_ack_wave(
-            rnd, ack_size, link_counts, credits, total,
-            seal=True, charge=False,
-        )
+        if net.transport.security is ChannelSecurity.FULL:
+            net._ack_wave_envelope_full(clean, rnd, charge=False)
+        else:
+            net._settle_ack_wave(
+                rnd, ack_size, link_counts, credits, total,
+                seal=True, charge=False,
+            )
         self._charge_crossings(rnd, "ack", link_counts, wires, start)
         for wire in wires:
             net._receive(wire, rnd)

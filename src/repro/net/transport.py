@@ -153,20 +153,21 @@ class FullTransport(Transport):
         message: ProtocolMessage,
         size_hint: Optional[int] = None,
     ) -> List[WireMessage]:
-        # Seal per receiver (each channel has its own key and counter) but
-        # serialize the message body exactly once for the whole fan-out.
-        # ``rdrand.rng()`` returns the stream object without drawing.
+        # Seal per receiver (each channel has its own key, counter and
+        # link stream) but serialize the message body exactly once for
+        # the whole fan-out.
         enclave = self._enclaves[sender]
         enclave.guard()
-        rng = enclave.rdrand.rng()
         measurement = enclave.measurement
         encoded = encode(message.to_tuple())
         table = self._table
         mtype = message.type
         wires: List[WireMessage] = []
         for receiver in targets:
-            wire = table.get(sender, receiver).write(
-                sender, message, rng, measurement, encoded_message=encoded
+            channel = table.get(sender, receiver)
+            wire = channel.write(
+                sender, message, channel.streams[sender], measurement,
+                encoded_message=encoded,
             )
             wire.mtype = mtype
             wires.append(wire)
@@ -189,15 +190,14 @@ class FullTransport(Transport):
     ) -> List[Envelope]:
         enclave = self._enclaves[sender]
         enclave.guard()
-        rng = enclave.rdrand.rng()
         measurement = enclave.measurement
-        table = self._table
-        return [
-            table.get(sender, receiver).write_envelope(
-                sender, members, rng, measurement
-            )
-            for receiver in receivers
-        ]
+        envelopes: List[Envelope] = []
+        for receiver in receivers:
+            channel = self._table.get(sender, receiver)
+            envelopes.append(channel.write_envelope(
+                sender, members, channel.streams[sender], measurement
+            ))
+        return envelopes
 
     def open_envelope(
         self, receiver: NodeId, envelope: Envelope

@@ -72,9 +72,11 @@ import json
 import logging
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints,
+)
 
 from repro.apps.beacon import BeaconRecord, RandomBeacon, epoch_seed
 from repro.channel.peer_channel import Envelope, modeled_wire_size
@@ -220,68 +222,23 @@ class WireNodeConfig:
     # -- serialization -------------------------------------------------
     def to_json(self) -> str:
         payload = {
-            "node_id": self.node_id,
-            "n": self.n,
-            "t": self.t,
-            "seed": self.seed,
-            "protocol": self.protocol,
-            "listen_host": self.listen_host,
-            "listen_port": self.listen_port,
-            "peers": {
-                str(pid): [host, port]
-                for pid, (host, port) in sorted(self.peers.items())
-            },
-            "security": self.security,
-            "delta": self.delta,
-            "round_timeout_s": self.round_timeout_s,
-            "connect_timeout_s": self.connect_timeout_s,
-            "initiator": self.initiator,
-            "message": self.message.decode("utf-8", "replace"),
-            "seq": self.seq,
-            "random_bits": self.random_bits,
-            "epochs": self.epochs,
+            f.name: _TO_JSON.get(hint, _same)(getattr(self, f.name))
+            for f, hint in _typed_fields()
         }
-        if self.fail_at_round is not None:
-            payload["fail_at_round"] = self.fail_at_round
-            payload["fail_mode"] = self.fail_mode
+        if self.fail_at_round is None:
+            del payload["fail_at_round"], payload["fail_mode"]
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "WireNodeConfig":
+        """A config file's values, each converted by its field's type
+        (``"1"`` is node 1); a field the file leaves out keeps its
+        default."""
         raw = json.loads(text)
-        peers = {
-            int(pid): (host, int(port))
-            for pid, (host, port) in raw.get("peers", {}).items()
-        }
-        return WireNodeConfig(
-            node_id=int(raw["node_id"]),
-            n=int(raw["n"]),
-            t=int(raw.get("t", -1)),
-            seed=int(raw.get("seed", 0)),
-            protocol=raw.get("protocol", "erb"),
-            listen_host=raw.get("listen_host", "127.0.0.1"),
-            listen_port=int(raw.get("listen_port", 0)),
-            peers=peers,
-            security=raw.get("security", "modeled"),
-            delta=float(raw.get("delta", 0.05)),
-            round_timeout_s=float(
-                raw.get("round_timeout_s", DEFAULT_ROUND_TIMEOUT_S)
-            ),
-            connect_timeout_s=float(
-                raw.get("connect_timeout_s", DEFAULT_CONNECT_TIMEOUT_S)
-            ),
-            initiator=int(raw.get("initiator", 0)),
-            message=raw.get("message", "wire").encode(),
-            seq=int(raw.get("seq", 1)),
-            random_bits=int(raw.get("random_bits", 128)),
-            epochs=int(raw.get("epochs", 1)),
-            fail_at_round=(
-                int(raw["fail_at_round"])
-                if raw.get("fail_at_round") is not None
-                else None
-            ),
-            fail_mode=raw.get("fail_mode", "crash"),
-        )
+        return WireNodeConfig(**{
+            f.name: _FROM_JSON[hint](raw[f.name])
+            for f, hint in _typed_fields() if f.name in raw
+        })
 
     def config_digest(self) -> bytes:
         """What both ends of a HELLO must agree on to talk at all."""
@@ -307,6 +264,36 @@ class WireNodeConfig:
             channel_security=security,
             random_bits=self.random_bits,
         )
+
+
+def _same(value):
+    return value
+
+
+def _typed_fields():
+    """``(field, resolved type)`` of every :class:`WireNodeConfig` field."""
+    hints = get_type_hints(WireNodeConfig)
+    return [(f, hints[f.name]) for f in fields(WireNodeConfig)]
+
+
+_PEERS = Dict[int, Tuple[str, int]]
+#: One conversion per field type, each way.
+_FROM_JSON: Dict[object, Callable] = {
+    int: int,
+    float: float,
+    str: str,
+    bytes: str.encode,
+    Optional[int]: lambda value: None if value is None else int(value),
+    _PEERS: lambda peers: {
+        int(pid): (host, int(port)) for pid, (host, port) in peers.items()
+    },
+}
+_TO_JSON: Dict[object, Callable] = {
+    bytes: lambda value: value.decode("utf-8", "replace"),
+    _PEERS: lambda peers: {
+        str(pid): [host, port] for pid, (host, port) in peers.items()
+    },
+}
 
 
 # ----------------------------------------------------------------------
@@ -865,6 +852,9 @@ class WireNode(RoundHost):
         self._round_walls: List[float] = []
         self._round_bytes: List[int] = []
         self._round_t0 = 0.0
+        # The live peers when the last round began: the shutdown BYE's
+        # addressees (None before any round).
+        self._round_peers: Optional[List[_Peer]] = None
         # The last (run, round) closed here, and its FIN consensus.
         self._closed = (0, 0)
         self._peers_done = False
@@ -953,10 +943,11 @@ class WireNode(RoundHost):
         peer.pending.clear()
 
     def _flush(self) -> None:
-        """One write per live peer of what this wave queued for it."""
+        """One write per open link of what this wave queued for it (a
+        peer that said BYE still gets the shutdown BYE)."""
         for peer in self._peers.values():
             if peer.pending:
-                if peer.alive:
+                if peer.link is not None and not peer.link.transport.is_closing():
                     self._send(peer)
                 else:
                     peer.pending.clear()
@@ -1212,11 +1203,13 @@ class WireNode(RoundHost):
     # ------------------------------------------------------------------
     # the round: RoundBackend over TCP frames, and the pump that waits
     # ------------------------------------------------------------------
-    def _mark_wave(self, kind: int, rnd: int, *rest) -> None:
-        """Tell every live peer this node's part of a wave is out: one
-        frame, encoded once."""
+    def _mark_wave(
+        self, kind: int, rnd: int, *rest, peers: Optional[List[_Peer]] = None
+    ) -> None:
+        """Tell every live peer (or ``peers``) this node's part of a wave
+        is out: one frame, encoded once."""
         body = encode((kind, self.current_run, rnd, *rest))
-        for peer in self._live_peers():
+        for peer in self._live_peers() if peers is None else peers:
             self._write_frame(peer, body)
 
     def run_hooks(
@@ -1226,6 +1219,7 @@ class WireNode(RoundHost):
         what this daemon owes its peers when a round closes."""
         if hook == "on_round_begin":
             self._round_t0 = perf_counter()
+            self._round_peers = self._live_peers()
             if self.cfg.fail_at_round == rnd:
                 raise _WireAbort()
         super().run_hooks(hook, rnd, halted_now, seconds)
@@ -1422,9 +1416,13 @@ class WireNode(RoundHost):
 
     async def _close(self, crashed: bool = False) -> None:
         """Say BYE (unless crashed), stop listening, close every link and
-        wait for each to be lost, so no transport outlives the loop."""
+        wait for each to be lost, so no transport outlives the loop.  The
+        BYE goes to every peer live when the last round began, like that
+        round's waves, whoever closes first."""
         if not crashed:
-            self._mark_wave(K_BYE, self.current_round, "shutdown")
+            self._mark_wave(
+                K_BYE, self.current_round, "shutdown", peers=self._round_peers
+            )
         self._flush()
         if self._server is not None:
             self._server.close()

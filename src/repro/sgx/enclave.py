@@ -81,6 +81,10 @@ class Enclave:
         **new** protocol instance, with a fresh RDRAND fork, a fresh
         measurement and a reset clock reference, exactly as a relaunched
         enclave joining the next instance of a long-lived service would.
+        Kept channels keep their link streams (forked off the RDRAND of
+        the launch that established them): forking them again at the
+        same seed would restart them, and a rerun would reuse their
+        randomness as nonces under the kept keys.
         Used by :meth:`repro.net.simulator.SynchronousNetwork.\
 begin_session_run`.
         """
@@ -92,16 +96,16 @@ begin_session_run`.
         self.measurement = measure_program(program)
 
     # ---- attestation (F3) ----------------------------------------------
-    def quote(self, report_data: bytes) -> Quote:
+    def quote(self, report_data: bytes, rng: DeterministicRNG) -> Quote:
         """Produce an attestation quote binding ``report_data`` to this
-        enclave's measurement."""
+        enclave's measurement, signed with a nonce drawn from ``rng``."""
         self.guard()
         if self._authority is None:
             raise EnclaveHaltedError(
                 "no attestation authority configured for this enclave"
             )
         return self._authority.issue_quote(
-            self.measurement, report_data, self.rdrand.rng()
+            self.measurement, report_data, rng
         )
 
     def verify_peer_quote(self, quote: Quote, expected_measurement: bytes) -> None:

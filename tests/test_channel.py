@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SimulationConfig, run_erb, run_erng
 from repro.channel.peer_channel import SecureChannel, modeled_wire_size
 from repro.channel.replay import ReplayGuard
 from repro.common.config import CHANNEL_OVERHEAD_BYTES, ChannelSecurity
@@ -18,6 +19,8 @@ from repro.common.errors import (
 )
 from repro.common.rng import DeterministicRNG
 from repro.common.types import MessageType, ProtocolMessage
+from repro.core.erng_optimized import run_optimized_erng
+from repro.core.pb_erb import run_pb_erb
 from repro.crypto.dh import MODP_768
 from repro.sgx.attestation import AttestationAuthority
 from repro.sgx.enclave import Enclave
@@ -159,6 +162,21 @@ class TestFullChannel:
         with pytest.raises(ProtocolError):
             channel.write(99, _message(), a.rdrand.rng(), a.measurement)
 
+    def test_establish_draws_nothing_from_the_protocol_stream(self):
+        a, b, _ = self._channel()
+        fresh_a, fresh_b = _enclaves()
+        assert a.rdrand.read_rand(32) == fresh_a.rdrand.read_rand(32)
+        assert b.rdrand.read_rand(32) == fresh_b.rdrand.read_rand(32)
+
+    def test_initial_counters_have_one_encoded_width(self):
+        for label in range(8):
+            a, b = _enclaves(label=("width", label))
+            channel = SecureChannel.establish(
+                a, b, ChannelSecurity.FULL, group=MODP_768
+            )
+            for sender in (0, 1):
+                assert 2**24 < channel.next_counter(sender) <= 2**31 + 1
+
     def test_halted_enclave_cannot_establish(self):
         a, b = _enclaves()
         a.halt()
@@ -197,3 +215,39 @@ class TestModeledChannel:
         from repro.common.serialization import encode
 
         assert modeled_wire_size(msg) == len(encode(msg.to_tuple())) + CHANNEL_OVERHEAD_BYTES
+
+
+class TestFullDecidesWhatModeledDecides:
+    """Channel draws come from link streams, so a FULL run's protocol
+    draws are a MODELED run's: the same decisions at the same seed."""
+
+    @staticmethod
+    def _decisions(run, security, seed, **kwargs):
+        extra = {"dh_group": "small"} if security is ChannelSecurity.FULL else {}
+        result = run(SimulationConfig(
+            seed=seed, channel_security=security, extra=extra, **kwargs
+        ))
+        return (
+            result.outputs, result.halted, result.decided_rounds,
+            result.rounds_executed,
+        )
+
+    @pytest.mark.parametrize("protocol, kwargs", [
+        ("erb", {"n": 5}),
+        ("erng", {"n": 5}),
+        ("erng-opt", {"n": 9, "t": 2}),
+        ("pb-erb", {"n": 5}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_decisions_at_the_same_seed(self, protocol, kwargs, seed):
+        run = {
+            "erb": lambda c: run_erb(c, initiator=1, message=b"m"),
+            "erng": run_erng,
+            "erng-opt": run_optimized_erng,
+            "pb-erb": lambda c: run_pb_erb(c, initiator=1, message=b"m"),
+        }[protocol]
+        full = self._decisions(run, ChannelSecurity.FULL, seed, **kwargs)
+        assert full == self._decisions(
+            run, ChannelSecurity.MODELED, seed, **kwargs
+        )
+        assert full[0]

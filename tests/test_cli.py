@@ -77,3 +77,13 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "live byzantine per instance: [0, 0]" in out
+
+    @pytest.mark.parametrize("text", [
+        "not json", '{"n": 3}', '{"node_id": 0, "n": "three"}',
+        '{"node_id": 0, "n": 3, "protocol": "zab"}',
+    ])
+    def test_node_rejects_a_bad_config_file(self, tmp_path, text):
+        path = tmp_path / "node.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit, match="bad node config"):
+            main(["node", "--config", str(path)])

@@ -192,7 +192,8 @@ def session_vector() -> dict:
 
 def tamper_vector() -> dict:
     """The same protocol with node 2's OS flipping ciphertext bits: the
-    behaviour forces the general per-wire path (write/read, not envelopes)."""
+    behaviour puts node 2's links on the per-wire path (write/read, not
+    envelopes)."""
     config = SimulationConfig(
         n=5, seed=9, channel_security=ChannelSecurity.FULL,
         extra={"dh_group": "small"},

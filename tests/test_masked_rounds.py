@@ -60,8 +60,8 @@ _MODELED_GRID = build_grid(
 ) + build_grid(
     ["erng"], [16], list(STRATEGIES), ["none"], [0], master_seed=11,
 )
-# FULL runs with a behaviour put every link per wire, so a few
-# strategies cover them: the copies (rod), the forgeries (byzantine).
+# FULL runs split their links as MODELED runs do; a few strategies
+# cover them over real AEAD: the copies (rod), the forgeries (byzantine).
 _GRID = _MODELED_GRID + build_grid(
     PROTOCOLS, [7], list(STRATEGIES), ["none"], [0], master_seed=12,
     channel="none",
@@ -346,8 +346,9 @@ def test_untraced_modeled_adversarial_run_is_envelope():
 
 @pytest.mark.parametrize("case", ["none", "full", "traced"])
 def test_other_adversarial_runs_stay_per_wire(case):
-    """They run on the one back-end too.  NONE hands the behaviour its
-    faulty node's wires only; on FULL and traced runs every link is
+    """They run on the one back-end too.  NONE and FULL hand the
+    behaviour its faulty node's wires only, as MODELED does (each FULL
+    link seals from its own stream); on a traced run every link is
     per-wire."""
     if case == "traced":
         engine, wired = _run(tracer=Tracer.memory())
@@ -356,7 +357,7 @@ def test_other_adversarial_runs_stay_per_wire(case):
             ChannelSecurity.NONE if case == "none" else ChannelSecurity.FULL
         )
     assert engine == "envelope"
-    if case == "none":
+    if case != "traced":
         assert wired == [{2}, {2}, set(range(5)), {2}, {2}]
     else:
         assert wired == [set(range(5))] * 5

@@ -74,7 +74,8 @@ class TestCoverage:
         [
             ("envelope", dict(n=64, seed=3)),
             ("per-wire", dict(n=12, seed=3,
-                              channel_security=ChannelSecurity.FULL)),
+                              channel_security=ChannelSecurity.FULL,
+                              extra={"dh_group": "small"})),
             ("parallel", dict(n=16, seed=3, workers=2)),
         ],
     )
@@ -224,7 +225,7 @@ class TestInvisibility:
     def test_serial_full_timed_equals_untimed(self):
         kwargs = dict(
             n=12, seed=3, channel_security=ChannelSecurity.FULL,
-            backend="per-wire",
+            extra={"dh_group": "small"}, backend="per-wire",
         )
         baseline = _run("erb", **kwargs)
         timed = _run("erb", timing=TimingCollector(), **kwargs)

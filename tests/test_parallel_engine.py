@@ -235,8 +235,8 @@ def test_adversarial_runs_fall_back_to_serial():
 
 
 def test_full_channel_falls_back_to_serial():
-    """FULL seals draw per-link enclave RNG whose stream order a sharded
-    run cannot reproduce; the predicate must decline."""
+    """FULL channels seal in the coordinating process only (the shard
+    workers seal nothing); the predicate must decline."""
     config = SimulationConfig(
         n=4, seed=2, workers=4,
         channel_security=ChannelSecurity.FULL,

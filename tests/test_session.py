@@ -1,11 +1,10 @@
 """Engine sessions: cross-run reuse, cache hygiene, beacon pipelining.
 
-The contract under test is the one ``repro.net.session`` documents: under
-MODELED and NONE channels a run on a recycled session is
-**bit-identical** to the same run on a freshly built network — session
-reuse (and, with ``workers > 1``, the persistent forked crew) is purely
-a performance property.  Under FULL it is not yet (see
-:class:`TestFullSessionRuns`).  The cache
+The contract under test is the one ``repro.net.session`` documents: a
+run on a recycled session is **bit-identical** to the same run on a
+freshly built network, at every channel security — session reuse (and,
+with ``workers > 1``, the persistent forked crew) is purely a
+performance property.  The cache
 -eviction regression test pins the hygiene that makes this true: stale
 digest-LRU entries, ack-size hints and neighbour tuples from a prior
 run must never leak into the next one.
@@ -21,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro import SimulationConfig, run_erng
 from repro.apps.beacon import RandomBeacon, _ErngEpochFactory
+from repro.channel.peer_channel import SecureChannel
 from repro.common.config import ChannelSecurity
 from repro.common.errors import ConfigurationError
+from repro.crypto.stream_cipher import NONCE_SIZE
 from repro.net.session import EngineSession
 from repro.net.shm import shared_memory_available
 
@@ -149,20 +150,18 @@ def _full_session_runs(seeds):
 
 
 class TestFullSessionRuns:
-    """Under FULL each peer channel's handshake draws its DH keys from
-    the enclave's RDRAND when the network is built.  ``Enclave.relaunch``
-    re-forks RDRAND for the next run but does not redo the handshakes,
-    so a recycled run's protocol draws start where a fresh network's
-    handshake draws start: the run is reproducible, not fresh."""
+    """Under FULL each peer channel draws from its own link streams,
+    forked off the enclaves' RDRAND when the network is built and kept
+    for the channel's life.  A relaunch re-forks the protocol's RDRAND
+    only, so a recycled run is a fresh run, and a rerun at the same seed
+    seals with the kept streams' later nonces."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a FULL session run replays RDRAND from the handshake "
-        "draws' position (channel draws share the protocol's stream)",
-    )
-    def test_recycled_run_matches_a_fresh_network(self):
-        _, reseeded = _full_session_runs([3, 9])
-        _assert_same_run(reseeded, run_erng(_full_config(9)))
+    @pytest.mark.parametrize("first, second", [
+        (seed, 7 * seed + 11) for seed in range(10)
+    ])
+    def test_recycled_run_matches_a_fresh_network(self, first, second):
+        _, reseeded = _full_session_runs([first, second])
+        _assert_same_run(reseeded, run_erng(_full_config(second)))
 
     def test_first_run_is_a_fresh_run(self):
         (first,) = _full_session_runs([3])
@@ -172,6 +171,44 @@ class TestFullSessionRuns:
         seeds = [3, 9, 3]
         for a, b in zip(_full_session_runs(seeds), _full_session_runs(seeds)):
             _assert_same_run(a, b)
+
+    def test_rerun_at_the_same_seed_repeats_no_nonce(self, monkeypatch):
+        """Every seal on a directed link draws its link stream's next
+        nonce, across runs: a rerun at the same seed continues the kept
+        streams instead of restarting them under the kept keys."""
+        nonces: dict = {}
+        write_envelope = SecureChannel.write_envelope
+
+        def recording(channel, sender, *args):
+            envelope = write_envelope(channel, sender, *args)
+            nonces.setdefault((sender, envelope.receiver), []).append(
+                envelope.sealed[:NONCE_SIZE]
+            )
+            return envelope
+
+        monkeypatch.setattr(SecureChannel, "write_envelope", recording)
+        with EngineSession(
+            _full_config(3), _ErngEpochFactory(4, 1, 64)
+        ) as session:
+            enclaves = session.network._enclaves
+            # A second fork off the building launch's RDRAND replays each
+            # link stream from its start.
+            streams = {
+                (a, b): enclaves[a].rdrand.rng().fork(("channel", b))
+                .randbytes(4096)
+                for a in enclaves for b in enclaves if a != b
+            }
+            first = session.run(3)
+            second = session.run(3, seed=3)
+        _assert_same_run(first, second)
+        assert set(nonces) == set(streams)
+        for link, drawn in nonces.items():
+            offsets = [streams[link].find(nonce) for nonce in drawn]
+            start = offsets[0]
+            assert start > 0
+            assert offsets == list(
+                range(start, start + NONCE_SIZE * len(drawn), NONCE_SIZE)
+            )
 
 
 @fork_only

@@ -239,7 +239,7 @@ class TestEnclave:
         enclave = self._enclave()
         enclave.halt()
         with pytest.raises(EnclaveHaltedError):
-            enclave.quote(b"report")
+            enclave.quote(b"report", enclave.rdrand.rng())
 
     def test_quote_roundtrip_between_enclaves(self):
         rng = DeterministicRNG("pair")
@@ -247,7 +247,7 @@ class TestEnclave:
         authority = AttestationAuthority(rng)
         a = Enclave(0, _ProgramA(), rng, clock, authority)
         b = Enclave(1, _ProgramA(), rng, clock, authority)
-        quote = a.quote(b"dh-public")
+        quote = a.quote(b"dh-public", a.rdrand.rng())
         b.verify_peer_quote(quote, b.measurement)  # same program: accepts
 
     def test_cross_program_quote_rejected(self):
@@ -257,7 +257,7 @@ class TestEnclave:
         a = Enclave(0, _ProgramA(), rng, clock, authority)
         b = Enclave(1, _ProgramB(), rng, clock, authority)
         with pytest.raises(AttestationError):
-            b.verify_peer_quote(a.quote(b"x"), b.measurement)
+            b.verify_peer_quote(a.quote(b"x", a.rdrand.rng()), b.measurement)
 
 
 # ---------------------------------------------------------------------------

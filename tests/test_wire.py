@@ -38,6 +38,7 @@ from repro.net.wire import (
     K_EOD,
     K_FIN,
     DEFAULT_ROUND_TIMEOUT_S,
+    WireNode,
     WireNodeConfig,
     WireRunReport,
     allocate_loopback_ports,
@@ -69,6 +70,20 @@ class TestWireNodeConfig:
         restored = WireNodeConfig.from_json(cfg.to_json())
         assert restored.fail_at_round == 2
         assert restored.fail_mode == "hang"
+
+    def test_config_file_strings_become_typed_values(self):
+        """A hand-written config file may quote its numbers."""
+        cfg = WireNodeConfig.from_json(json.dumps({
+            "node_id": "1", "n": "3", "listen_port": "9001",
+            "round_timeout_s": "2",
+        }))
+        assert (cfg.node_id, cfg.n, cfg.listen_port) == (1, 3, 9001)
+        assert type(cfg.node_id) is int and type(cfg.listen_port) is int
+        assert type(cfg.round_timeout_s) is float and cfg.round_timeout_s == 2.0
+        assert cfg.fail_at_round is None and cfg.message == b"wire"
+        # Node 1 peers with the two others, never with itself.
+        assert sorted(WireNode(cfg)._peers) == [0, 2]
+        assert "fail_at_round" not in json.loads(cfg.to_json())
 
     def test_t_defaults_to_protocol_maximum(self):
         cfg = WireNodeConfig(node_id=0, n=7)
@@ -561,6 +576,28 @@ class TestShutdown:
             # Interrupted long before 10k epochs: the stop actually
             # took effect rather than the service running to completion.
             assert len(report.records) < 10_000
+
+    def test_daemon_processes_send_what_the_in_process_cluster_sends(self):
+        """The shutdown BYE goes to every peer live when the last round
+        began, whichever daemon closes first: per-node frame and byte
+        totals do not depend on the interleaving of five processes."""
+        from repro.net.wire import run_cluster_processes
+
+        def totals(result):
+            return {
+                node: (
+                    sum(report.stats.frames_sent.values()),
+                    report.stats.total_bytes_sent,
+                )
+                for node, report in result.reports.items()
+            }
+
+        in_process = run_cluster(cluster_configs(5, "erb", seed=0))
+        processes = run_cluster_processes(cluster_configs(
+            5, "erb", seed=0, ports=allocate_loopback_ports(5)
+        ))
+        assert totals(processes) == totals(in_process)
+        assert all(frames == 40 for frames, _ in totals(in_process).values())
 
     def test_sigterm_daemon_processes_exit_cleanly(self):
         """Real daemons, real signals: SIGTERM mid-service must produce

@@ -119,7 +119,7 @@ def test_full_erb_ledger_and_crypto_calls():
         )
     finally:
         PROFILER.disable()
-    assert ledger(result) == (112, 112, 75598, 76158, 0, 2)
+    assert ledger(result) == (112, 112, 75600, 76160, 0, 2)
     assert crypto_calls == (112, 112)
 
 

@@ -139,12 +139,6 @@ def rb_sig_bytes(
     return init + relays
 
 
-def rb_sig_bytes_worst(n: int, t: int, signature_bytes: int = 192,
-                       base_bytes: float = 60.0) -> float:
-    """Worst-case O(N³): O(N²) relays carrying O(N)-signature chains."""
-    return (n - 1) * (n - 1) * (base_bytes + (t + 1) * signature_bytes)
-
-
 def rb_early_messages(n: int, rounds: int) -> int:
     """Every undecided node broadcasts every round: ``rounds × N(N-1)``."""
     return rounds * n * (n - 1)

@@ -75,16 +75,34 @@ class BeaconRecord:
         )
 
 
-def epoch_seed(beacon_seed: int, epoch: int, prev_digest: bytes) -> int:
-    """The engine seed of one epoch: chained off the previous digest
-    (``b""`` for epoch 0), so epoch seeds are unpredictable until the
-    previous epoch's value is public — and every execution mode derives
-    the exact same seeds."""
+#: The digest epoch 0's record chains to.
+GENESIS = hash_bytes(b"beacon-genesis", domain="beacon-record")
+
+
+def epoch_seed(
+    beacon_seed: int, epoch: int, prev_digest: Optional[bytes]
+) -> int:
+    """The engine seed of one epoch: chained off the previous record's
+    digest (None before the first, which hashes ``b""``), so epoch seeds
+    are unpredictable until the previous epoch's value is public — and
+    every execution mode derives the exact same seeds."""
     material = hash_bytes(
-        encode((beacon_seed, epoch, prev_digest)),
+        encode((beacon_seed, epoch, prev_digest or b"")),
         domain="beacon-epoch-seed",
     )
     return int.from_bytes(material[:8], "big")
+
+
+def next_record(
+    epoch: int, value: int, prev_digest: Optional[bytes]
+) -> BeaconRecord:
+    """Epoch ``epoch``'s record of ``value``, chained to the previous
+    record's digest (None before the first, which chains to
+    :data:`GENESIS`)."""
+    prev = prev_digest or GENESIS
+    return BeaconRecord(
+        epoch, value, prev, BeaconRecord.compute_digest(epoch, value, prev)
+    )
 
 
 def _epoch_contribution(
@@ -212,12 +230,7 @@ class BeaconPipelineProgram(EnclaveProgram):
         self.beacon_seed = beacon_seed
         self.epochs = epochs
         self.start_epoch = start_epoch
-        # Seed chaining uses b"" before the first record; the record
-        # chain itself anchors at GENESIS.
-        self._prev_seed = prev_digest if prev_digest is not None else b""
-        self._prev_record = (
-            prev_digest if prev_digest is not None else RandomBeacon.GENESIS
-        )
+        self._prev_digest = prev_digest
         self._epoch = 0                      # completed epochs this batch
         self._cores: Dict[str, ErbCore] = {}
         self._values: List[int] = []
@@ -230,7 +243,7 @@ class BeaconPipelineProgram(EnclaveProgram):
     # ------------------------------------------------------------------
     def _begin_epoch(self, ctx, first: bool) -> None:
         epoch = self.start_epoch + self._epoch
-        seed = epoch_seed(self.beacon_seed, epoch, self._prev_seed)
+        seed = epoch_seed(self.beacon_seed, epoch, self._prev_digest)
         contribution = _epoch_contribution(
             seed, ctx.node_id, self.random_bits
         )
@@ -299,11 +312,9 @@ class BeaconPipelineProgram(EnclaveProgram):
             if core.output is not None
         }
         value = xor_fold(final.values())
-        digest = BeaconRecord.compute_digest(epoch, value, self._prev_record)
+        self._prev_digest = next_record(epoch, value, self._prev_digest).digest
         self._values.append(value)
         self._decided_rounds.append(ctx.round)
-        self._prev_seed = digest
-        self._prev_record = digest
         self._epoch += 1
         self._cores = {}
         if self._epoch >= self.epochs or self._closing:
@@ -327,8 +338,6 @@ class RandomBeacon:
     instead of rebuilding the world per epoch.  Close a session-mode
     beacon with :meth:`close` (or use it as a context manager).
     """
-
-    GENESIS = hash_bytes(b"beacon-genesis", domain="beacon-record")
 
     def __init__(
         self,
@@ -459,8 +468,7 @@ class RandomBeacon:
         start_epoch = len(self.log)
         factory = _PipelineFactory(
             self.n, self.t, self.random_bits, self.seed,
-            start_epoch, epochs,
-            self.log[-1].digest if self.log else None,
+            start_epoch, epochs, self._head(),
         )
         max_rounds = epochs * (self.t + 2) + 2
         seed = self._epoch_seed(start_epoch)
@@ -500,22 +508,16 @@ class RandomBeacon:
         return records
 
     # ------------------------------------------------------------------
+    def _head(self) -> Optional[bytes]:
+        return self.log[-1].digest if self.log else None
+
     def _append(self, value: int) -> BeaconRecord:
-        epoch = len(self.log)
-        prev = self.log[-1].digest if self.log else self.GENESIS
-        record = BeaconRecord(
-            epoch=epoch,
-            value=value,
-            prev_digest=prev,
-            digest=BeaconRecord.compute_digest(epoch, value, prev),
-        )
+        record = next_record(len(self.log), value, self._head())
         self.log.append(record)
         return record
 
     def _epoch_seed(self, epoch: int) -> int:
-        return epoch_seed(
-            self.seed, epoch, self.log[-1].digest if self.log else b""
-        )
+        return epoch_seed(self.seed, epoch, self._head())
 
     def _common_output(self, result):
         byzantine = set(self.behaviors or ())
@@ -544,14 +546,9 @@ class RandomBeacon:
     @staticmethod
     def verify_chain(records: Sequence[BeaconRecord]) -> bool:
         """Check hash-chain integrity of a beacon log prefix."""
-        prev = RandomBeacon.GENESIS
+        prev = None
         for index, record in enumerate(records):
-            if record.epoch != index or record.prev_digest != prev:
-                return False
-            expected = BeaconRecord.compute_digest(
-                record.epoch, record.value, record.prev_digest
-            )
-            if record.digest != expected:
+            if record != next_record(index, record.value, prev):
                 return False
             prev = record.digest
         return True

@@ -204,7 +204,7 @@ def _worker_arm(
 def _worker_recycle(channel, payload: tuple) -> None:
     """Session recycle (op ``"n"``): re-run the fresh-run reset on this
     replica so a persistent crew serves the next protocol run without
-    reforking — what the coordinator's :meth:`SynchronousNetwork.\
+    reforking — what the coordinator's :meth:`RoundHost.\
 begin_session_run` + ``_setup`` did on its side, with the worker policy
     re-applied before any hook can emit."""
     st = _STATE

@@ -16,7 +16,8 @@ but ~30-40 ms of per-run worker forking.
 * the warm per-network caches that are *safe* to keep (neighbour tuples
   are rebuilt lazily, channel freshness counters stay monotone).
 
-Between runs, :meth:`SynchronousNetwork.begin_session_run` performs the
+Between runs, :meth:`~repro.net.simulator.RoundHost.begin_session_run`
+(the re-arm a wire beacon daemon also runs per epoch) performs the
 explicit cross-run hygiene: enclaves are relaunched with fresh programs
 and RDRAND forks off a re-seeded master RNG, the ACK digest LRU /
 ack-size / neighbour-tuple / dispatch caches are invalidated, staged
@@ -58,7 +59,7 @@ class EngineSession:
             third = session.run(max_rounds=6, program_factory=other)
 
     Every :meth:`run` after the first recycles the network via
-    :meth:`~repro.net.simulator.SynchronousNetwork.begin_session_run`
+    :meth:`~repro.net.simulator.RoundHost.begin_session_run`
     (fresh programs, re-seeded RNG, invalidated caches) and — when the
     run executes on the parallel engine — hands the persistent worker
     crew a recycle frame instead of reforking it.

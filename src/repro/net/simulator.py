@@ -194,8 +194,10 @@ class RoundHost:
 
     A host also provides ``config``, ``tracer``, ``clock``, ``nodes``
     (node id -> :class:`Node`), ``stats`` (a :class:`RunStats`),
-    ``neighbour_tuple(node)``, ``_queue_ack(acker, dest, original)`` and
-    ``evict_departed_node(node)``; those depend on how it delivers.
+    ``transport``, ``neighbour_tuple(node)``, ``_queue_ack(acker, dest,
+    original)``, ``evict_departed_node(node)`` and ``_reset_run_state()``
+    (what :meth:`begin_session_run` drops between runs); those depend on
+    how it delivers.
     """
 
     config: SimulationConfig
@@ -228,6 +230,40 @@ class RoundHost:
             "end_visited": 0,
             "end_skipped": 0,
         }
+
+    def begin_session_run(
+        self,
+        program_factory: Callable[[NodeId], EnclaveProgram],
+        *,
+        seed: Optional[int] = None,
+    ) -> None:
+        """Re-arm this host for a fresh, *independent* protocol run: a new
+        execution, where :meth:`SynchronousNetwork.replace_programs` is
+        the next instance of the same one.  Every hosted enclave is
+        relaunched (fresh program of any measurement, RDRAND fork off a
+        re-seeded master RNG, clock reference reset) and
+        :meth:`_reset_run_state` drops whatever one run stages or caches.
+        The network survives: topology, secure channels (FULL keeps its
+        keys) and monotone freshness counters, so a replay captured in
+        run ``i`` is still dead in run ``i+1``.  RNG forks are
+        label-derived and each channel draws from its own link streams,
+        so a re-armed host decides what a freshly built one does at
+        ``seed``.  The simulator hosts every node; a
+        :class:`repro.net.wire.WireNode` hosts, and relaunches, its own.
+        """
+        if seed is not None and seed != self.config.seed:
+            # A copy, never a write-through: the caller's config object may
+            # go on to build other networks.
+            self.config = replace(
+                self.config, seed=seed, extra=dict(self.config.extra)
+            )
+        self.master_rng = DeterministicRNG(("simulation", self.config.seed))
+        for node_id in sorted(self.nodes):
+            self.nodes[node_id].enclave.relaunch(
+                program_factory(node_id), self.master_rng
+            )
+        self.transport.refresh_measurements()
+        self._reset_run_state()
 
     # ------------------------------------------------------------------
     # queueing API used by EnclaveContext
@@ -769,7 +805,6 @@ class SynchronousNetwork(RoundHost):
             config.channel_security, enclaves, self._dh_group
         )
 
-        self.stats = RunStats()
         self._init_round_state()
         # A network outlives its protocol instances, so its digest memo is
         # bounded — see _ack_digest.  OrderedDict: the policy is LRU.
@@ -802,16 +837,16 @@ class SynchronousNetwork(RoundHost):
         self._session_persistent = False
         self._session_crew = None
         self._session_worker_reset: Optional[tuple] = None
-        self._resolve_run_paths()
+        self._reset_run_state()
 
-    def _resolve_run_paths(self) -> None:
-        """(Re)resolve every per-run engine decision from live state.
-
-        Called once by ``__init__`` and again by every
-        :meth:`begin_session_run`: the per-link predicate depends on the
-        installed programs' measurements and the dispatch table on their
-        bound methods — both of which a session recycle may change.
-        """
+    def _reset_run_state(self) -> None:
+        """Open a fresh run (the first one too): an instance's reset, the
+        ACK digest LRU (a fresh run repeats no multicast identity), and
+        every per-run engine decision resolved again from live state —
+        the per-link predicate depends on the installed programs'
+        measurements, which a session run may change."""
+        self._reset_instance_state()
+        self._digest_cache.clear()
         config = self.config
         # The observability hub: config.tracer, or the permanently
         # disabled NULL_TRACER (zero overhead: the engine checks one
@@ -831,7 +866,6 @@ class SynchronousNetwork(RoundHost):
         self._round_hook = config.extra.get("round_hook")
         self._warned_parallel_fallback = False
         self.sched_counters = dict.fromkeys(self.sched_counters, 0)
-        self._dispatch_cache: Optional[List[tuple]] = None
 
     def _per_wire_links(self) -> Optional[List[FrozenSet[NodeId]]]:
         """The per-link predicate: entry ``s`` is the set of peers whose
@@ -972,9 +1006,9 @@ class SynchronousNetwork(RoundHost):
                     "an instance swap cannot change the attested code"
                 )
             node.enclave.program = program
-        self._reset_run_state()
+        self._reset_instance_state()
 
-    def _reset_run_state(self) -> None:
+    def _reset_instance_state(self) -> None:
         """Drop everything one run (or instance) stages or caches per
         round, and rescope the traffic stats to the next one."""
         self._outbox_now.clear()
@@ -986,7 +1020,7 @@ class SynchronousNetwork(RoundHost):
         self.invalidate_neighbour_cache()
         # The cached envelope dispatch table holds bound on_message
         # methods of the *old* programs — rebuild on next use.
-        self._dispatch_cache = None
+        self._dispatch_cache: Optional[List[tuple]] = None
         self.stats = RunStats()
         self.current_round = 0
 
@@ -1000,47 +1034,6 @@ class SynchronousNetwork(RoundHost):
                 for node in self.nodes.values()
             ]
         return self._dispatch_cache
-
-    def begin_session_run(
-        self,
-        program_factory: Callable[[NodeId], EnclaveProgram],
-        *,
-        seed: Optional[int] = None,
-    ) -> None:
-        """Recycle the network for a fresh, *independent* protocol run.
-
-        Where :meth:`replace_programs` models instance succession inside
-        one execution, a session recycle starts a **new execution**: every
-        enclave is relaunched (fresh program of any measurement, RDRAND
-        fork off a re-seeded master RNG, trusted-clock reference reset),
-        every cache that could leak one run's state into the next is
-        dropped, and traffic stats are rescoped to the new run.  What
-        survives is the *network*: topology, secure channels (a FULL
-        session keeps its keys) and monotone freshness counters — a
-        replay captured in run ``i`` is still dead in run ``i+1``.
-        Because RNG forks are label-derived and every channel draws from
-        its own link streams, the recycled network's protocol streams are
-        bit-identical to a freshly built network's with the same
-        ``seed``: session reuse never changes protocol outputs.
-        """
-        if seed is not None and seed != self.config.seed:
-            # A copy, never a write-through: the caller's config object may
-            # go on to build other networks.
-            self.config = replace(
-                self.config, seed=seed, extra=dict(self.config.extra)
-            )
-        self.master_rng = DeterministicRNG(("simulation", self.config.seed))
-        for node_id in sorted(self.nodes):
-            self.nodes[node_id].enclave.relaunch(
-                program_factory(node_id), self.master_rng
-            )
-        self.transport.refresh_measurements()
-        self._reset_run_state()
-        # Unlike replace_programs (same execution, same multicast
-        # identities) a fresh run must also drop the ACK digest LRU —
-        # stale (instance, round)-keyed digests must not leak across.
-        self._digest_cache.clear()
-        self._resolve_run_paths()
 
     # ------------------------------------------------------------------
     # main loop

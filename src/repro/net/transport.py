@@ -104,7 +104,7 @@ class Transport:
     def refresh_measurements(self) -> None:
         """Re-read enclave measurements after a session recycle.
 
-        :meth:`SynchronousNetwork.begin_session_run` may install programs
+        :meth:`RoundHost.begin_session_run` may install programs
         with a *different* measurement (a new execution re-attests from
         scratch); transports that cache measurements at construction
         override this to pick the new values up.  FULL reads the live

@@ -22,8 +22,9 @@ Design constraints, in order:
 
 2. **Decisions are identical to the simulator at the same seed.**  RNG
    forks are label-derived (``DeterministicRNG(("simulation", seed))
-   .fork(("rdrand", node_id))``), so a daemon that builds only its own
-   node still draws bit-identical enclave randomness.  Deliveries are
+   .fork(("rdrand", node_id))``), so each daemon's replica of the
+   simulator's n enclaves draws bit-identical enclave randomness; it
+   hosts, and re-arms per beacon epoch, only its own.  Deliveries are
    dispatched in canonical order (links sorted by sender, members in
    emission order) so a wire round presents programs the same
    delivery-insensitive view a simulator round does.
@@ -78,7 +79,7 @@ from typing import (
     Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints,
 )
 
-from repro.apps.beacon import BeaconRecord, RandomBeacon, epoch_seed
+from repro.apps.beacon import BeaconRecord, epoch_seed, next_record
 from repro.channel.peer_channel import Envelope, modeled_wire_size
 from repro.common.config import ChannelSecurity, SimulationConfig
 from repro.common.errors import (
@@ -250,7 +251,7 @@ class WireNodeConfig:
             domain="wire-hello",
         )
 
-    def simulation_config(self, seed: Optional[int] = None) -> SimulationConfig:
+    def simulation_config(self) -> SimulationConfig:
         security = (
             ChannelSecurity.FULL
             if self.security == "full"
@@ -259,7 +260,7 @@ class WireNodeConfig:
         return SimulationConfig(
             n=self.n,
             t=self.t,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             delta=self.delta,
             channel_security=security,
             random_bits=self.random_bits,
@@ -765,7 +766,7 @@ class _Link(asyncio.BufferedProtocol):
 # ----------------------------------------------------------------------
 
 def _protocol_plan(
-    cfg: WireNodeConfig, seed: int
+    cfg: WireNodeConfig,
 ) -> Tuple[Callable[[NodeId], EnclaveProgram], int]:
     """(program factory, max_rounds) for one run — the same factories
     the one-shot drivers (`run_erb` et al.) build."""
@@ -858,34 +859,35 @@ class WireNode(RoundHost):
         # The last (run, round) closed here, and its FIN consensus.
         self._closed = (0, 0)
         self._peers_done = False
-        self._departed: set = set()
-        self._build_universe(cfg.seed)
+        self._build_universe()
 
     # ------------------------------------------------------------------
     # deterministic universe: enclaves and the transport over them
     # ------------------------------------------------------------------
-    def _build_universe(self, seed: int) -> None:
+    def _build_universe(self) -> None:
         """Build every node's enclave — because every RNG fork is
         label-derived from the shared seed, exactly the enclaves the
         simulator would build — and the simulator's own transport over
         them, which seals and opens every round envelope this node sends
         or receives.  Under FULL it runs every pairwise handshake locally:
         no key material ever crosses the wire, the shared simulation seed
-        *is* the key agreement."""
+        *is* the key agreement.  That replay is paid once per cluster,
+        not once per beacon epoch: an epoch re-arms this universe with
+        :meth:`~repro.net.simulator.RoundHost.begin_session_run`."""
         cfg = self.cfg
         #: The simulator-side view of ``cfg`` (what programs read as
         #: ``ctx.config``).
-        self.config = cfg.simulation_config(seed)
-        master = DeterministicRNG(("simulation", seed))
+        self.config = cfg.simulation_config()
+        master = DeterministicRNG(("simulation", cfg.seed))
         clock = self.clock = SimulationClock()
-        factory, self._max_rounds = _protocol_plan(cfg, seed)
+        self._factory, self._max_rounds = _protocol_plan(cfg)
         security = self.config.channel_security
         authority = (
             AttestationAuthority(master, MODP_2048)
             if security is ChannelSecurity.FULL else None
         )
         enclaves = {
-            node_id: Enclave(node_id, factory(node_id), master, clock, authority)
+            node_id: Enclave(node_id, self._factory(node_id), master, clock, authority)
             for node_id in range(cfg.n)
         }
         self.enclave = enclaves[cfg.node_id]
@@ -895,11 +897,16 @@ class WireNode(RoundHost):
             cfg.node_id: Node(cfg.node_id, self.enclave, None, self.context)
         }
         self.transport = build_transport(security, enclaves, MODP_2048)
-        # Fresh per-run state; the ledger's rounds restart with the run.
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Fresh per-run state; the ledger's rounds restart with the run,
+        and every peer is a neighbour again."""
         self._init_round_state()
         self._ack_out: Dict[NodeId, List[bytes]] = {}
         self.stats.rounds.clear()
         self.stats.traffic.bytes_by_round.clear()
+        self._departed: set = set()
 
     # ------------------------------------------------------------------
     # RoundHost: what EnclaveContext calls
@@ -1359,29 +1366,20 @@ class WireNode(RoundHost):
         try:
             await self.connect_peers()
             if cfg.protocol == "beacon":
-                prev_seed = b""
-                prev_record = RandomBeacon.GENESIS
+                prev = None
                 for epoch in range(cfg.epochs):
                     if self._stop.is_set():
                         break
-                    seed = epoch_seed(cfg.seed, epoch, prev_seed)
                     self.current_run = epoch
-                    self._departed.clear()
-                    self._build_universe(seed)
+                    self.begin_session_run(
+                        self._factory, seed=epoch_seed(cfg.seed, epoch, prev)
+                    )
                     await self._run_rounds(epoch, self._max_rounds)
                     program = self.enclave.program
                     if not program.has_output:
                         break
-                    value = program.output
-                    digest = BeaconRecord.compute_digest(
-                        epoch, value, prev_record
-                    )
-                    records.append(BeaconRecord(
-                        epoch=epoch, value=value,
-                        prev_digest=prev_record, digest=digest,
-                    ))
-                    prev_seed = digest
-                    prev_record = digest
+                    records.append(next_record(epoch, program.output, prev))
+                    prev = records[-1].digest
             else:
                 await self._run_rounds(0, self._max_rounds)
         except _WireAbort:

@@ -85,8 +85,7 @@ class Enclave:
         the launch that established them): forking them again at the
         same seed would restart them, and a rerun would reuse their
         randomness as nonces under the kept keys.
-        Used by :meth:`repro.net.simulator.SynchronousNetwork.\
-begin_session_run`.
+        Used by :meth:`repro.net.simulator.RoundHost.begin_session_run`.
         """
         self.program = program
         self.state = EnclaveState.RUNNING

@@ -24,6 +24,7 @@ import types
 import pytest
 
 from repro.apps.beacon import RandomBeacon
+from repro.channel.peer_channel import SecureChannel
 from repro.common.config import ChannelSecurity, SimulationConfig
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import decode, encode
@@ -170,13 +171,41 @@ class TestDecisionIdentity:
 
     def test_beacon_epochs_match_random_beacon(self):
         """Two chained epochs over TCP reproduce RandomBeacon's log —
-        values, previous-digest links and record digests."""
+        values, previous-digest links and record digests — and so its
+        session chain, one network re-armed per epoch, as the wire's
+        daemons are."""
         result = run_cluster(cluster_configs(5, "beacon", seed=13, epochs=2))
-        beacon = RandomBeacon(n=5, seed=13)
-        beacon.next_beacon()
-        beacon.next_beacon()
-        assert result.records == beacon.log
+        for session in (False, True):
+            with RandomBeacon(n=5, seed=13, session=session) as beacon:
+                beacon.next_beacon()
+                beacon.next_beacon()
+            assert result.records == beacon.log, f"session={session}"
         assert RandomBeacon.verify_chain(result.records)
+
+    def test_full_beacon_keys_its_channels_once_per_cluster(
+        self, monkeypatch
+    ):
+        """Under FULL a daemon replays the n(n-1)/2 attested handshakes
+        once for the whole service, not once per epoch: three epochs of
+        an n = 3 cluster make 3 x 3 establishments (one replay per epoch
+        would make 36), and decide the chain MODELED decides."""
+        establish = SecureChannel.establish
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return establish(*args, **kwargs)
+
+        monkeypatch.setattr(SecureChannel, "establish", staticmethod(counted))
+        result = run_cluster(
+            cluster_configs(3, "beacon", seed=4, epochs=3, security="full")
+        )
+        assert len(calls) == 3 * 3
+        assert result.halted == []
+        beacon = RandomBeacon(3, seed=4)
+        for _ in range(3):
+            beacon.next_beacon()
+        assert result.records == beacon.log
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,11 @@ class MessageType(enum.Enum):
     SIGNED = "SIGNED"      # signature-chain message             (Alg. 4, RBsig)
     VALUE = "VALUE"        # liveness/value broadcast            (Alg. 5, RBearly)
 
+    # Members are singletons compared by identity, so the identity hash
+    # is a valid one, and it runs in C: ``Enum.__hash__`` is Python code,
+    # paid on every per-type Counter update of the traffic ledger.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MessageType.{self.name}"
 

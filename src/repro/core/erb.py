@@ -137,6 +137,61 @@ class ErbCore:
             return True
         return False
 
+    def handle_batch(
+        self, ctx, members: Sequence[Tuple[NodeId, ProtocolMessage]]
+    ) -> int:
+        """Process ``(sender, message)`` members in order as
+        :meth:`handle_message` would one by one — the same validity,
+        payload and INIT/ECHO rules, the same ACKs (through one
+        ``ctx.acknowledge_all``) and the same ``m_hat`` and ``S_echo`` —
+        and check the quorum once, at the end.  Members of another
+        instance or type are not ours and are skipped.
+
+        One thing is left to the caller: the ECHO of a value adopted here
+        is not staged.  Returns the index of the member whose value was
+        adopted, or -1; the caller calls :meth:`stage_echo`, in batch
+        order when it interleaves several cores' members.
+        """
+        rnd = ctx.round
+        instance, seq, initiator = (
+            self.instance, self.expected_seq, self.initiator
+        )
+        echo_type, init_type = MessageType.ECHO, MessageType.INIT
+        m_hat = self.m_hat
+        senders = self.s_echo
+        acks = []
+        adopted = None
+        for member in members:
+            sender, message = member
+            if (
+                message.rnd != rnd
+                or message.seq != seq
+                or message.initiator != initiator
+                or message.instance != instance
+            ):
+                continue
+            mtype = message.type
+            if mtype is echo_type:
+                if m_hat is _UNSET:
+                    m_hat, adopted = message.payload, member
+                elif message.payload != m_hat:
+                    continue
+                senders.add(sender)
+            elif mtype is not init_type or sender != initiator:
+                continue
+            elif m_hat is _UNSET:
+                m_hat, adopted = message.payload, member
+                senders.add(initiator)
+            acks.append(member)
+        if not acks:
+            return -1
+        ctx.acknowledge_all(acks)
+        if adopted is not None:
+            self.m_hat = m_hat
+            senders.add(ctx.node_id)
+        self._check_accept(ctx)
+        return -1 if adopted is None else members.index(adopted)
+
     def finish(self, ctx) -> None:
         """Deadline (end of round t+2): accept ⊥ if the quorum never came."""
         if not self.decided:
@@ -162,7 +217,7 @@ class ErbCore:
             self.m_hat = message.payload
             self.s_echo.add(self.initiator)
             self.s_echo.add(ctx.node_id)
-            self._stage_echo(ctx, message.payload)
+            self.stage_echo(ctx)
         self._check_accept(ctx)
 
     def _on_echo(self, ctx, sender: NodeId, message: ProtocolMessage) -> None:
@@ -176,16 +231,17 @@ class ErbCore:
         if self.m_hat is _UNSET:
             self.m_hat = message.payload
             self.s_echo.add(ctx.node_id)
-            self._stage_echo(ctx, message.payload)
+            self.stage_echo(ctx)
         self.s_echo.add(sender)
         self._check_accept(ctx)
 
-    def _stage_echo(self, ctx, payload: object) -> None:
+    def stage_echo(self, ctx) -> None:
+        """Stage the ECHO of ``m_hat`` for the next round (``Wait``)."""
         echo = ProtocolMessage(
             type=MessageType.ECHO,
             initiator=self.initiator,
             seq=self.expected_seq,
-            payload=payload,
+            payload=self.m_hat,
             rnd=0,  # stamped by the engine at transmission (next round)
             instance=self.instance,
         )

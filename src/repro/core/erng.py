@@ -101,6 +101,43 @@ class ErngProgram(EnclaveProgram):
         if core is not None:
             core.handle_message(ctx, sender, message)
 
+    def on_messages(self, ctx, batch) -> int:
+        """The batch by instance, each group through its core's
+        :meth:`ErbCore.handle_batch`, then the adopted values' ECHOs."""
+        groups: Dict[str, list] = {}
+        for member in batch:
+            instance = member[1].instance
+            group = groups.get(instance)
+            if group is None:
+                groups[instance] = [member]
+            else:
+                group.append(member)
+        cores = self.cores
+        adopted = []
+        for instance, members in groups.items():
+            core = cores.get(instance)
+            if core is not None:
+                index = core.handle_batch(ctx, members)
+                if index >= 0:
+                    adopted.append((index, members[index], core))
+        if adopted:
+            self._stage_echoes(ctx, batch, adopted)
+        return len(batch)
+
+    @staticmethod
+    def _stage_echoes(ctx, batch, adopted) -> None:
+        """Stage the cores' ECHOs in the order per-member delivery would:
+        that of the members whose values they adopted.  The groups ran in
+        the order of their first members, which is that order unless some
+        core adopted past its group's first member."""
+        if any(index for index, _member, _core in adopted):
+            position: Dict[int, int] = {}
+            for index, member in enumerate(batch):
+                position.setdefault(id(member), index)
+            adopted.sort(key=lambda entry: position[id(entry[1])])
+        for _index, _member, core in adopted:
+            core.stage_echo(ctx)
+
     def on_round_end(self, ctx) -> None:
         if ctx.round >= self.round_bound:
             for core in self.cores.values():

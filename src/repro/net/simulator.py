@@ -66,7 +66,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.net.transport import Transport, build_transport
 from repro.sgx.attestation import AttestationAuthority
 from repro.sgx.enclave import Enclave, EnclaveState
-from repro.sgx.program import EnclaveProgram
+from repro.sgx.program import EnclaveProgram, batch_verb
 from repro.sgx.trusted_time import SimulationClock
 
 #: Value accepted when a protocol times out without deciding (the paper's ⊥).
@@ -143,6 +143,16 @@ def _ack_message(digest: bytes, rnd: Round) -> ProtocolMessage:
     )
 
 
+class _BatchTable(list):
+    """A dispatch table whose entries are ``(enclave, on_messages,
+    context)``: :meth:`RoundHost._dispatch` hands each receiver its whole
+    wave through the batch verb instead of one ``on_message`` per member.
+    The simulator gives one to a run whose links all coalesce and that is
+    untraced (``SynchronousNetwork._batch``)."""
+
+    __slots__ = ()
+
+
 #: Cap on each network's ACK-digest cache.  The cache is a true LRU
 #: (:class:`collections.OrderedDict`): every hit refreshes its entry, and
 #: at the cap the least-recently-used entry is evicted — so the multicast
@@ -195,7 +205,8 @@ class RoundHost:
     A host also provides ``config``, ``tracer``, ``clock``, ``nodes``
     (node id -> :class:`Node`), ``stats`` (a :class:`RunStats`),
     ``transport``, ``neighbour_tuple(node)``, ``_queue_ack(acker, dest,
-    original)``, ``evict_departed_node(node)`` and ``_reset_run_state()``
+    original)`` (``_queue_acks`` loops over it unless the host has a bulk
+    form), ``evict_departed_node(node)`` and ``_reset_run_state()``
     (what :meth:`begin_session_run` drops between runs); those depend on
     how it delivers.
     """
@@ -298,6 +309,13 @@ class RoundHost:
                 threshold if threshold is not None else self.config.ack_threshold
             ),
         ))
+
+    def _queue_acks(
+        self, acker: NodeId, pairs: Iterable[Tuple[NodeId, ProtocolMessage]]
+    ) -> None:
+        """``_queue_ack`` for each ``(dest, original)`` pair, in order."""
+        for dest, original in pairs:
+            self._queue_ack(acker, dest, original)
 
     def _halt_node(self, node_id: NodeId, rnd: Optional[Round]) -> None:
         """Halt(st) for one hosted node — the enclave leaves the network
@@ -481,15 +499,69 @@ class RoundHost:
         self, rnd: Round, plan: Iterable[tuple], dispatch,
         omit: Optional[Callable[..., None]] = None,
     ) -> None:
-        """Hand a plan's members to their receivers in plan order: each
-        ``(sender, targets, message, size)`` entry's message goes to each
+        """Hand a plan's ``(sender, targets, message, size)`` members to
+        their receivers.  Every back-end dispatches here; what one must see
+        per member comes through its dispatch table, never through this
+        loop, and the table picks the order.
+
+        A per-member table gives plan order: each member goes to each
         target's ``on_message`` through ``dispatch[target]``, an
         ``(enclave, on_message, context)``, or to ``omit``
         (:meth:`_omit_dead` unless given) once that enclave has halted.
-        Every back-end dispatches here; what one must see per member comes
-        through its dispatch table, never through this loop."""
-        omit = omit or self._omit_dead
+
+        A :class:`_BatchTable` gives receiver-major order: receivers in
+        ascending node id, each getting its members as ``(sender,
+        message)`` pairs in plan order through one call of its
+        ``on_messages``; a halted receiver's members, and those a program
+        that halts part-way leaves unhandled, are omissions in bulk.  Only
+        an untraced run whose links all coalesce gets one, because there
+        the regrouping is unobservable:
+
+        * each receiver sees its members in plan order, so first-wins
+          rules decide as before, and an ``on_messages`` leaves what the
+          per-member loop leaves (:meth:`EnclaveProgram.on_messages`);
+        * the next round's plan (``_outbox_next`` is one host-wide list)
+          comes out receiver-major too, but each sender's intents keep
+          its emission order, so every link carries the same members in
+          the same order and FULL seals the same bytes;
+        * the ACK queue and the round's multicast handles change order;
+          ACKs are only tallied into counters (the sharded coordinator
+          merges worker tallies in another order already), and a
+          round's ``halted_now`` and ``RunResult.halted`` are sorted;
+        * the wire already delivers sender-major and decides what the
+          simulator decides.
+
+        A traced run keeps plan order because its event order is pinned;
+        a run with a per-wire link does because an OS behaviour such as
+        :class:`~repro.adversary.omission.RandomOmission` draws one coin
+        per call from a sequential per-node stream, and another receive
+        or ACK order would land its coins on other wires.
+        """
         halted = EnclaveState.HALTED
+        if isinstance(dispatch, _BatchTable):
+            batches: List[list] = [[] for _ in dispatch]
+            for sender, targets, message, _size in plan:
+                member = (sender, message)
+                for receiver in targets:
+                    batches[receiver].append(member)
+            traffic = self.stats.traffic
+            for receiver, (enclave, on_messages, context) in enumerate(
+                dispatch
+            ):
+                batch = batches[receiver]
+                if not batch:
+                    continue
+                # Dropped once handed over: the round's ACK queue peaks at
+                # the end of the loop, and would peak on top of them.
+                batches[receiver] = None
+                if enclave.state is halted:
+                    traffic.record_omissions(len(batch))
+                    continue
+                handled = on_messages(context, batch)
+                if handled < len(batch):
+                    traffic.record_omissions(len(batch) - handled)
+            return
+        omit = omit or self._omit_dead
         for sender, targets, message, size in plan:
             for receiver in targets:
                 enclave, on_message, context = dispatch[receiver]
@@ -547,6 +619,9 @@ class RoundHost:
                     "round %d: node %d halted on divergence (%d/%d acks)",
                     rnd, sender, handle.acks, handle.threshold,
                 )
+        # In node-id order: the handles follow the plan's order, which a
+        # batched run regroups (see _dispatch).
+        halted_now.sort()
         return halted_now
 
     def _open_phase_end(self, rnd: Round) -> Tuple[int, float]:
@@ -701,9 +776,20 @@ class EnclaveContext:
         """Send an ACK for ``original`` back to ``dest`` this round."""
         self._network._queue_ack(self.node_id, dest, original)
 
+    def acknowledge_all(
+        self, pairs: Iterable[Tuple[NodeId, ProtocolMessage]]
+    ) -> None:
+        """:meth:`acknowledge` each ``(dest, original)`` pair, in order."""
+        self._network._queue_acks(self.node_id, pairs)
+
     def halt(self) -> None:
         """Voluntary Halt(st) — the enclave leaves the network (P4)."""
         self._network._halt_node(self.node_id, self.round)
+
+    @property
+    def halted(self) -> bool:
+        """Whether this enclave has halted."""
+        return not self._network.nodes[self.node_id].alive
 
 
 @dataclass
@@ -858,6 +944,8 @@ class SynchronousNetwork(RoundHost):
         # by the round kernel only; None (the default) reads no clock.
         self._timing = config.timing
         self._wired = self._per_wire_links()
+        # Receiver-major delivery (see RoundHost._dispatch).
+        self._batch = self._wired is None and not self.tracer.enabled
         # Per-round observation hook: ``extra["round_hook"]`` is called as
         # ``hook(network, rnd, halted_now)`` when a round closes, whatever
         # back-end served it.  The campaign runner uses it to collect
@@ -978,6 +1066,18 @@ class SynchronousNetwork(RoundHost):
             digest = self._ack_digest(_multicast_key(original))
         self._ack_queue.append((acker, dest, digest))
 
+    def _queue_acks(
+        self, acker: NodeId, pairs: Iterable[Tuple[NodeId, ProtocolMessage]]
+    ) -> None:
+        # _queue_ack's digests, in one extend.
+        by_id = self._ack_digest_by_id.get
+        keyed = self._ack_digest
+        self._ack_queue.extend([
+            (acker, dest,
+             by_id(id(original)) or keyed(_multicast_key(original)))
+            for dest, original in pairs
+        ])
+
     # ------------------------------------------------------------------
     # multi-instance support
     # ------------------------------------------------------------------
@@ -1034,6 +1134,14 @@ class SynchronousNetwork(RoundHost):
                 for node in self.nodes.values()
             ]
         return self._dispatch_cache
+
+    def _batch_table(self) -> _BatchTable:
+        """``(enclave, on_messages, context)`` by node id: the table of a
+        run that delivers receiver-major."""
+        return _BatchTable(
+            (node.enclave, batch_verb(node.program), node.context)
+            for node in self.nodes.values()
+        )
 
     # ------------------------------------------------------------------
     # main loop
@@ -1464,6 +1572,29 @@ class SynchronousNetwork(RoundHost):
             nodes[behavior_id].behavior.on_round_end(rnd)
 
 
+def _opened_copy(opened: dict, receiver: NodeId, on_message) -> Callable:
+    """``on_message`` fed the next copy ``receiver`` opened from its
+    sender's envelope."""
+
+    def on_opened(context, sender, _message) -> None:
+        on_message(context, sender, opened[(sender, receiver)].popleft())
+
+    return on_opened
+
+
+def _opened_batches(opened: dict, receiver: NodeId, on_messages) -> Callable:
+    """``on_messages`` fed, member by member, the copies ``receiver``
+    opened from its senders' envelopes."""
+
+    def on_opened(context, batch) -> int:
+        return on_messages(context, [
+            (sender, opened[(sender, receiver)].popleft())
+            for sender, _message in batch
+        ])
+
+    return on_opened
+
+
 class _EnvelopeRounds:
     """The in-process round back-end.  What one sender transmits to one
     receiver in one wave over a clean link crosses as one
@@ -1491,24 +1622,23 @@ class _EnvelopeRounds:
         self._envelopes: List[Envelope] = []
         self._extras: List[WireMessage] = []
         self._queue: List[Tuple[NodeId, NodeId, bytes]] = []
-        self._dispatch = net._dispatch_table()
+        if net._batch:
+            self._dispatch = net._batch_table()
+            opened_copies = _opened_batches
+        else:
+            self._dispatch = net._dispatch_table()
+            opened_copies = _opened_copy
         if net.transport.security is ChannelSecurity.FULL:
-            # A FULL receiver gets the decoded copy its link's envelope
-            # opened, in member order.
+            # A FULL receiver gets the decoded copies its links' envelopes
+            # opened, in member order.  The wrappers close over the dict,
+            # never over this back-end: a table entry that held it would
+            # make every FULL run cyclic garbage.
             self._opened: Dict[Tuple[NodeId, NodeId], deque] = {}
-            self._dispatch = [
-                (enclave, self._opened_copy(receiver, on_message), context)
-                for receiver, (enclave, on_message, context)
+            self._dispatch = type(self._dispatch)(
+                (enclave, opened_copies(self._opened, receiver, verb), context)
+                for receiver, (enclave, verb, context)
                 in enumerate(self._dispatch)
-            ]
-
-    def _opened_copy(self, receiver: NodeId, on_message) -> Callable:
-        opened = self._opened
-
-        def on_opened(context, sender, _message) -> None:
-            on_message(context, sender, opened[(sender, receiver)].popleft())
-
-        return on_opened
+            )
 
     def transmit(self, rnd: Round, intents: List[_SendIntent]) -> int:
         """Build the delivery plan — ``(sender, targets, message, size)``

@@ -13,7 +13,8 @@ Two layers live here:
    protocol in :mod:`repro.core` and :mod:`repro.baselines` subclasses.
    An instance runs inside an :class:`repro.sgx.enclave.Enclave` and is
    driven by the synchronous simulator through four hooks
-   (setup / round begin / message / round end).
+   (setup / round begin / message / round end); messages may also come
+   as one receiver's whole wave (:meth:`EnclaveProgram.on_messages`).
 """
 
 from __future__ import annotations
@@ -141,6 +142,27 @@ class EnclaveProgram:
     def on_message(self, ctx, sender: int, message) -> None:
         """Called once per valid delivered protocol message."""
 
+    def on_messages(self, ctx, batch: Sequence[Tuple[int, object]]) -> int:
+        """Called once per receiver per wave, instead of :meth:`on_message`
+        per member, when the engine delivers receiver-major (an untraced
+        run whose links all coalesce): ``batch`` is this node's members as
+        ``(sender, message)`` pairs in plan order.  Returns how many were
+        handled; the rest are omissions.
+
+        The default hands them to :meth:`on_message` one by one and stops
+        after the one during which the program halted (``ctx.halt()``),
+        as per-member delivery omits what a halted receiver is sent.  An
+        override must leave what this loop leaves: the same program
+        state, the same staged multicasts in the same order and the same
+        multiset of ACKs.
+        """
+        on_message = self.on_message
+        for handled, (sender, message) in enumerate(batch, 1):
+            on_message(ctx, sender, message)
+            if ctx.halted:
+                return handled
+        return len(batch)
+
     def on_round_end(self, ctx) -> None:
         """Called at the end of every round, after all deliveries."""
 
@@ -238,6 +260,22 @@ def sparse_aware(program: EnclaveProgram) -> bool:
         if hook_cls is not None and mro.index(hook_cls) < declaring_index:
             return False
     return True
+
+
+def batch_verb(program: EnclaveProgram) -> Callable:
+    """The batch verb the engine calls for ``program``: its own
+    ``on_messages``, unless a class more derived than the one defining it
+    overrides ``on_message`` — then the default loop over that override.
+    As with :func:`sparse_aware`, an inherited batch path never bypasses
+    a subclass's per-member handler."""
+    mro = type(program).__mro__
+
+    def owner(name: str) -> int:
+        return next(i for i, k in enumerate(mro) if name in vars(k))
+
+    if owner("on_message") < owner("on_messages"):
+        return EnclaveProgram.on_messages.__get__(program)
+    return program.on_messages
 
 
 class _Unset:

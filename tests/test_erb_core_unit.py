@@ -8,10 +8,15 @@ quorum edges, and the ⊥ deadline.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import MessageType, ProtocolMessage
 from repro.core.erb import BOTTOM, ErbCore
+from repro.core.erng import ErngProgram
 
 
 class FakeContext:
@@ -25,6 +30,9 @@ class FakeContext:
 
     def acknowledge(self, dest, message):
         self.acks.append((dest, message))
+
+    def acknowledge_all(self, pairs):
+        self.acks.extend(pairs)
 
     def multicast(self, message, targets=None, expect_acks=True, threshold=None):
         self.multicasts.append((message, targets, threshold))
@@ -200,3 +208,166 @@ class TestClusterParameters:
     def test_cluster_quorum(self):
         core = ErbCore("cluster", 0, 1, group_size=4, fault_bound=1)
         assert core.accept_quorum == 3
+
+
+# ----------------------------------------------------------------------
+# the batch verb: one receiver's wave at once
+# ----------------------------------------------------------------------
+_NODE, _N, _T = 5, 9, 2
+
+
+def _erng():
+    return ErngProgram(node_id=_NODE, n=_N, t=_T)
+
+
+def _erng_echo(initiator, payload=b"m", rnd=2, seq=1, at=None):
+    """An ECHO of ERNG instance ``at`` (default: the initiator's own)."""
+    return ProtocolMessage(
+        MessageType.ECHO, initiator, seq, payload, rnd,
+        f"rng-{initiator if at is None else at}",
+    )
+
+
+def _erng_init(initiator, payload=b"m", rnd=1, seq=1):
+    return ProtocolMessage(
+        MessageType.INIT, initiator, seq, payload, rnd, f"rng-{initiator}"
+    )
+
+
+def _state(program):
+    return [
+        (core.m_hat, core.s_echo, core.output, core.decided_round)
+        for core in program.cores.values()
+    ]
+
+
+def _both_ways(make, batch, rnd, prior=()):
+    """Hand ``batch`` to one fresh program member by member and to
+    another at once (after the same ``prior`` members, per member);
+    returns what each left: state, staged multicasts, ACK multiset."""
+    left = []
+    for batched in (False, True):
+        program, ctx = make(), FakeContext(_NODE, rnd=rnd)
+        for sender, message in prior:
+            ctx.round = message.rnd
+            program.on_message(ctx, sender, message)
+        ctx.round = rnd
+        ctx.acks, ctx.multicasts = [], []
+        if batched:
+            assert program.on_messages(ctx, list(batch)) == len(batch)
+        else:
+            for sender, message in batch:
+                program.on_message(ctx, sender, message)
+        left.append((_state(program), ctx.multicasts, Counter(ctx.acks)))
+    return left
+
+
+_CASES = {
+    "stale round": [(1, _erng_echo(1, rnd=1)), (2, _erng_echo(1))],
+    "wrong seq": [(1, _erng_echo(1, seq=9)), (2, _erng_echo(1))],
+    "wrong initiator": [(1, _erng_echo(3, at=1)), (2, _erng_echo(1))],
+    "payload differs from m_hat": [
+        (1, _erng_echo(1, b"a")), (2, _erng_echo(1, b"b")),
+        (3, _erng_echo(1, b"a")),
+    ],
+    "INIT from a non-initiator": [
+        (3, _erng_init(1, rnd=2)), (1, _erng_init(1, rnd=2)),
+    ],
+    "duplicate sender": [
+        (1, _erng_echo(1)), (1, _erng_echo(1)), (2, _erng_echo(1)),
+    ],
+    "ECHO before INIT": [(3, _erng_echo(1)), (1, _erng_init(1, rnd=2))],
+    "instance whose first member is invalid": [
+        (1, _erng_echo(1, rnd=1)), (2, _erng_echo(2)), (1, _erng_echo(1)),
+        (3, _erng_echo(3)),
+    ],
+    "interleaved instances": [
+        (sender, _erng_echo(initiator, payload=bytes([initiator])))
+        for sender in (1, 2, 3, 4, 6, 7) for initiator in (8, 0, 3, 6)
+    ],
+}
+
+
+class TestBatchVerb:
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_erng_batch_equals_member_by_member(self, case):
+        per_member, batched = _both_ways(_erng, _CASES[case], rnd=2)
+        assert batched == per_member
+
+    def test_erng_batch_after_adoption(self):
+        """Cores that adopted a value last round see ECHOs, a mismatch
+        and a stale copy in one wave, and the quorum closes inside it."""
+        prior = [(j, _erng_init(j, bytes([j]))) for j in range(_N)]
+        batch = [
+            (sender, _erng_echo(j, bytes([j])))
+            for sender in (0, 1, 2, 3, 4, 6) for j in range(_N)
+        ] + [(7, _erng_echo(2, b"x")), (8, _erng_echo(2, bytes([2]), rnd=1))]
+        per_member, batched = _both_ways(_erng, batch, rnd=2, prior=prior)
+        assert batched == per_member
+        assert all(state[3] == 2 for state in batched[0])  # all decided
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_core_batch_equals_member_by_member(self, case):
+        """One core, fed the members of every instance: what is not
+        its own is skipped, as ``handle_message`` declines it."""
+        left = []
+        for batched in (False, True):
+            core = ErbCore("rng-1", 1, 1, group_size=_N, fault_bound=_T)
+            ctx = FakeContext(_NODE, rnd=2)
+            if batched:
+                if core.handle_batch(ctx, _CASES[case]) >= 0:
+                    core.stage_echo(ctx)
+            else:
+                for sender, message in _CASES[case]:
+                    core.handle_message(ctx, sender, message)
+            left.append((
+                core.m_hat, core.s_echo, core.output, core.decided_round,
+                ctx.multicasts, Counter(ctx.acks),
+            ))
+        assert left[1] == left[0]
+
+    def test_core_batch_reports_the_adopting_member(self):
+        core, ctx = _core(), FakeContext(5, rnd=2)
+        batch = [(3, _echo(rnd=1)), (3, _echo(seq=4)), (4, _echo())]
+        assert core.handle_batch(ctx, batch) == 2
+        assert ctx.multicasts == []  # staging is the caller's
+        assert ctx.acks == [batch[2]]
+        assert core.s_echo == {4, 5}
+        assert core.handle_batch(ctx, [(6, _echo())]) == -1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prior=st.lists(st.tuples(
+            st.integers(0, _N - 1), st.integers(0, 3), st.booleans(),
+            st.sampled_from([b"a", b"b"]),
+        ), max_size=6),
+        members=st.lists(st.tuples(
+            st.integers(0, 3),                      # initiator
+            st.one_of(st.none(), st.integers(0, _N - 1)),  # sender (None:
+                                                    # the initiator)
+            st.sampled_from([None, None, 0, 1]),    # instance (None: ours)
+            st.booleans(),                          # INIT?
+            st.sampled_from([b"a", b"b"]),          # payload
+            st.sampled_from([2, 2, 1]),             # round
+            st.sampled_from([1, 1, 2]),             # seq
+        ), max_size=40),
+    )
+    def test_random_batches_equal_member_by_member(self, prior, members):
+        def message(initiator, instance, init, payload, rnd, seq):
+            return ProtocolMessage(
+                MessageType.INIT if init else MessageType.ECHO,
+                initiator, seq, payload, rnd,
+                f"rng-{initiator if instance is None else instance}",
+            )
+
+        before = [
+            (sender, message(j, None, init, payload, 1, 1))
+            for sender, j, init, payload in prior
+        ]
+        batch = [
+            (initiator if sender is None else sender,
+             message(initiator, *fields))
+            for initiator, sender, *fields in members
+        ]
+        per_member, batched = _both_ways(_erng, batch, rnd=2, prior=before)
+        assert batched == per_member

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from repro import SimulationConfig, run_erb, run_erng
+from repro import ChannelSecurity, SimulationConfig, run_erb, run_erng
 from repro.apps.beacon import RandomBeacon
 from repro.campaign import Fault, Schedule, run_case
 from repro.campaign.spec import CaseSpec
@@ -51,6 +51,13 @@ RUNS = {
         SimulationConfig(n=8, seed=1), initiator=0, message=b"m"
     ),
     "erng": lambda: run_erng(SimulationConfig(n=8, seed=1)),
+    "full-erb": lambda: run_erb(
+        SimulationConfig(
+            n=4, seed=1, channel_security=ChannelSecurity.FULL,
+            extra={"dh_group": "small"},
+        ),
+        initiator=0, message=b"m",
+    ),
     "adversarial-case": lambda: run_case(CaseSpec(
         protocol="erb", n=5, t=2, seed=11,
         schedule=Schedule(faults=(Fault(node=1, kind="replay"),)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.channel.peer_channel import modeled_wire_size
@@ -181,6 +183,23 @@ class TestTrafficStats:
         stats = TrafficStats()
         stats.record_send(MessageType.INIT, 1024 * 1024, rnd=1)
         assert stats.megabytes_sent == pytest.approx(1.0)
+
+    def test_message_type_hash_runs_no_python_frame(self):
+        """The per-type Counters hash a MessageType on every charge:
+        that hash is C code, not ``Enum.__hash__``'s Python frame."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            hash(MessageType.ECHO)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert {MessageType.ECHO: 1}[MessageType.ECHO] == 1
 
     def test_omissions_and_rejections(self):
         stats = TrafficStats()
